@@ -248,13 +248,11 @@ def _cmd_teleop(args) -> int:
         raise ConfigError("teleop requires teleop.event_log in the scenario")
     try:
         events = list(read_event_log(sc.event_log))
-    except OSError as exc:
+        if sc.sonar_log is not None:
+            sonar = read_sonar_log(sc.sonar_log, sc.sonar_max_range, sc.sonar_threshold)
+            events.extend(SonarUpdate(t, triple) for t, triple in sonar)
+    except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if sc.sonar_log is not None:
-        sonar = read_sonar_log(sc.sonar_log, sc.sonar_max_range, sc.sonar_threshold)
-        events.extend(SonarUpdate(t, triple) for t, triple in sonar)
     events.sort(key=lambda e: e.t)  # stable: ties keep file order, sonar last
 
     commands = run_events(events, sc.arbiter)

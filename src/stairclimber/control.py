@@ -270,7 +270,8 @@ def _smoothed_meditation(history: tuple[tuple[float, float], ...], cfg: ArbiterC
     # the smoother needs three points; before that the raw value drives the band
     if len(history) < 3:
         return history[-1][1]
-    return loess_smooth(list(history), cfg.loess)[-1][1]
+    # a local fit can overshoot the samples; the headset scale is [1, 100]
+    return min(100.0, max(1.0, loess_smooth(list(history), cfg.loess)[-1][1]))
 
 
 def _emit(

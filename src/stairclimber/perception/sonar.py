@@ -95,16 +95,19 @@ def read_sonar_log(
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
             raise ValueError(f"expected columns {sorted(expected)} (got {reader.fieldnames})")
         for row in reader:
-            rows.append(
-                (
-                    float(row["t"]),
-                    SonarTriple(
-                        d_left=float(row["d_left"]),
-                        d_front=float(row["d_front"]),
-                        d_right=float(row["d_right"]),
-                        max_range=max_range,
-                        threshold=threshold,
-                    ),
+            try:
+                rows.append(
+                    (
+                        float(row["t"]),
+                        SonarTriple(
+                            d_left=float(row["d_left"]),
+                            d_front=float(row["d_front"]),
+                            d_right=float(row["d_right"]),
+                            max_range=max_range,
+                            threshold=threshold,
+                        ),
+                    )
                 )
-            )
+            except (TypeError, ValueError) as exc:   # TypeError: a short row
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return rows

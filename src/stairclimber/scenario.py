@@ -64,7 +64,14 @@ def _num(obj: dict, path: str, key: str, default: float) -> float:
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number (got {value!r})")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:               # an integer literal beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        # json accepts NaN and Infinity; neither is a usable design value
+        raise ConfigError(f"{path}.{key}: expected a finite number (got {value!r})")
+    return number
 
 
 def _int(obj: dict, path: str, key: str, default: int | None) -> int | None:

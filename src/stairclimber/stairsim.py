@@ -28,6 +28,13 @@ stops there), ``ActuatorSaturation`` when the stroke cannot cover the
 chassis pitch.  Runs are deterministic: identical inputs give bit-identical
 trajectories.
 
+``step`` is the reference single-step API and ``run_climb`` folds it into a
+full trajectory.  The minimum-torque sweep only needs each probe's verdict
+(completed, fall, final speed), and plate levelling never feeds back into
+the dynamics, so its probes run ``_climb_verdict``: the same arithmetic as
+``run_climb`` in the same order, on scalar locals, with no plate, actuator,
+event or per-step state.  Tests hold it bit-identical to ``run_climb``.
+
 Defaults for track length, plate rig and run-out length are installation
 parameters, not derived from hardware measurements; override per scenario.
 """
@@ -340,6 +347,72 @@ def run_climb(
     )
 
 
+def _climb_verdict(cfg: SimConfig, stairs: Staircase, tau: float) -> tuple[bool, bool, float]:
+    """``(completed, fall, final.v)`` of ``run_climb(cfg, stairs, tau)``.
+
+    ``step`` folded by ``run_climb`` at a constant torque, with the same
+    arithmetic in the same order (so the result is bit-identical), minus
+    the plate, actuator, event and per-step state that never feed back into
+    the dynamics.  Every state's phase is ``phase_at`` of its position, so
+    the speed cap is tracked from the position alone.
+    """
+    p = cfg.track
+    engage, climb, crest, end = _zone_bounds(stairs, cfg)
+    goal = end + cfg.level_run            # path_end
+    flat = stairs.ramp_length <= 0
+    inc = stairs.inclination
+    ramp_in = climb - engage
+    ramp_out = end - crest
+    thrust = float(tau) / p.r
+    mg = p.M * p.gravity
+    cmg = cfg.rolling_resist_coeff * p.M * p.gravity
+    grade_flat, roll_flat = mg * math.sin(0.0), cmg * math.cos(0.0)
+    grade_climb, roll_climb = mg * math.sin(inc), cmg * math.cos(inc)
+    inertia = p.M + p.m1
+    dt = cfg.dt
+    ground, stair = cfg.ground_cap, cfg.stair_cap
+
+    s = v = 0.0
+    cap = ground if s < engage or not s < end else stair
+    completed = s >= goal
+    fall = False
+    for _ in range(int(round(cfg.duration / dt))):
+        # pitch_at(s) and the force terms of step()
+        if s < engage or s >= end or flat:
+            pitch, grade, roll = 0.0, grade_flat, roll_flat
+        elif s < climb:
+            pitch = inc * (s - engage) / ramp_in
+            grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
+        elif s < crest:
+            pitch, grade, roll = inc, grade_climb, roll_climb
+        else:
+            pitch = inc * (1.0 - (s - crest) / ramp_out)
+            grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
+
+        if v > 0.0:
+            net = thrust - grade - roll
+        else:
+            net0 = thrust - grade
+            net = 0.0 if abs(net0) <= roll else net0 - math.copysign(roll, net0)
+        v = v + net / inertia * dt
+        if v < 0.0:
+            if pitch > 0.0 and v < -_FALL_TOL:
+                fall = True
+            v = 0.0
+        if cap < v:                       # min(v, cap), NaN included
+            v = cap
+        s = s + v * dt
+        cap = ground if s < engage or not s < end else stair
+        if cap < v:
+            v = cap
+        if fall:
+            break
+        if s >= goal:
+            completed = True
+            break
+    return completed, fall, v
+
+
 @dataclass(frozen=True)
 class SweepProbe:
     torque: float
@@ -362,6 +435,9 @@ def min_torque_sweep(
     given torque resolution.  Pass a list as ``probes`` to capture every
     trial for reporting.  Raises Unclimbable when even the motor limit
     fails.
+
+    Each probe is decided by ``_climb_verdict``, which gives the same
+    verdict as ``run_climb`` (the reference) without building a trajectory.
     """
     if duration is not None:
         if duration <= 0:
@@ -369,10 +445,10 @@ def min_torque_sweep(
         cfg = replace(cfg, duration=duration)
 
     def climbs(tau: float) -> bool:
-        traj = run_climb(cfg, stairs, tau)
+        completed, fall, final_v = _climb_verdict(cfg, stairs, tau)
         if probes is not None:
-            probes.append(SweepProbe(tau, traj.completed, traj.fall, traj.final.v))
-        return traj.completed and not traj.fall
+            probes.append(SweepProbe(tau, completed, fall, final_v))
+        return completed and not fall
 
     lo = min_static_torque(replace(cfg.track, theta=stairs.inclination))
     hi = cfg.motor.available_track_torque

@@ -171,6 +171,38 @@ def test_unknown_scenario_key_exits_1(tmp_path):
     assert main(["design", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("sim", "dt_s", math.nan),
+        ("robot", "per_track_mass_kg", math.nan),
+        ("sim", "rolling_resist_coeff", math.inf),
+        ("staircase", "approach_length_m", -math.inf),
+        ("sim", "duration_s", 10**400),      # an integer beyond float range
+    ],
+)
+def test_non_finite_scenario_number_exits_1(tmp_path, capsys, section, key, value):
+    # json reads NaN and Infinity; the loader must refuse them by key path
+    scenario = write_scenario(tmp_path, {section: {key: value}})
+    assert main(["sweep", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}.{key}: expected a finite number")
+
+
+def test_bad_sonar_log_exits_1(tmp_path, capsys):
+    sonar = tmp_path / "sonar.csv"
+    sonar.write_text("t,d_left,d_front,d_right\n1.0,2.0,2.0,2.0\n2.0,0.0,2.0,2.0\n")
+    scenario = write_scenario(tmp_path, {
+        "teleop": {
+            "event_log": str(SCENARIOS / "teleop_events.jsonl"),
+            "sonar_log": "sonar.csv",
+        },
+    })
+    assert main(["teleop", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {sonar}:3: d_left must lie in (0, max_range]")
+
+
 def test_default_out_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["design"]) == 0

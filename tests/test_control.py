@@ -272,6 +272,21 @@ def test_eeg_history_window_is_bounded():
     assert len(state.med_history) == CFG.eeg_window
 
 
+@pytest.mark.parametrize(
+    "meditation, posture",
+    [
+        ((94, 28, 82, 68, 1), PostureState.LOWERING),   # fit ends just under 1
+        ((73, 98, 9, 100), PostureState.RAISING),       # fit ends just over 100
+    ],
+)
+def test_smoothed_meditation_overshoot_stays_on_the_headset_scale(meditation, posture):
+    state = ArbiterState()
+    state, _ = arbiter_step(state, KeyPress(0.0, "A"), CFG)
+    for i, med in enumerate(meditation):
+        state, cmd = arbiter_step(state, EegUpdate(1.0 + i, EegRecord(0.0, 50, med)), CFG)
+    assert cmd is not None and state.posture is posture
+
+
 def test_voice_commands_only_apply_in_voice_mode():
     state = ArbiterState()
     out, cmd = arbiter_step(state, VoiceCommand(1.0, "FORWARD"), CFG)

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -102,6 +103,14 @@ def test_sonar_log_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,left,front,right\n0,1,1,1\n")
     with pytest.raises(ValueError):
+        read_sonar_log(path)
+
+
+@pytest.mark.parametrize("row", ["2.0,1.0", "2.0,1.0,x,1.0"])
+def test_sonar_log_bad_row_names_file_and_line(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,d_left,d_front,d_right\n0,1,1,1\n{row}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
         read_sonar_log(path)
 
 

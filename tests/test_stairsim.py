@@ -1,15 +1,21 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stairclimber.drivetrain import MotorSpec, TrackParams
+from stairclimber.drivetrain import MotorSpec, TrackParams, min_static_torque
+from stairclimber.scenario import load_scenario
 from stairclimber.stairsim import (
     Phase,
     PlateRig,
     SimConfig,
     Staircase,
+    SweepProbe,
     Unclimbable,
+    _climb_verdict,
     initial_state,
     min_torque_sweep,
     path_end,
@@ -19,6 +25,8 @@ from stairclimber.stairsim import (
     step,
     trajectory_rows,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 TRACK = TrackParams(M=97.0, R=0.05, r=0.036, theta=math.radians(40.0), accel=0.5)
 MOTOR = MotorSpec()
@@ -218,3 +226,128 @@ def test_sim_config_validation():
         SimConfig(TRACK, MOTOR, track_length=0.0)
     with pytest.raises(ValueError):
         PlateRig(stroke=0.0)
+
+
+# --- the sweep's verdict kernel against run_climb, the step() reference ---
+
+
+def reference_verdict(cfg, stairs, tau):
+    traj = run_climb(cfg, stairs, tau)
+    return traj.completed, traj.fall, traj.final.v
+
+
+def static_torque(cfg, stairs):
+    return min_static_torque(replace(cfg.track, theta=stairs.inclination))
+
+
+@st.composite
+def climb_cases(draw):
+    """Short random climbs: zero-length ramps and approaches included."""
+    inclination = math.radians(draw(st.floats(5.0, 40.0)))
+    stairs = Staircase.from_angle(
+        inclination,
+        draw(st.floats(0.10, 0.20)),
+        ramp_length=draw(st.one_of(st.just(0.0), st.floats(0.01, 0.3))),
+        approach_length=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3))),
+    )
+    track = replace(TRACK, M=draw(st.floats(20.0, 120.0)), m1=draw(st.floats(0.0, 3.0)))
+    cfg = SimConfig(
+        track,
+        MOTOR,
+        dt=draw(st.sampled_from([5e-4, 1e-3, 2e-3, 5e-3])),
+        duration=draw(st.floats(0.5, 3.0)),
+        rolling_resist_coeff=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3))),
+        ground_cap=draw(st.floats(0.2, 3.0)),
+        stair_cap=draw(st.floats(0.05, 0.5)),
+        track_length=draw(st.floats(0.02, 0.2)),
+        level_run=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.1))),
+    )
+    return cfg, stairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(climb_cases(), st.floats(0.0, 2.5))
+def test_climb_verdict_matches_run_climb(case, fraction):
+    # fractions of the static bound span falls (on the slope), stalls
+    # (Coulomb rest) and completions
+    cfg, stairs = case
+    tau = fraction * static_torque(cfg, stairs)
+    assert repr(_climb_verdict(cfg, stairs, tau)) == repr(reference_verdict(cfg, stairs, tau))
+
+
+@pytest.mark.parametrize(
+    "name, torque, outcome",
+    [
+        ("baseline40", "motor", "completes"),
+        ("baseline40", "half_static", "falls"),
+        ("flat_ground", "motor", "completes"),
+        ("flat_ground", 0.0, "stalls"),
+    ],
+)
+def test_climb_verdict_matches_run_climb_on_scenarios(name, torque, outcome):
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    if torque == "motor":
+        torque = sc.motor.available_track_torque
+    elif torque == "half_static":
+        torque = 0.5 * static_torque(sc.sim, sc.stairs)
+    verdict = _climb_verdict(sc.sim, sc.stairs, torque)
+    assert repr(verdict) == repr(reference_verdict(sc.sim, sc.stairs, torque))
+    completed, fall, _ = verdict
+    assert outcome == ("falls" if fall else "completes" if completed else "stalls")
+
+
+def reference_sweep(cfg, stairs, resolution=0.05):
+    """The bisection of min_torque_sweep, written on top of run_climb."""
+    probes = []
+
+    def climbs(tau):
+        completed, fall, final_v = reference_verdict(cfg, stairs, tau)
+        probes.append(SweepProbe(tau, completed, fall, final_v))
+        return completed and not fall
+
+    lo = static_torque(cfg, stairs)
+    hi = cfg.motor.available_track_torque
+    if not climbs(hi):
+        return None, probes
+    if climbs(lo):
+        return lo, probes
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if climbs(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, probes
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        CFG,                                            # the static bound climbs
+        replace(CFG, rolling_resist_coeff=0.13),        # a full bisection
+        replace(CFG, duration=1.0),                     # unclimbable
+    ],
+)
+def test_sweep_probes_match_run_climb_bisection(cfg):
+    want, want_probes = reference_sweep(cfg, STAIRS)
+    probes = []
+    try:
+        got = min_torque_sweep(cfg, STAIRS, probes=probes)
+    except Unclimbable:
+        got = None
+    assert repr(got) == repr(want)
+    assert repr(probes) == repr(want_probes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(climb_cases())
+def test_sweep_verdict_is_monotone_in_torque(case):
+    # the bisection assumes that once a torque climbs, every larger one does
+    cfg, stairs = case
+    lo = static_torque(cfg, stairs)
+    climbs = []
+    for i in range(12):
+        completed, fall, _ = _climb_verdict(cfg, stairs, lo * (0.5 + 0.25 * i))
+        climbs.append(completed and not fall)
+    first = climbs.index(True) if True in climbs else len(climbs)
+    assert all(climbs[first:])
