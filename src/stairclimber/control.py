@@ -422,11 +422,18 @@ def run_events(
     cfg: ArbiterConfig | None = None,
     state: ArbiterState | None = None,
 ) -> list[tuple[float, DriveCommand]]:
-    """Fold a whole event sequence, collecting timestamped commands."""
+    """Fold a whole event sequence, collecting timestamped commands.
+
+    Raises ValueError when an event is earlier than the one before it.
+    """
     if state is None:
         state = ArbiterState()
     out: list[tuple[float, DriveCommand]] = []
-    for event in events:
+    last = -float("inf")
+    for i, event in enumerate(events):
+        if event.t < last:
+            raise ValueError(f"event {i} at t={event.t} is earlier than event {i - 1} at t={last}")
+        last = event.t
         state, cmd = arbiter_step(state, event, cfg)
         if cmd is not None:
             out.append((event.t, cmd))

@@ -7,6 +7,11 @@ point; otherwise, or when the window leaves the frame or the local gradient
 structure degenerates, the point is reported Lost and tracking stops.  No
 exceptions are raised for lost tracks: losing the target is a normal
 outcome, not an error.
+
+Each frame's pyramid is built once per call and serves both directions.  A
+level differentiates only the pixel block under its window and samples it
+with separable bilinear taps, doing per pixel the arithmetic of the
+whole-level, tap-by-tap form, so the results are the same to the bit.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from enum import Enum
 
 import numpy as np
 
+from .corners import _gradients
 from .frames import Frame
 
 __all__ = ["LkParams", "TrackStatus", "TrackedPoint", "lk_track", "fb_track"]
@@ -70,23 +76,17 @@ class _TrackFail(Exception):
     """Internal: window left the image or the solve degenerated."""
 
 
-def _pyramid(px: np.ndarray, levels: int, min_size: int) -> list[np.ndarray]:
+def _pyramid(px: np.ndarray, p: LkParams) -> list[np.ndarray]:
+    min_size = p.window + 2
     pyr = [px]
-    while len(pyr) < levels:
+    while len(pyr) < p.levels:
         h, w = pyr[-1].shape
         if h // 2 < min_size or w // 2 < min_size:
             break
-        trimmed = pyr[-1][: (h // 2) * 2, : (w // 2) * 2]
-        pyr.append(trimmed.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3)))
+        t = pyr[-1][: (h // 2) * 2, : (w // 2) * 2]
+        # the 2x2 block mean, summed in reshape(...).mean(axis=(1, 3))'s order
+        pyr.append(((t[0::2, 0::2] + t[0::2, 1::2]) + (t[1::2, 0::2] + t[1::2, 1::2])) / 4)
     return pyr
-
-
-def _gradients(px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gx = np.zeros_like(px)
-    gy = np.zeros_like(px)
-    gx[:, 1:-1] = (px[:, 2:] - px[:, :-2]) / 2.0
-    gy[1:-1, :] = (px[2:, :] - px[:-2, :]) / 2.0
-    return gx, gy
 
 
 def _window_fits(x: float, y: float, shape: tuple[int, int], hw: int) -> bool:
@@ -102,30 +102,41 @@ def _window_fits(x: float, y: float, shape: tuple[int, int], hw: int) -> bool:
     )
 
 
-def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    h, w = img.shape
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 2)
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 2)
+def _taps(x: float, y: float, offs: np.ndarray):
+    """Separable bilinear taps of the window at (x, y), which must fit.
+
+    Returns the rows and columns the taps read, then, within that block,
+    the taps' indices (None when consecutive, so that slices read them) and
+    the weights 1 - fx, fx as rows and 1 - fy, fy as columns.
+    """
+    xs = x + offs
+    ys = y + offs
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
     fx = xs - x0
-    fy = ys - y0
-    return (
-        img[y0, x0] * (1 - fx) * (1 - fy)
-        + img[y0, x0 + 1] * fx * (1 - fy)
-        + img[y0 + 1, x0] * (1 - fx) * fy
-        + img[y0 + 1, x0 + 1] * fx * fy
-    )
+    fy = (ys - y0)[:, None]
+    c0, c1, r0, r1 = int(x0[0]), int(x0[-1]), int(y0[0]), int(y0[-1])
+    # x + k > 0 in a window that fits, so floor(x + k) cannot repeat as k
+    # steps by 1: the taps skip a pixel only when the floors span more
+    index = None
+    if c1 - c0 != len(offs) - 1 or r1 - r0 != len(offs) - 1:
+        index = ((y0 - r0)[:, None], x0 - c0)
+    return (slice(r0, r1 + 2), slice(c0, c1 + 2)), (index, 1 - fx, fx, 1 - fy, fy)
 
 
-def _patch_grid(x: float, y: float, hw: int) -> tuple[np.ndarray, np.ndarray]:
-    offs = np.arange(-hw, hw + 1, dtype=float)
-    gx, gy = np.meshgrid(x + offs, y + offs)
-    return gx, gy
+def _bilinear(block: np.ndarray, taps) -> np.ndarray:
+    index, wx0, wx1, wy0, wy1 = taps
+    if index is None:
+        a, b, c, d = block[:-1, :-1], block[:-1, 1:], block[1:, :-1], block[1:, 1:]
+    else:
+        ri, ci = index
+        a, b, c, d = block[ri, ci], block[ri, ci + 1], block[ri + 1, ci], block[ri + 1, ci + 1]
+    return a * wx0 * wy0 + b * wx1 * wy0 + c * wx0 * wy1 + d * wx1 * wy1
 
 
 def _lk_level(
     prev_px: np.ndarray,
     next_px: np.ndarray,
-    grads: tuple[np.ndarray, np.ndarray],
     px: float,
     py: float,
     guess: tuple[float, float],
@@ -135,10 +146,14 @@ def _lk_level(
     hw = p.half
     if not _window_fits(px, py, prev_px.shape, hw):
         raise _TrackFail("template window outside image")
-    tx, ty = _patch_grid(px, py, hw)
-    template = _bilinear(prev_px, tx, ty)
-    ix = _bilinear(grads[0], tx, ty)
-    iy = _bilinear(grads[1], tx, ty)
+    offs = np.arange(-hw, hw + 1, dtype=float)
+    (rows, cols), taps = _taps(px, py, offs)
+    # differentiate only the sampled block, padded by the pixel on each side
+    # that central differences read, where the level has one
+    pr, pc = min(rows.start, 1), min(cols.start, 1)
+    pad = prev_px[rows.start - pr : rows.stop + 1, cols.start - pc : cols.stop + 1]
+    inner = (slice(pr, pr + rows.stop - rows.start), slice(pc, pc + cols.stop - cols.start))
+    template, ix, iy = (_bilinear(g[inner], taps) for g in (pad, *_gradients(pad)))
 
     gxx = float((ix * ix).sum())
     gxy = float((ix * iy).sum())
@@ -155,8 +170,8 @@ def _lk_level(
         qx, qy = px + dx, py + dy
         if not _window_fits(qx, qy, next_px.shape, hw):
             raise _TrackFail("search window outside image")
-        sx, sy = _patch_grid(qx, qy, hw)
-        diff = _bilinear(next_px, sx, sy) - template
+        block, taps = _taps(qx, qy, offs)
+        diff = _bilinear(next_px[block], taps) - template
         bx = float((diff * ix).sum())
         by = float((diff * iy).sum())
         step_x = -(gyy * bx - gxy * by) / det
@@ -170,6 +185,23 @@ def _lk_level(
     return dx, dy
 
 
+def _track(pyr_prev: list, pyr_next: list, point: tuple[float, float], p: LkParams):
+    """lk_track on the two frames' pyramids."""
+    depth = min(len(pyr_prev), len(pyr_next))
+    x, y = point
+    dx, dy = 0.0, 0.0
+    try:
+        for level in reversed(range(depth)):
+            scale = 2.0**level
+            dx, dy = _lk_level(pyr_prev[level], pyr_next[level], x / scale, y / scale, (dx, dy), p)
+            if level > 0:
+                dx *= 2.0
+                dy *= 2.0
+    except _TrackFail:
+        return None
+    return (x + dx, y + dy)
+
+
 def lk_track(
     prev: Frame,
     next_frame: Frame,
@@ -179,36 +211,14 @@ def lk_track(
     """Track one point from prev to next_frame; None when the track fails.
 
     Coarse-to-fine: the displacement found at each pyramid level, doubled,
-    seeds the next finer level.
+    seeds the next finer level.  Each level differentiates only the pixel
+    block under the window and samples it with separable bilinear taps.
     """
     if params is None:
         params = LkParams()
-    min_size = params.window + 2
-    pyr_prev = _pyramid(prev.pixels, params.levels, min_size)
-    pyr_next = _pyramid(next_frame.pixels, params.levels, min_size)
-    depth = min(len(pyr_prev), len(pyr_next))
-    x, y = point
-
-    dx, dy = 0.0, 0.0
-    try:
-        for level in reversed(range(depth)):
-            scale = 2.0**level
-            grads = _gradients(pyr_prev[level])
-            dx, dy = _lk_level(
-                pyr_prev[level],
-                pyr_next[level],
-                grads,
-                x / scale,
-                y / scale,
-                (dx, dy),
-                params,
-            )
-            if level > 0:
-                dx *= 2.0
-                dy *= 2.0
-    except _TrackFail:
-        return None
-    return (x + dx, y + dy)
+    pyr_prev = _pyramid(prev.pixels, params)
+    pyr_next = _pyramid(next_frame.pixels, params)
+    return _track(pyr_prev, pyr_next, point, params)
 
 
 def fb_track(
@@ -222,16 +232,19 @@ def fb_track(
     The point is tracked prev->next, then the result is tracked back
     next->prev; if the round trip misses the start by more than
     fb_threshold, or either direction fails, the point is marked Lost at
-    its last known position.
+    its last known position.  Both directions share the two frames'
+    pyramids, built once per call.
     """
     if params is None:
         params = LkParams()
     if point.lost:
         return point
-    forward = lk_track(prev, next_frame, point.position, params)
+    pyr_prev = _pyramid(prev.pixels, params)
+    pyr_next = _pyramid(next_frame.pixels, params)
+    forward = _track(pyr_prev, pyr_next, point.position, params)
     if forward is None:
         return replace(point, status=TrackStatus.LOST)
-    backward = lk_track(next_frame, prev, forward, params)
+    backward = _track(pyr_next, pyr_prev, forward, params)
     if backward is None:
         return replace(point, status=TrackStatus.LOST)
     if math.dist(backward, point.position) > params.fb_threshold:

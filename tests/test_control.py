@@ -360,6 +360,13 @@ def test_slew_budget_uses_elapsed_time():
     assert second - first == pytest.approx(0.1 * SLEW)
 
 
+def test_run_events_rejects_time_going_backwards():
+    events = [KeyPress(1.0, "8"), KeyPress(2.0, "8"), KeyPress(2.0, "5"), KeyPress(1.5, "8")]
+    with pytest.raises(ValueError, match=r"event 3 at t=1\.5 is earlier than event 2 at t=2\.0"):
+        run_events(events, CFG)
+    assert len(run_events(events[:3], CFG)) == 3  # equal timestamps are allowed
+
+
 def test_replay_is_deterministic():
     rng = np.random.default_rng(12)
     events = []
