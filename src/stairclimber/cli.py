@@ -69,9 +69,11 @@ def _load(args) -> Scenario:
     else:
         scenario = load_scenario(args.scenario)
     if args.dt is not None:
-        if args.dt <= 0:
-            raise ConfigError(f"--dt must be positive (got {args.dt})")
-        scenario = replace(scenario, sim=replace(scenario.sim, dt=args.dt))
+        try:
+            sim = replace(scenario.sim, dt=args.dt)
+        except ValueError as exc:
+            raise ConfigError(f"--dt {args.dt}: {exc}") from exc
+        scenario = replace(scenario, sim=sim)
     return scenario
 
 
@@ -191,8 +193,9 @@ def _sim_outputs(out: Path, sc: Scenario, traj: stairsim.Trajectory) -> None:
         f"peak track torque = {_fmt(traj.peak_torque)} N*m",
         f"max speed overall = {_fmt(traj.max_speed())} m/s",
     ]
+    present = set(traj.phase)
     for phase in stairsim.Phase:
-        if any(st.phase is phase for st in traj.states):
+        if phase in present:
             lines.append(f"max speed {phase.value} = {_fmt(traj.max_speed(phase))} m/s")
     (out / "sim_summary.txt").write_text("\n".join(lines) + "\n")
 
@@ -339,10 +342,9 @@ def _cmd_report(args) -> int:
     ]
 
     pcfg = power.PowerConfig()
-    times = [st.t for st in traj.states]
-    shaft = [st.track_torque / sc.motor.reduction for st in traj.states]
+    shaft = [tq / sc.motor.reduction for tq in traj.track_torque]
     currents = [power.motor_current(tq, pcfg) for tq in shaft]
-    report = power.check_driver(times, currents, pcfg)
+    report = power.check_driver(traj.t, currents, pcfg)
     avg = sum(currents) / len(currents)
     lines += [
         "",

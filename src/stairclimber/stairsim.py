@@ -28,12 +28,19 @@ stops there), ``ActuatorSaturation`` when the stroke cannot cover the
 chassis pitch.  Runs are deterministic: identical inputs give bit-identical
 trajectories.
 
-``step`` is the reference single-step API and ``run_climb`` folds it into a
-full trajectory.  The minimum-torque sweep only needs each probe's verdict
-(completed, fall, final speed), and plate levelling never feeds back into
-the dynamics, so its probes run ``_climb_verdict``: the same arithmetic as
-``run_climb`` in the same order, on scalar locals, with no plate, actuator,
-event or per-step state.  Tests hold it bit-identical to ``run_climb``.
+Three implementations share the arithmetic of one step, in the same order:
+
+- ``step`` is the reference single-step API: one frozen ``SimState`` in, the
+  next one out.
+- ``run_climb`` is the recording kernel.  It runs whole climbs on scalar
+  locals and appends each step to per-field columns of a ``Trajectory``;
+  ``Trajectory.states`` builds ``SimState`` rows only when read.  Tests hold
+  it equal to ``step`` folded over a run.
+- ``_climb_verdict`` decides a sweep probe.  It needs only (completed, fall,
+  final speed), and plate levelling never feeds back into the dynamics, so
+  it drops the plate, actuator, event and column work.  Recording costs
+  several times the dynamics, and the sweep runs a dozen probes per search,
+  so the two kernels stay separate.  Tests hold it equal to ``run_climb``.
 
 Defaults for track length, plate rig and run-out length are installation
 parameters, not derived from hardware measurements; override per scenario.
@@ -42,9 +49,9 @@ parameters, not derived from hardware measurements; override per scenario.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
 
 from .drivetrain import MotorSpec, TrackParams, min_static_torque
 
@@ -65,6 +72,9 @@ __all__ = [
 ]
 
 _FALL_TOL = 1e-6          # m/s of backward velocity tolerated before a Fall
+# steps one run may take: a climb stores every step, and the longest real
+# runs take tens of thousands, so more than this is a units mistake
+_MAX_STEPS = 1_000_000
 _MAX_INCLINATION = math.radians(40.0)
 
 TorqueSchedule = Callable[[float], float]
@@ -146,8 +156,13 @@ class SimConfig:
     plate: PlateRig = PlateRig()
 
     def __post_init__(self):
-        if self.dt <= 0 or self.duration < self.dt:
-            raise ValueError("need dt > 0 and duration >= dt")
+        if not (self.dt > 0) or not (self.duration >= self.dt):
+            raise ValueError(f"need dt > 0 and duration >= dt (got dt={self.dt}, duration={self.duration})")
+        steps = self.duration / self.dt
+        if not (math.isfinite(steps) and round(steps) <= _MAX_STEPS):
+            raise ValueError(
+                f"duration/dt = {steps:.3g} steps exceeds the budget of {_MAX_STEPS} steps"
+            )
         if self.ground_cap <= 0 or self.stair_cap <= 0:
             raise ValueError("speed caps must be positive")
         if self.rolling_resist_coeff < 0:
@@ -276,19 +291,67 @@ def step(
 
 @dataclass(frozen=True)
 class Trajectory:
-    states: tuple[SimState, ...]
+    """A climb stored as columns: entry i of each column belongs to state i.
+
+    The columns are the fields of ``SimState``, from the initial state to the
+    last one.  ``states`` shows the same rows as ``SimState`` objects.
+    """
+
+    phase: tuple[Phase, ...]
+    s: tuple[float, ...]
+    v: tuple[float, ...]
+    plate_angle: tuple[float, ...]
+    actuator_ext: tuple[float, ...]
+    track_torque: tuple[float, ...]
+    t: tuple[float, ...]
     events: tuple[tuple[float, str], ...]   # (t, event name)
     peak_torque: float
     completed: bool
     fall: bool
 
     @property
+    def states(self) -> Sequence[SimState]:
+        return _States(self)
+
+    @property
     def final(self) -> SimState:
         return self.states[-1]
 
     def max_speed(self, phase: Phase | None = None) -> float:
-        vs = [st.v for st in self.states if phase is None or st.phase is phase]
-        return max(vs) if vs else 0.0
+        if phase is None:
+            return max(self.v)
+        return max((v for v, ph in zip(self.v, self.phase) if ph is phase), default=0.0)
+
+
+class _States(Sequence):
+    """Read-only sequence of a trajectory's rows, each built on access."""
+
+    __slots__ = ("_cols",)
+
+    def __init__(self, traj: Trajectory):
+        self._cols = (
+            traj.phase, traj.s, traj.v, traj.plate_angle,
+            traj.actuator_ext, traj.track_torque, traj.t,
+        )
+
+    def __len__(self) -> int:
+        return len(self._cols[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(SimState, *(col[i] for col in self._cols)))
+        return SimState(*(col[i] for col in self._cols))
+
+    def __iter__(self):
+        return map(SimState, *self._cols)
+
+    def __eq__(self, other):
+        # equal to another view or to a tuple of states, as the tuple it replaces was
+        if isinstance(other, _States):
+            return self._cols == other._cols
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
 
 
 def _as_schedule(torque: float | TorqueSchedule) -> TorqueSchedule:
@@ -308,38 +371,136 @@ def run_climb(
     The run ends at completion (path end reached), on a Fall, or when the
     configured duration elapses.  Fall and ActuatorSaturation are recorded
     as events; no exception is raised for them.
+
+    Each step does the arithmetic of ``step`` in the same order, so the
+    trajectory equals ``step`` folded over the run.  A state's pitch and
+    phase are those of its position, so each step reuses the previous
+    step's instead of calling ``pitch_at`` and ``phase_at`` again.
     """
     schedule = _as_schedule(torque_schedule)
-    end = path_end(stairs, cfg)
+    p, rig = cfg.track, cfg.plate
+    engage, climb, crest, end = _zone_bounds(stairs, cfg)
+    goal = path_end(stairs, cfg)
+    flat = stairs.ramp_length <= 0
+    inc = stairs.inclination
+    ramp_in = climb - engage
+    ramp_out = end - crest
+    r = p.r
+    mg = p.M * p.gravity
+    cmg = cfg.rolling_resist_coeff * p.M * p.gravity
+    grade_flat, roll_flat = mg * math.sin(0.0), cmg * math.cos(0.0)
+    grade_climb, roll_climb = mg * math.sin(inc), cmg * math.cos(inc)
+    inertia = p.M + p.m1
+    dt = cfg.dt
+    ground, stair = cfg.ground_cap, cfg.stair_cap
+    lever, stroke, tolerance = rig.lever_arm, rig.stroke, rig.tolerance
+    stroke_tol = rig.stroke + 1e-12
+    max_move = rig.max_rate * cfg.dt
+    min_move = -max_move
+    copysign = math.copysign
+    approach, engaging, climbing, cresting, level = Phase
+
     state = initial_state(cfg, stairs)
-    states = [state]
+    phase, s, v, plate, ext, tau, t = (
+        state.phase, state.s, state.v, state.plate_angle,
+        state.actuator_ext, state.track_torque, state.t,
+    )
+    pitch = pitch_at(s, stairs, cfg)
+    grade = mg * math.sin(pitch)
+    roll = cmg * math.cos(pitch)
+    cap = _speed_cap(phase, cfg)
+
+    phases, ss, vs, plates, exts, taus, ts = ([x] for x in (phase, s, v, plate, ext, tau, t))
+    add_phase, add_s, add_v, add_plate, add_ext, add_tau, add_t = (
+        col.append for col in (phases, ss, vs, plates, exts, taus, ts)
+    )
     events: list[tuple[float, str]] = []
     peak = 0.0
-    completed = state.s >= end
+    completed = s >= goal
     fall = False
     saturated = False
-    n_steps = int(round(cfg.duration / cfg.dt))
-    for _ in range(n_steps):
-        tau = schedule(state.t)
-        peak = max(peak, abs(tau))
-        state, evs = step(state, tau, cfg, stairs)
-        for name in evs:
-            if name == "ActuatorSaturation":
-                if saturated:
-                    continue        # report saturation once per onset
-                saturated = True
-            events.append((state.t, name))
-        if not any(n == "ActuatorSaturation" for n in evs):
+    for _ in range(int(round(cfg.duration / dt))):
+        tau = schedule(t)
+        mag = abs(tau)
+        if mag > peak:                    # max(peak, abs(tau))
+            peak = mag
+
+        thrust = tau / r
+        if v > 0.0:
+            net = thrust - grade - roll
+        else:
+            # at rest the resistance acts like static friction
+            net0 = thrust - grade
+            net = 0.0 if abs(net0) <= roll else net0 - copysign(roll, net0)
+        v = v + net / inertia * dt
+        fell = False
+        if v < 0.0:
+            fell = pitch > 0.0 and v < -_FALL_TOL
+            v = 0.0
+        if cap < v:                       # min(v, cap), NaN included
+            v = cap
+
+        s = s + v * dt
+        # phase_at(s) and pitch_at(s), with the force terms of the next step
+        if s < engage:
+            phase, cap, pitch, grade, roll = approach, ground, 0.0, grade_flat, roll_flat
+        elif s < climb:
+            phase, cap = engaging, stair
+            pitch = inc * (s - engage) / ramp_in
+            grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
+        elif s < crest:
+            phase, cap, pitch, grade, roll = climbing, stair, inc, grade_climb, roll_climb
+        elif s < end:
+            phase, cap = cresting, stair
+            pitch = inc * (1.0 - (s - crest) / ramp_out)
+            grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
+        else:
+            phase, cap = level, ground
+            # pitch_at: flat past the end, NaN at a NaN position on stairs
+            pitch = 0.0 if s >= end or flat else inc * (1.0 - (s - crest) / ramp_out)
+            grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
+        # re-clamp so the stored row respects its own phase's cap
+        if cap < v:
+            v = cap
+
+        # plate levelling: track the chassis pitch within rate and stroke limits
+        reach = pitch * lever
+        target = stroke if stroke < reach else reach          # min(reach, stroke)
+        delta = target - ext
+        move = delta if delta < max_move else max_move        # min(max_move, delta)
+        ext = ext + (move if move > min_move else min_move)   # max(-max_move, move)
+        plate = pitch - ext / lever
+        t = t + dt
+
+        if fell:
+            events.append((t, "Fall"))
+        if reach > stroke_tol and abs(plate) > tolerance:
+            if not saturated:             # report saturation once per onset
+                events.append((t, "ActuatorSaturation"))
+            saturated = True
+        else:
             saturated = False
-        states.append(state)
-        if any(n == "Fall" for n in evs):
+        add_phase(phase)
+        add_s(s)
+        add_v(v)
+        add_plate(plate)
+        add_ext(ext)
+        add_tau(tau)
+        add_t(t)
+        if fell:
             fall = True
             break
-        if state.s >= end:
+        if s >= goal:
             completed = True
             break
     return Trajectory(
-        states=tuple(states),
+        phase=tuple(phases),
+        s=tuple(ss),
+        v=tuple(vs),
+        plate_angle=tuple(plates),
+        actuator_ext=tuple(exts),
+        track_torque=tuple(taus),
+        t=tuple(ts),
         events=tuple(events),
         peak_torque=peak,
         completed=completed,
@@ -350,9 +511,9 @@ def run_climb(
 def _climb_verdict(cfg: SimConfig, stairs: Staircase, tau: float) -> tuple[bool, bool, float]:
     """``(completed, fall, final.v)`` of ``run_climb(cfg, stairs, tau)``.
 
-    ``step`` folded by ``run_climb`` at a constant torque, with the same
+    The dynamics of ``run_climb`` at a constant torque, with the same
     arithmetic in the same order (so the result is bit-identical), minus
-    the plate, actuator, event and per-step state that never feed back into
+    the plate, actuator, event and column work that never feeds back into
     the dynamics.  Every state's phase is ``phase_at`` of its position, so
     the speed cap is tracked from the position alone.
     """
@@ -437,12 +598,10 @@ def min_torque_sweep(
     fails.
 
     Each probe is decided by ``_climb_verdict``, which gives the same
-    verdict as ``run_climb`` (the reference) without building a trajectory.
+    verdict as ``run_climb`` without recording a trajectory.
     """
     if duration is not None:
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        cfg = replace(cfg, duration=duration)
+        cfg = replace(cfg, duration=duration)     # SimConfig checks it
 
     def climbs(tau: float) -> bool:
         completed, fall, final_v = _climb_verdict(cfg, stairs, tau)
@@ -477,10 +636,12 @@ def trajectory_rows(traj: Trajectory) -> list[tuple[float, str, float, float, fl
     by_time: dict[float, list[str]] = {}
     for t, name in traj.events:
         by_time.setdefault(t, []).append(name)
-    rows = []
-    for st in traj.states:
-        evs = ";".join(by_time.get(st.t, []))
-        rows.append(
-            (st.t, st.phase.value, st.s, st.v, math.degrees(st.plate_angle), st.track_torque, evs)
+    joined = {t: ";".join(names) for t, names in by_time.items()}
+    value = {phase: phase.value for phase in Phase}
+    degrees = math.degrees
+    return [
+        (t, value[phase], s, v, degrees(plate), torque, joined.get(t, ""))
+        for phase, s, v, plate, torque, t in zip(
+            traj.phase, traj.s, traj.v, traj.plate_angle, traj.track_torque, traj.t
         )
-    return rows
+    ]

@@ -1,6 +1,10 @@
 import csv
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,8 @@ from stairclimber.cli import main
 from stairclimber.drivetrain import Pulley, TrackParams, torque_case
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent / "data"
 BASELINE = str(SCENARIOS / "baseline40.json")
 FLAT = str(SCENARIOS / "flat_ground.json")
 REPLAY = str(SCENARIOS / "teleop_replay.json")
@@ -207,3 +213,52 @@ def test_default_out_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["design"]) == 0
     assert (tmp_path / "runs" / "default" / "design_report.txt").exists()
+
+
+@pytest.mark.parametrize("dt", ["nan", "20", "inf", "0"])
+def test_bad_dt_override_exits_1(tmp_path, capsys, dt):
+    # 20 s is longer than the scenario's 10 s horizon
+    assert main(["sim", "--scenario", BASELINE, "--out", str(tmp_path / "o"), "--dt", dt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --dt {float(dt)}: need dt > 0 and duration >= dt")
+
+
+@pytest.mark.parametrize(
+    "scenario_obj, extra, prefix",
+    [
+        ({}, ["--dt", "1e-12"], "--dt 1e-12"),              # 10**13 steps
+        ({"sim": {"duration_s": 1e9}}, [], "sim"),          # 10**12 steps
+    ],
+)
+def test_step_budget_exits_1_quickly(tmp_path, scenario_obj, extra, prefix):
+    # a subprocess with a timeout, so a missing budget fails instead of hanging
+    scenario = write_scenario(tmp_path, scenario_obj)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stairclimber.cli", "sim", "--scenario", scenario,
+         "--out", str(tmp_path / "o"), *extra],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"config error: {prefix}: duration/dt = ")
+    assert "exceeds the budget of 1000000 steps" in proc.stderr
+
+
+def test_climb_artifacts_match_golden_digests(tmp_path):
+    # sha256 of every file sim and sweep write; a change here is a change of
+    # the artifacts, so regenerate the digests only when that is intended
+    golden = {}
+    for line in (DATA / "climb_artifacts.sha256").read_text().splitlines():
+        digest, name = line.split(maxsplit=1)
+        golden[name] = digest
+    for name in ("baseline40", "flat_ground"):
+        for command in ("sim", "sweep"):
+            out = tmp_path / name / command
+            scenario = str(SCENARIOS / f"{name}.json")
+            assert main([command, "--scenario", scenario, "--seed", "1", "--out", str(out)]) == 0
+    got = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    assert got == golden

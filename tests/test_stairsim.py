@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
@@ -12,9 +12,11 @@ from stairclimber.stairsim import (
     Phase,
     PlateRig,
     SimConfig,
+    SimState,
     Staircase,
     SweepProbe,
     Unclimbable,
+    _MAX_STEPS,
     _climb_verdict,
     initial_state,
     min_torque_sweep,
@@ -351,3 +353,196 @@ def test_sweep_verdict_is_monotone_in_torque(case):
         climbs.append(completed and not fall)
     first = climbs.index(True) if True in climbs else len(climbs)
     assert all(climbs[first:])
+
+
+# --- run_climb, the recording kernel, against step() folded over a run ---
+
+
+def reference_run_climb(cfg, stairs, torque_schedule):
+    """``run_climb`` written as ``step`` folded over the run.
+
+    Returns ``(states, events, peak_torque, completed, fall)``.
+    """
+    schedule = torque_schedule if callable(torque_schedule) else (lambda t, v=float(torque_schedule): v)
+    end = path_end(stairs, cfg)
+    state = initial_state(cfg, stairs)
+    states = [state]
+    events = []
+    peak = 0.0
+    completed = state.s >= end
+    fall = False
+    saturated = False
+    for _ in range(int(round(cfg.duration / cfg.dt))):
+        tau = schedule(state.t)
+        peak = max(peak, abs(tau))
+        state, evs = step(state, tau, cfg, stairs)
+        for name in evs:
+            if name == "ActuatorSaturation":
+                if saturated:
+                    continue        # report saturation once per onset
+                saturated = True
+            events.append((state.t, name))
+        if not any(n == "ActuatorSaturation" for n in evs):
+            saturated = False
+        states.append(state)
+        if any(n == "Fall" for n in evs):
+            fall = True
+            break
+        if state.s >= end:
+            completed = True
+            break
+    return tuple(states), tuple(events), peak, completed, fall
+
+
+def reference_max_speed(states, phase=None):
+    vs = [st.v for st in states if phase is None or st.phase is phase]
+    return max(vs) if vs else 0.0
+
+
+def reference_rows(states, events):
+    by_time = {}
+    for t, name in events:
+        by_time.setdefault(t, []).append(name)
+    return [
+        (st.t, st.phase.value, st.s, st.v, math.degrees(st.plate_angle), st.track_torque,
+         ";".join(by_time.get(st.t, [])))
+        for st in states
+    ]
+
+
+def assert_matches_reference(cfg, stairs, schedule):
+    traj = run_climb(cfg, stairs, schedule)
+    ref = reference_run_climb(cfg, stairs, schedule)
+    states, events, peak, completed, fall = ref
+    assert traj.states == states
+    assert (traj.events, traj.peak_torque, traj.completed, traj.fall) == ref[1:]
+    # == takes -0.0 for 0.0 and compares NaN by identity; repr does neither
+    got = (tuple(traj.states), traj.events, traj.peak_torque, traj.completed, traj.fall)
+    assert repr(got) == repr(ref)
+    for phase in (None, *Phase):
+        assert repr(traj.max_speed(phase)) == repr(reference_max_speed(states, phase))
+    assert repr(trajectory_rows(traj)) == repr(reference_rows(states, events))
+    return traj
+
+
+@st.composite
+def plate_rigs(draw, inclination):
+    """Strokes on both sides of the one that levels the full inclination."""
+    lever = draw(st.floats(0.1, 0.5))
+    return PlateRig(
+        lever_arm=lever,
+        max_rate=draw(st.floats(0.005, 0.2)),
+        stroke=draw(st.floats(0.3, 1.5)) * lever * inclination,
+        tolerance=math.radians(draw(st.floats(0.2, 6.0))),
+    )
+
+
+@st.composite
+def torque_schedules(draw, scale):
+    """Constant, smooth and piecewise schedules, zero and negative included."""
+    level = st.one_of(st.floats(0.8, 2.5), st.floats(-1.0, 2.5), st.just(0.0)).map(lambda f: f * scale)
+    kind = draw(st.sampled_from(["constant", "sine", "piecewise"]))
+    if kind == "constant":
+        return draw(level)
+    if kind == "sine":
+        mean, amp, w = draw(level), draw(level), draw(st.floats(0.5, 40.0))
+        return lambda t: mean + amp * math.sin(w * t)
+    a, b = draw(level), draw(level)
+    t1, period = draw(st.floats(0.0, 2.0)), draw(st.floats(0.01, 0.5))
+    return lambda t: a if t < t1 or (t - t1) % period < 0.5 * period else b
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_run_climb_matches_step_folded_reference(data):
+    cfg, stairs = data.draw(climb_cases())
+    cfg = replace(cfg, plate=data.draw(plate_rigs(stairs.inclination)))
+    schedule = data.draw(torque_schedules(static_torque(cfg, stairs)))
+    assert_matches_reference(cfg, stairs, schedule)
+
+
+def stop_and_go(t):
+    # full torque raises the pitch faster than the actuator follows (onset),
+    # then pulses slow the climb so it catches up (end) before the pitch
+    # passes what the stroke can level (second onset)
+    if t < 0.8:
+        return 30.0
+    return 25.0 if (t - 0.8) % 0.2 < 0.1 else 16.0
+
+
+@pytest.mark.parametrize(
+    "name, cfg, stairs, schedule, check",
+    [
+        ("completes", CFG, STAIRS, 30.0, lambda tr: tr.completed and not tr.events),
+        ("falls", CFG, STAIRS, lambda t: 30.0 if t < 1.0 else 0.0, lambda tr: tr.fall),
+        ("negative torque on the flat", SimConfig(TRACK, MOTOR, duration=0.5), flat_course(), -5.0,
+         lambda tr: not tr.fall and tr.final.s == 0.0),
+        ("saturates once", replace(CFG, plate=PlateRig(stroke=0.10)), STAIRS, 30.0,
+         lambda tr: [n for _, n in tr.events] == ["ActuatorSaturation"]),
+        ("saturates twice", SimConfig(TRACK, MOTOR, duration=5.0, track_length=0.15, level_run=0.0,
+                                      plate=PlateRig(stroke=0.15, max_rate=0.12, tolerance=math.radians(4.0))),
+         replace(STAIRS, approach_length=0.0), stop_and_go,
+         lambda tr: [n for _, n in tr.events].count("ActuatorSaturation") == 2),
+        ("done at step 0", replace(CFG, level_run=0.0), flat_course(0.0), 0.0,
+         lambda tr: tr.completed and len(tr.states) == 2),
+    ],
+)
+def test_run_climb_matches_reference_on_cases(name, cfg, stairs, schedule, check):
+    traj = assert_matches_reference(cfg, stairs, schedule)
+    assert check(traj), name
+
+
+@pytest.mark.parametrize("name", ["baseline40", "flat_ground"])
+def test_run_climb_matches_reference_on_scenarios(name):
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    assert_matches_reference(sc.sim, sc.stairs, sc.motor.available_track_torque)
+
+
+def test_states_view_builds_rows_only_when_read(monkeypatch):
+    import stairclimber.stairsim as stairsim
+
+    traj = run_climb(CFG, STAIRS, 30.0)
+    ref_states = reference_run_climb(CFG, STAIRS, 30.0)[0]
+    built = []
+
+    class CountingState(SimState):
+        def __init__(self, *fields):
+            built.append(fields)
+            super().__init__(*fields)
+
+    monkeypatch.setattr(stairsim, "SimState", CountingState)
+    states = traj.states
+    assert len(states) == len(ref_states) and len(traj.states) == len(traj.t)
+    assert not built
+    assert states[-1] == CountingState(*astuple(ref_states[-1]))
+    assert len(built) == 2
+    monkeypatch.undo()
+
+    n = len(ref_states)
+    assert states[-1] == ref_states[-1] == traj.final
+    assert states[-n] == states[0] == ref_states[0]
+    with pytest.raises(IndexError):
+        states[n]
+    with pytest.raises(IndexError):
+        states[-n - 1]
+    assert states[1:] == ref_states[1:]
+    assert states[::7] == ref_states[::7] and isinstance(states[::7], tuple)
+    assert states[5:2] == ()
+    assert list(states) == list(ref_states)
+    assert list(reversed(states)) == list(reversed(ref_states))
+    assert states == ref_states and states == run_climb(CFG, STAIRS, 30.0).states
+    assert states != run_climb(CFG, STAIRS, 29.0).states
+    assert states != list(ref_states)        # a tuple never equalled a list
+    assert states.index(ref_states[3]) == 3 and ref_states[3] in states
+
+
+def test_sim_config_refuses_nan_and_runs_over_the_step_budget():
+    assert round(SimConfig(TRACK, MOTOR, dt=1e-5, duration=10.0).duration / 1e-5) == _MAX_STEPS
+    for dt, duration in [(math.nan, 10.0), (1e-3, math.nan), (1e-5, 10.00001),
+                         (1e-12, 10.0), (1e-320, 10.0), (1e-3, math.inf)]:
+        with pytest.raises(ValueError):
+            SimConfig(TRACK, MOTOR, dt=dt, duration=duration)
+    # the sweep's horizon override goes through the same checks
+    for duration in (math.nan, 1e9):
+        with pytest.raises(ValueError):
+            min_torque_sweep(CFG, STAIRS, duration=duration)
