@@ -27,7 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import drivetrain, power, stairsim, support
-from .control import SonarUpdate, protocol_lines, read_event_log, run_events, command_to_dict
+from .control import (
+    EegUpdate, SonarUpdate, _fmt, command_to_dict, protocol_lines, read_event_log, run_events,
+)
 from .perception import (
     LkParams,
     TrackedPoint,
@@ -42,10 +44,6 @@ from .scenario import ConfigError, Scenario, build_scenario, load_scenario
 __all__ = ["main"]
 
 SIZING_TARGETS = drivetrain.SIZING_TARGETS
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -83,7 +81,7 @@ def _out_dir(args, scenario: Scenario) -> Path:
     return out
 
 
-def _design_lines(sc: Scenario) -> list[str]:
+def _design_lines(sc: Scenario, profile) -> list[str]:
     gear = sc.gear
     tension = {
         p.name: " >= ".join(drivetrain.tension_order(p))
@@ -146,8 +144,6 @@ def _design_lines(sc: Scenario) -> list[str]:
         f"check = {'pass' if margin.passed else 'FAIL'}",
     ]
 
-    theta_grid = np.linspace(0.0, math.pi / 2.0, 91)
-    profile = support.force_profile(sc.support_geom, sc.support_load, theta_grid)
     peak = max(f for _, _, f in profile)
     structural = support.check_structural(peak, sc.support_load)
     lines += [
@@ -257,6 +253,10 @@ def _cmd_teleop(args) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     events.sort(key=lambda e: e.t)  # stable: ties keep file order, sonar last
+    eeg_t = [e.t for e in events if isinstance(e, EegUpdate)]
+    for a, b in zip(eeg_t, eeg_t[1:]):
+        if a == b:  # the smoother needs strictly increasing headset times
+            raise ConfigError(f"{sc.event_log}: two eeg events at t = {_fmt(a)} s")
 
     commands = run_events(events, sc.arbiter)
     with open(out / "commands.jsonl", "w") as fh:
@@ -314,7 +314,7 @@ def _cmd_report(args) -> int:
     sc = _load(args)
     out = _out_dir(args, sc)
 
-    _design_outputs(sc, out)
+    lines = _design_outputs(sc, out)
     traj = _run_climb(sc)
     _sim_outputs(out, sc, traj)
 
@@ -327,7 +327,6 @@ def _cmd_report(args) -> int:
         sweep_failed = True
     _write_sweep_csv(out, probes)
 
-    lines = _design_lines(sc)
     lines += [
         "",
         "[climb simulation]",
@@ -366,7 +365,7 @@ def _cmd_report(args) -> int:
     return 2 if (traj.fall or not traj.completed or sweep_failed) else 0
 
 
-def _design_outputs(sc: Scenario, out: Path) -> None:
+def _design_outputs(sc: Scenario, out: Path) -> list[str]:
     theta_grid = np.linspace(0.0, math.pi / 2.0, 91)
     profile = support.force_profile(sc.support_geom, sc.support_load, theta_grid)
     _write_csv(
@@ -385,7 +384,9 @@ def _design_outputs(sc: Scenario, out: Path) -> None:
             )
         )
     _write_csv(out / "torque_vs_theta.csv", ["theta_deg", "torque_p1_nm", "torque_p3_nm"], rows)
-    (out / "design_report.txt").write_text("\n".join(_design_lines(sc)) + "\n")
+    lines = _design_lines(sc, profile)
+    (out / "design_report.txt").write_text("\n".join(lines) + "\n")
+    return lines
 
 
 def main(argv=None) -> int:

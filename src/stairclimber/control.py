@@ -25,7 +25,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .eeg import EegRecord, LoessConfig, PostureState, loess_smooth, posture_transition
+from .eeg import EegRecord, LoessConfig, PostureState, loess_last, posture_transition
 from .perception.sonar import RegionOccupancy, SonarTriple, region_map
 
 __all__ = [
@@ -243,8 +243,6 @@ class ArbiterState:
 _MODE_KEYS = {"A": Mode.EEG, "B": Mode.VOICE, "C": Mode.TRACKING}
 _DRIVE_KEYS = {"8", "2", "4", "6", "5"}
 
-VOICE_SYMBOLS = ("FORWARD", "BACK", "LEFT", "RIGHT", "STOP", "RAISE", "LOWER")
-
 
 def tracking_controller(
     bearing: float | None, cfg: ArbiterConfig | None = None
@@ -271,7 +269,7 @@ def _smoothed_meditation(history: tuple[tuple[float, float], ...], cfg: ArbiterC
     if len(history) < 3:
         return history[-1][1]
     # a local fit can overshoot the samples; the headset scale is [1, 100]
-    return min(100.0, max(1.0, loess_smooth(list(history), cfg.loess)[-1][1]))
+    return min(100.0, max(1.0, loess_last(history, cfg.loess)))
 
 
 def _emit(
@@ -396,11 +394,7 @@ def arbiter_step(
         posture = posture_transition(
             smoothed, state.posture, cfg.hysteresis_lo, cfg.hysteresis_hi
         )
-        rate = {
-            PostureState.RAISING: cfg.posture_rate,
-            PostureState.LOWERING: -cfg.posture_rate,
-            PostureState.HOLDING: 0.0,
-        }[posture]
+        rate = posture.seat_rate(cfg.posture_rate)
         state = replace(state, med_history=history, posture=posture)
         return _emit(state, cfg, event.t, DriveCommand(0.0, 0.0, rate, Mode.EEG))
 

@@ -25,7 +25,7 @@ reports can show the spread explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 __all__ = [
@@ -111,8 +111,6 @@ def torque_case(case: Pulley, p: TrackParams) -> float:
 
 def min_static_torque(p: TrackParams) -> float:
     """Torque to hold climb speed constant driving P3: r * M * g * sin(theta)."""
-    from dataclasses import replace
-
     return torque_case(Pulley.P3, replace(p, accel=0.0))
 
 

@@ -13,12 +13,12 @@ frames are dropped, never raised.
 
 The meditation series is pre-smoothed with LOESS (locally weighted linear
 regression, tricube weights) before driving the seat: raw headset values are
-spiky and a single outlier must not toggle the actuators.  The posture
-controller is a hysteresis band on the smoothed value: at or above the high
-threshold the seat raises, at or below the low threshold it lowers, and in
-between it holds its previous state.  Thresholds default to 60/40, symmetric
-about the scale midpoint with a dead band wide enough to reject smoothed
-noise.
+spiky and a single outlier must not toggle the actuators.  The arbiter fits
+only the newest sample of its window (loess_last).  The posture controller
+is a hysteresis band on the smoothed value: at or above the high threshold
+the seat raises, at or below the low threshold it lowers, and in between it
+holds its previous state.  Thresholds default to 60/40, symmetric about the
+scale midpoint with a dead band wide enough to reject smoothed noise.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "LoessConfig",
     "TooFewPoints",
     "loess_smooth",
+    "loess_last",
     "PostureState",
     "PostureController",
     "posture_transition",
@@ -150,8 +151,25 @@ def loess_smooth(
     Each point is re-estimated from a weighted straight-line fit over its
     nearest-neighbour window (tricube weights, zero at the window edge).
     Output length equals input length and t values are echoed unchanged.
-    Requires >= 3 points with strictly increasing t.
+    Requires >= 3 points with strictly increasing t.  The arbiter needs only
+    the newest point and calls loess_last instead.
     """
+    t, y, q = _checked_series(series, cfg)
+    return [(float(t[i]), float(_fit_at(t, y, q, i))) for i in range(len(t))]
+
+
+def loess_last(series, cfg: LoessConfig | None = None) -> float:
+    """The fit at the last point of a series only: one local fit, not one per point.
+
+    Equals loess_smooth(series, cfg)[-1][1] exactly, with the same checks
+    and errors.  The arbiter smooths each new headset sample with this.
+    """
+    t, y, q = _checked_series(series, cfg)
+    return float(_fit_at(t, y, q, len(t) - 1))
+
+
+def _checked_series(series, cfg: LoessConfig | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """The t and value columns of a checked series, and its window size."""
     if cfg is None:
         cfg = LoessConfig()
     arr = np.asarray(series, dtype=float)
@@ -160,23 +178,21 @@ def loess_smooth(
     n = arr.shape[0]
     if n < cfg.degree + 2:
         raise TooFewPoints(f"need at least {cfg.degree + 2} points (got {n})")
-    t = arr[:, 0]
-    y = arr[:, 1]
+    t, y = arr[:, 0], arr[:, 1]
     if not np.all(np.diff(t) > 0):
         raise ValueError("t must be strictly increasing")
+    return t, y, cfg.window(n)
 
-    q = cfg.window(n)
-    out = np.empty(n)
-    for i in range(n):
-        d = np.abs(t - t[i])
-        h = np.partition(d, q - 1)[q - 1]
-        if h == 0.0:
-            out[i] = y[i]
-            continue
-        u = np.minimum(d / h, 1.0)
-        w = (1.0 - u**3) ** 3
-        out[i] = _weighted_line_at(t, y, w, t[i])
-    return [(float(ti), float(yi)) for ti, yi in zip(t, out)]
+
+def _fit_at(t: np.ndarray, y: np.ndarray, q: int, i: int) -> float:
+    # weighted line through the q nearest neighbours of point i, at t[i]
+    d = np.abs(t - t[i])
+    h = np.partition(d, q - 1)[q - 1]
+    if h == 0.0:
+        return y[i]
+    u = np.minimum(d / h, 1.0)
+    w = (1.0 - u**3) ** 3
+    return _weighted_line_at(t, y, w, t[i])
 
 
 def _weighted_line_at(x: np.ndarray, y: np.ndarray, w: np.ndarray, x0: float) -> float:
@@ -200,6 +216,12 @@ class PostureState(Enum):
     RAISING = "raising"
     LOWERING = "lowering"
     HOLDING = "holding"
+
+    def seat_rate(self, rate: float) -> float:
+        """The seat rate command in this state: +rate, -rate or 0."""
+        if self is PostureState.HOLDING:
+            return 0.0
+        return rate if self is PostureState.RAISING else -rate
 
 
 def posture_transition(
@@ -236,8 +258,4 @@ class PostureController:
     def update(self, value: float) -> float:
         """Consume one smoothed value, return the actuator rate command."""
         self.state = posture_transition(value, self.state, self.lo, self.hi)
-        if self.state is PostureState.RAISING:
-            return self.rate
-        if self.state is PostureState.LOWERING:
-            return -self.rate
-        return 0.0
+        return self.state.seat_rate(self.rate)

@@ -108,11 +108,11 @@ class Staircase:
                 f"inclination must lie in (0, {math.degrees(_MAX_INCLINATION):.0f} deg] "
                 f"(got {math.degrees(self.inclination):.2f} deg)"
             )
-        if self.step_rise <= 0 or self.step_run <= 0:
+        if not (self.step_rise > 0 and self.step_run > 0):
             raise ValueError("step rise and run must be positive")
         if abs(self.inclination - math.atan2(self.step_rise, self.step_run)) > 1e-9:
             raise ValueError("inclination must equal atan(rise/run) within 1e-9")
-        if self.ramp_length < 0 or self.approach_length < 0:
+        if not (self.ramp_length >= 0 and self.approach_length >= 0):
             raise ValueError("lengths must be >= 0")
 
     @classmethod
@@ -138,7 +138,7 @@ class PlateRig:
     tolerance: float = math.radians(1.0)  # levelling tolerance during climb
 
     def __post_init__(self):
-        if min(self.lever_arm, self.max_rate, self.stroke, self.tolerance) <= 0:
+        if not all(x > 0 for x in (self.lever_arm, self.max_rate, self.stroke, self.tolerance)):
             raise ValueError("plate rig parameters must be positive")
 
 
@@ -163,11 +163,11 @@ class SimConfig:
             raise ValueError(
                 f"duration/dt = {steps:.3g} steps exceeds the budget of {_MAX_STEPS} steps"
             )
-        if self.ground_cap <= 0 or self.stair_cap <= 0:
+        if not (self.ground_cap > 0 and self.stair_cap > 0):
             raise ValueError("speed caps must be positive")
-        if self.rolling_resist_coeff < 0:
+        if not (self.rolling_resist_coeff >= 0):
             raise ValueError("rolling_resist_coeff must be >= 0")
-        if self.track_length <= 0 or self.level_run < 0:
+        if not (self.track_length > 0 and self.level_run >= 0):
             raise ValueError("track_length must be > 0 and level_run >= 0")
 
 

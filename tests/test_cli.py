@@ -209,6 +209,19 @@ def test_bad_sonar_log_exits_1(tmp_path, capsys):
     assert err.startswith(f"config error: {sonar}:3: d_left must lie in (0, max_range]")
 
 
+def test_repeated_eeg_timestamp_exits_1(tmp_path, capsys):
+    # a second copy of every headset sample: the smoother needs distinct times
+    lines = []
+    for line in (SCENARIOS / "teleop_events.jsonl").read_text().splitlines():
+        lines += [line, line] if json.loads(line)["type"] == "eeg" else [line]
+    log = tmp_path / "events.jsonl"
+    log.write_text("\n".join(lines) + "\n")
+    scenario = write_scenario(tmp_path, {"teleop": {"event_log": "events.jsonl"}})
+    assert main(["teleop", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {log}: two eeg events at t = 9 s")
+
+
 def test_default_out_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["design"]) == 0

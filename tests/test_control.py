@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stairclimber.control as control
 from stairclimber.control import (
     ArbiterConfig,
     ArbiterState,
@@ -26,7 +29,7 @@ from stairclimber.control import (
     tracking_controller,
     write_event_log,
 )
-from stairclimber.eeg import EegRecord, PostureState
+from stairclimber.eeg import EegRecord, LoessConfig, PostureState, loess_smooth
 from stairclimber.perception import RegionOccupancy, SonarTriple, region_map
 
 CFG = ArbiterConfig()
@@ -285,6 +288,50 @@ def test_smoothed_meditation_overshoot_stays_on_the_headset_scale(meditation, po
     for i, med in enumerate(meditation):
         state, cmd = arbiter_step(state, EegUpdate(1.0 + i, EegRecord(0.0, 50, med)), CFG)
     assert cmd is not None and state.posture is posture
+
+
+def reference_smoothed_meditation(history, cfg):
+    """The arbiter's smoothing as it was: the whole window smoothed, last value kept."""
+    if len(history) < 3:
+        return history[-1][1]
+    return min(100.0, max(1.0, loess_smooth(list(history), cfg.loess)[-1][1]))
+
+
+@st.composite
+def eeg_mode_runs(draw):
+    """A mode key, then headset samples at uneven times, with mode re-entries."""
+    cfg = ArbiterConfig(
+        eeg_window=draw(st.integers(3, 20)),
+        loess=LoessConfig(span=draw(st.floats(0.05, 1.0))),
+    )
+    t = draw(st.sampled_from([0.0, 1e6]))
+    events = [KeyPress(t, "A")]
+    for _ in range(draw(st.integers(1, 60))):
+        t += draw(st.floats(1e-3, 5.0))
+        if draw(st.integers(0, 19)) == 0:
+            events += [KeyPress(t, "A"), KeyPress(t, "A")]  # leave and re-enter: history clears
+        else:
+            events.append(EegUpdate(t, EegRecord(t, 50, draw(st.integers(1, 100)))))
+    return cfg, events
+
+
+@settings(max_examples=150, deadline=None)
+@given(eeg_mode_runs())
+def test_arbiter_eeg_path_matches_whole_window_smoothing(run):
+    cfg, events = run
+
+    def fold():
+        state, out = ArbiterState(), []
+        for event in events:
+            state, cmd = arbiter_step(state, event, cfg)
+            out.append((state, cmd))
+        return out
+
+    got = fold()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(control, "_smoothed_meditation", reference_smoothed_meditation)
+        want = fold()
+    assert got == want
 
 
 def test_voice_commands_only_apply_in_voice_mode():

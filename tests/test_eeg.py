@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stairclimber.eeg import (
     SYNC,
@@ -12,6 +14,7 @@ from stairclimber.eeg import (
     PostureState,
     TooFewPoints,
     encode_frame,
+    loess_last,
     loess_smooth,
     posture_transition,
 )
@@ -179,6 +182,46 @@ def test_loess_input_validation():
         LoessConfig(span=0.0)
     with pytest.raises(ValueError):
         LoessConfig(degree=2)
+
+
+@st.composite
+def loess_cases(draw):
+    n = draw(st.integers(3, 40))
+    # uneven steps from a millisecond to minutes, at times up to a day and more
+    steps = draw(st.lists(st.floats(1e-3, 300.0), min_size=n, max_size=n))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e6, 1.5e8]))
+    values = draw(st.lists(st.floats(1.0, 100.0), min_size=n, max_size=n))
+    span = draw(st.floats(1e-3, 1.0))
+    t = offset + np.cumsum(steps)
+    return [(float(a), float(b)) for a, b in zip(t, values)], LoessConfig(span=span)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loess_cases())
+def test_loess_last_equals_the_last_smoothed_value(case):
+    series, cfg = case
+    want = loess_smooth(series, cfg)[-1][1]
+    assert loess_last(series, cfg) == want
+    assert loess_last(tuple(series), cfg) == want
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        [(0.0, 1.0), (1.0, 2.0)],                          # too few points
+        [(0.0, 1.0), (0.0, 2.0), (1.0, 3.0)],              # equal t
+        [(0.0, 1.0), (math.nan, 2.0), (2.0, 3.0)],         # NaN t
+        [(0.0, 1.0, 5.0), (1.0, 2.0, 5.0), (2.0, 3.0, 5.0)],  # not (t, value) pairs
+        [0.0, 1.0, 2.0],
+    ],
+)
+def test_loess_last_raises_what_loess_smooth_raises(series):
+    with pytest.raises(ValueError) as smooth_err:
+        loess_smooth(series)
+    with pytest.raises(ValueError) as last_err:
+        loess_last(series)
+    assert type(last_err.value) is type(smooth_err.value)
+    assert str(last_err.value) == str(smooth_err.value)
 
 
 def test_hysteresis_band():

@@ -230,6 +230,26 @@ def test_sim_config_validation():
         PlateRig(stroke=0.0)
 
 
+NAN_BUILDERS = {
+    "SimConfig": lambda **kw: SimConfig(TRACK, MOTOR, **kw),
+    "Staircase": lambda **kw: replace(STAIRS, **kw),
+    "PlateRig": lambda **kw: PlateRig(**kw),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [("SimConfig", n) for n in
+     ("ground_cap", "stair_cap", "track_length", "level_run", "rolling_resist_coeff")]
+    + [("Staircase", n) for n in ("step_rise", "step_run", "ramp_length", "approach_length")]
+    + [("PlateRig", n) for n in ("lever_arm", "max_rate", "stroke", "tolerance")],
+)
+def test_nan_fields_are_refused(kind, name):
+    # plain comparisons are all False on NaN; the checks must fail closed
+    with pytest.raises(ValueError):
+        NAN_BUILDERS[kind](**{name: math.nan})
+
+
 # --- the sweep's verdict kernel against run_climb, the step() reference ---
 
 
