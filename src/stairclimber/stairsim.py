@@ -41,6 +41,16 @@ Three implementations share the arithmetic of one step, in the same order:
   it drops the plate, actuator, event and column work.  Recording costs
   several times the dynamics, and the sweep runs a dozen probes per search,
   so the two kernels stay separate.  Tests hold it equal to ``run_climb``.
+  It also skips two kinds of step whose outcome is fixed, exactly rather
+  than approximately.  Cruising at the stair cap in the stair zones, a step
+  only adds ``stair_cap*dt`` to ``s`` when the thrust covers grade plus
+  roll at the zones' worst pitch; IEEE-754 addition of a fixed ``c`` adds
+  the same number of ulps within one binade, so ``_advance`` finds the
+  step before the crest end in closed form.  In a static-friction stall
+  (``v == 0`` and net force 0) every later step repeats the last one, so
+  the run ends stalled at the horizon.  Neither shortcut changes a result:
+  the kernel still reports the Coulomb-reversal ``Fall`` that ``step``
+  gives on baseline40 at 23 and 25 N*m.
 
 Defaults for track length, plate rig and run-out length are installation
 parameters, not derived from hardware measurements; override per scenario.
@@ -49,6 +59,7 @@ parameters, not derived from hardware measurements; override per scenario.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -76,6 +87,10 @@ _FALL_TOL = 1e-6          # m/s of backward velocity tolerated before a Fall
 # runs take tens of thousands, so more than this is a units mistake
 _MAX_STEPS = 1_000_000
 _MAX_INCLINATION = math.radians(40.0)
+# relative margin on the thrust before the sweep kernel skips capped steps:
+# 32 ulps of 1.0, where rounding the pitch, sin, cos, the products and the
+# sum moves grade plus roll by at most about 5
+_CRUISE_MARGIN = 2.0**-47
 
 TorqueSchedule = Callable[[float], float]
 
@@ -508,6 +523,40 @@ def run_climb(
     )
 
 
+def _advance(s: float, c: float, bound: float, steps: int) -> tuple[int, float]:
+    """``(k, s_k)``: ``s = s + c`` taken k times, as a closed form in ulps.
+
+    k is at most ``steps``, and every one of the k sums stays below
+    ``bound`` and inside the binade of ``s`` (``0 < s``, ``c >= 0``).  In
+    that binade every float is an integer multiple M of one ulp u, and
+    ``s + c`` is the exact ``M + c/u`` rounded to an integer, so while the
+    sum stays in the binade each step adds the same ``round(c/u)`` ulps.
+    k is 0 when a step would leave the binade or reach ``bound``, and on a
+    rounding tie, whose direction depends on M; the caller then takes one
+    ordinary step.
+    """
+    if not (steps > 0 and sys.float_info.min <= s < bound):
+        return 0, s
+    e = math.frexp(s)[1]                  # s in [2**(e-1), 2**e), u = 2**(e-53)
+    top = 1 << 53                         # 2**e in ulps
+    q = math.ldexp(c, 53 - e)             # c/u, exact
+    if not q < top or q - math.floor(q) == 0.5:
+        return 0, s
+    d = round(q)                          # ulps added per step
+    m = int(math.ldexp(s, 53 - e))        # s/u, in [2**52, 2**53)
+    # step j (from m + j*d) stays in the binade while m + j*d + q < top
+    room = top - 1 - math.floor(q) - m
+    if room < 0:
+        return 0, s
+    k = steps
+    if d:
+        k = min(k, room // d + 1)
+        if bound <= math.ldexp(1.0, e):
+            # sums below bound: m + k*d <= ceil(bound/u) - 1
+            k = min(k, (math.ceil(math.ldexp(bound, 53 - e)) - 1 - m) // d)
+    return k, math.ldexp(m + k * d, e - 53)
+
+
 def _climb_verdict(cfg: SimConfig, stairs: Staircase, tau: float) -> tuple[bool, bool, float]:
     """``(completed, fall, final.v)`` of ``run_climb(cfg, stairs, tau)``.
 
@@ -516,6 +565,32 @@ def _climb_verdict(cfg: SimConfig, stairs: Staircase, tau: float) -> tuple[bool,
     the plate, actuator, event and column work that never feeds back into
     the dynamics.  Every state's phase is ``phase_at`` of its position, so
     the speed cap is tracked from the position alone.
+
+    Two kinds of step are skipped rather than taken, and both exactly:
+
+    - Cruising at the stair cap.  In the stair zones (``engage <= s <
+      end``; keyed on the zone, not on the cap's value, which may equal
+      the ground cap) at ``v == stair_cap``, a net force >= 0 gives
+      ``v + net/inertia*dt >= cap``, so ``min`` returns the cap again and
+      the step only adds ``stair_cap*dt`` to ``s``.  The net force is >= 0
+      at every pitch of the zones when the thrust covers grade plus roll at
+      the worst pitch: at ``inc`` while ``tan(inc)*c_rr <= 1`` (the sum
+      rises on [0, inc]), else at ``atan(1/c_rr)``, where the sum is
+      ``hypot(M g, c_rr M g)``.  The relative margin ``_CRUISE_MARGIN``
+      covers the rounding of the pitch, ``sin``, ``cos``, the products and
+      the sum (and of the ``tan`` test, whose error there is second
+      order), so the rounded net force is >= 0 too.  ``_advance`` then
+      moves ``s`` in closed form to the last step before ``end``, or to
+      the horizon, one binade at a time; at a binade edge or on a rounding
+      tie the loop takes one ordinary step.
+    - A static-friction stall.  A step from ``v == 0`` with a net force of
+      0 leaves ``s`` and ``v`` as they were, so every later step repeats it
+      and the run ends stalled at the horizon.  The test is on the state
+      itself, so a NaN speed never takes it.
+
+    Steps the model gets wrong are kept as they are: a Coulomb-resistance
+    reversal of a slow forward speed still ends in ``Fall`` (baseline40 at
+    23 and 25 N*m).
     """
     p = cfg.track
     engage, climb, crest, end = _zone_bounds(stairs, cfg)
@@ -527,51 +602,67 @@ def _climb_verdict(cfg: SimConfig, stairs: Staircase, tau: float) -> tuple[bool,
     thrust = float(tau) / p.r
     mg = p.M * p.gravity
     cmg = cfg.rolling_resist_coeff * p.M * p.gravity
-    grade_flat, roll_flat = mg * math.sin(0.0), cmg * math.cos(0.0)
-    grade_climb, roll_climb = mg * math.sin(inc), cmg * math.cos(inc)
+    sin, cos, copysign = math.sin, math.cos, math.copysign
+    grade_flat, roll_flat = mg * sin(0.0), cmg * cos(0.0)
+    grade_climb, roll_climb = mg * sin(inc), cmg * cos(inc)
     inertia = p.M + p.m1
     dt = cfg.dt
     ground, stair = cfg.ground_cap, cfg.stair_cap
+    worst = grade_climb + roll_climb if cmg * math.tan(inc) <= mg else math.hypot(mg, cmg)
+    cruise = thrust >= worst * (1.0 + _CRUISE_MARGIN)
+    stride = stair * dt
 
     s = v = 0.0
+    pitch = pitch_at(s, stairs, cfg)
+    grade, roll = mg * sin(pitch), cmg * cos(pitch)
     cap = ground if s < engage or not s < end else stair
     completed = s >= goal
-    fall = False
-    for _ in range(int(round(cfg.duration / dt))):
-        # pitch_at(s) and the force terms of step()
-        if s < engage or s >= end or flat:
-            pitch, grade, roll = 0.0, grade_flat, roll_flat
-        elif s < climb:
-            pitch = inc * (s - engage) / ramp_in
-            grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
-        elif s < crest:
-            pitch, grade, roll = inc, grade_climb, roll_climb
-        else:
-            pitch = inc * (1.0 - (s - crest) / ramp_out)
-            grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
-
-        if v > 0.0:
-            net = thrust - grade - roll
-        else:
-            net0 = thrust - grade
-            net = 0.0 if abs(net0) <= roll else net0 - math.copysign(roll, net0)
-        v = v + net / inertia * dt
-        if v < 0.0:
-            if pitch > 0.0 and v < -_FALL_TOL:
-                fall = True
-            v = 0.0
-        if cap < v:                       # min(v, cap), NaN included
-            v = cap
-        s = s + v * dt
-        cap = ground if s < engage or not s < end else stair
-        if cap < v:
-            v = cap
-        if fall:
-            break
-        if s >= goal:
-            completed = True
-            break
-    return completed, fall, v
+    steps = int(round(cfg.duration / dt))
+    i = 0                                 # steps taken
+    while i < steps:
+        for i in range(i + 1, steps + 1):
+            if v > 0.0:
+                net = thrust - grade - roll
+            else:
+                net0 = thrust - grade
+                net = 0.0 if abs(net0) <= roll else net0 - copysign(roll, net0)
+            v = v + net / inertia * dt
+            if v < 0.0:
+                if pitch > 0.0 and v < -_FALL_TOL:
+                    return completed, True, 0.0
+                v = 0.0
+            if cap < v:                   # min(v, cap), NaN included
+                v = cap
+            s = s + v * dt
+            # the cap, pitch_at(s) and the force terms of the next step
+            if s < engage:
+                cap, pitch, grade, roll = ground, 0.0, grade_flat, roll_flat
+            elif s < climb:
+                cap = stair
+                pitch = inc * (s - engage) / ramp_in
+                grade, roll = mg * sin(pitch), cmg * cos(pitch)
+            elif s < crest:
+                cap, pitch, grade, roll = stair, inc, grade_climb, roll_climb
+            elif s < end:
+                cap = stair
+                pitch = inc * (1.0 - (s - crest) / ramp_out)
+                grade, roll = mg * sin(pitch), cmg * cos(pitch)
+            else:
+                cap = ground
+                # flat past the end, NaN at a NaN position on stairs
+                pitch = 0.0 if s >= end or flat else inc * (1.0 - (s - crest) / ramp_out)
+                grade, roll = mg * sin(pitch), cmg * cos(pitch)
+            if cap < v:
+                v = cap
+            if s >= goal:
+                return True, False, v
+            if v == 0.0 and net == 0.0:   # stalled: every later step repeats this one
+                return completed, False, v
+            if cruise and v == stair and engage <= s < end:
+                break
+        k, s = _advance(s, stride, end, steps - i)
+        i += k
+    return completed, False, v
 
 
 @dataclass(frozen=True)
@@ -593,13 +684,16 @@ def min_torque_sweep(
 
     Bisection between the static equilibrium torque (sustained climbing is
     impossible below it) and the motor limit through the reduction, to the
-    given torque resolution.  Pass a list as ``probes`` to capture every
-    trial for reporting.  Raises Unclimbable when even the motor limit
-    fails.
+    given torque resolution, which must be finite and > 0 (else
+    ValueError).  Pass a list as ``probes`` to capture every trial for
+    reporting.  Raises Unclimbable when even the motor limit fails.
 
     Each probe is decided by ``_climb_verdict``, which gives the same
     verdict as ``run_climb`` without recording a trajectory.
     """
+    # 0 would bisect forever, and NaN would end at the motor limit
+    if not (0.0 < resolution < math.inf):
+        raise ValueError(f"resolution must be finite and > 0 (got {resolution})")
     if duration is not None:
         cfg = replace(cfg, duration=duration)     # SimConfig checks it
 
@@ -620,6 +714,8 @@ def min_torque_sweep(
         return lo
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:             # adjacent floats: no finer torque exists
+            break
         if climbs(mid):
             hi = mid
         else:

@@ -3,7 +3,7 @@ from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stairclimber.drivetrain import MotorSpec, TrackParams, min_static_torque
@@ -17,6 +17,7 @@ from stairclimber.stairsim import (
     SweepProbe,
     Unclimbable,
     _MAX_STEPS,
+    _advance,
     _climb_verdict,
     initial_state,
     min_torque_sweep,
@@ -159,6 +160,25 @@ def test_energy_balance_without_resistance():
             dke = 0.5 * TRACK.M * (nxt.v**2 - prev.v**2)
             slack = work - dpe - dke
             assert slack >= -1e-6 * max(1.0, abs(work))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_energy_inequality_on_random_climbs(data):
+    # c10 on random staircases, configs and torques: without resistance the
+    # thrust's work covers the kinetic and potential energy gained, every
+    # step, for the mass the dynamics accelerate
+    cfg, stairs = data.draw(climb_cases())
+    cfg = replace(cfg, rolling_resist_coeff=0.0)
+    schedule = data.draw(torque_schedules(static_torque(cfg, stairs)))
+    p = cfg.track
+    traj = run_climb(cfg, stairs, schedule)
+    for prev, nxt in zip(traj.states, traj.states[1:]):
+        ds = nxt.s - prev.s
+        work = nxt.track_torque / p.r * ds
+        dpe = p.M * p.gravity * math.sin(pitch_at(prev.s, stairs, cfg)) * ds
+        dke = 0.5 * (p.M + p.m1) * (nxt.v**2 - prev.v**2)
+        assert work - dpe - dke >= -1e-9 * max(1.0, abs(work), abs(dpe), abs(dke))
 
 
 def test_sweep_returns_static_bound_without_resistance():
@@ -373,6 +393,206 @@ def test_sweep_verdict_is_monotone_in_torque(case):
         climbs.append(completed and not fall)
     first = climbs.index(True) if True in climbs else len(climbs)
     assert all(climbs[first:])
+
+
+@pytest.mark.parametrize("resolution", [0.0, -0.05, math.nan, math.inf])
+def test_sweep_refuses_a_resolution_that_is_not_finite_and_positive(resolution):
+    # 0 bisected without end, and NaN returned the motor limit
+    probes = []
+    with pytest.raises(ValueError, match="resolution"):
+        min_torque_sweep(CFG, STAIRS, resolution=resolution, probes=probes)
+    assert probes == []
+
+
+def test_sweep_stops_at_adjacent_floats_below_a_finer_resolution():
+    cfg = replace(CFG, rolling_resist_coeff=0.13)
+    probes = []
+    best = min_torque_sweep(cfg, STAIRS, resolution=5e-324, probes=probes)
+    failed = max(p.torque for p in probes if not (p.completed and not p.fall))
+    assert math.nextafter(failed, math.inf) == best
+    assert len(probes) < 80
+
+
+def ulps(x, n):
+    """x moved n floats up (n > 0) or down (n < 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+def forces_at_inc(cfg, stairs):
+    """``(M g, c_rr M g, grade, roll)`` at the full inclination, as the kernel computes them."""
+    p, inc = cfg.track, stairs.inclination
+    mg = p.M * p.gravity
+    cmg = cfg.rolling_resist_coeff * p.M * p.gravity
+    return mg, cmg, mg * math.sin(inc), cmg * math.cos(inc)
+
+
+@st.composite
+def long_climbs(draw):
+    """``(cfg, stairs, tau)``: long horizons and stair zones, and torques on
+    both sides of the kernel's shortcut conditions."""
+    inclination = math.radians(draw(st.floats(5.0, 40.0)))
+    stairs = Staircase.from_angle(
+        inclination,
+        draw(st.floats(0.10, 0.20)),
+        ramp_length=draw(st.floats(0.3, 1.5)),
+        approach_length=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5))),
+    )
+    # light robots on coarse steps at low caps: there one ulp of force
+    # moves the speed by an ulp
+    track = replace(TRACK, M=draw(st.one_of(st.floats(20.0, 40.0), st.floats(20.0, 150.0))),
+                    m1=draw(st.floats(0.0, 3.0)))
+    stair_cap = draw(st.one_of(st.floats(0.02, 0.05), st.floats(0.02, 0.5)))
+    cfg = SimConfig(
+        track,
+        MOTOR,
+        dt=draw(st.sampled_from([1e-3, 2e-3, 5e-3])),
+        duration=draw(st.floats(1.0, 60.0)),
+        # grade plus roll peaks at inc below c_rr = 1/tan(inc), and before it above
+        rolling_resist_coeff=draw(st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 3.0),
+            st.floats(0.5, 1.5).map(lambda k: min(3.0, k / math.tan(inclination))),
+        )),
+        ground_cap=draw(st.one_of(st.just(stair_cap), st.floats(0.01, stair_cap), st.floats(stair_cap, 3.0))),
+        stair_cap=stair_cap,
+        track_length=draw(st.floats(0.02, 0.3)),
+        level_run=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3))),
+    )
+
+    mg, cmg, grade, roll = forces_at_inc(cfg, stairs)
+    r, peak = track.r, math.hypot(mg, cmg)
+    kind = draw(st.sampled_from(["balance", "peak", "stall", "fraction", "non-finite"]))
+    if kind == "balance":           # thrust at grade plus roll at inc, and a few ulps off
+        tau = ulps(r * (grade + roll), draw(st.integers(-4, 4)))
+    elif kind == "peak":            # between grade plus roll at inc and its peak, and at the peak
+        tau = draw(st.one_of(
+            st.floats(0.0, 1.0).map(lambda u: r * (grade + roll + u * (peak - grade - roll))),
+            st.integers(-4, 4).map(lambda n: ulps(r * peak, n)),
+        ))
+    elif kind == "stall":           # Coulomb band: thrust between grade and grade plus roll
+        tau = r * (grade + draw(st.floats(0.0, 1.0)) * roll)
+    elif kind == "fraction":
+        tau = draw(st.floats(0.0, 2.5)) * static_torque(cfg, stairs)
+    else:
+        tau = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return cfg, stairs, tau
+
+
+def balance_climb():
+    # the sum grade + roll rounds down by half an ulp here, so a thrust equal
+    # to it leaves a net force of -7e-15 N, which slows this light robot by
+    # one ulp of speed a step
+    cfg = SimConfig(replace(TRACK, M=20.0), MOTOR, dt=5e-3, duration=20.0, rolling_resist_coeff=0.13,
+                    ground_cap=0.5, stair_cap=0.02, track_length=0.15, level_run=0.1)
+    stairs = Staircase.from_angle(math.radians(27.0), 0.17, 0.6, 0.2)
+    _, _, grade, roll = forces_at_inc(cfg, stairs)
+    return cfg, stairs, cfg.track.r * (grade + roll)
+
+
+def peak_climb():
+    # tan(inc) * c_rr = 1.68: grade plus roll peaks at 26.6 deg on the ramps
+    cfg = SimConfig(TRACK, MOTOR, duration=30.0, rolling_resist_coeff=2.0, track_length=0.15, level_run=0.1)
+    stairs = Staircase.from_angle(math.radians(40.0), 0.17, 0.6, 0.2)
+    mg, cmg, grade, roll = forces_at_inc(cfg, stairs)
+    return cfg, stairs, TRACK.r * 0.5 * (grade + roll + math.hypot(mg, cmg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_climbs())
+@example(balance_climb())
+@example(peak_climb())
+@example((replace(CFG, ground_cap=0.1), STAIRS, 30.0))     # equal caps: (True, False, 0.1)
+@example((replace(CFG, ground_cap=0.5), STAIRS, 30.0))     # at the ground cap on the approach
+# decelerating up the ramp, the speed rounds to rest within the fall
+# tolerance; the next step, from rest, falls
+@example((CFG, STAIRS, 7.833221149600235))
+def test_climb_verdict_matches_run_climb_on_long_climbs(climb):
+    # long capped stretches, where the kernel skips cruising and stalled
+    # steps; a run that ends early is also cut one step before its end, so
+    # the kernel must end on the same step, not only with the same verdict
+    cfg, stairs, tau = climb
+    ended = len(run_climb(cfg, stairs, tau).t) - 1
+    durations = [cfg.duration]
+    if ended < round(cfg.duration / cfg.dt):
+        durations += [ended * cfg.dt] + ([(ended - 1) * cfg.dt] if ended > 1 else [])
+    for duration in durations:
+        cut = replace(cfg, duration=duration)
+        assert repr(_climb_verdict(cut, stairs, tau)) == repr(reference_verdict(cut, stairs, tau))
+
+
+# --- _advance, the closed form of s = s + c, against the plain loop ---
+
+
+def plain_advance(s, c, bound, steps):
+    """``s = s + c`` one step at a time while steps remain and the sum stays below bound."""
+    k = 0
+    while k < steps and s + c < bound:
+        s = s + c
+        k += 1
+    return k, s
+
+
+def driven_advance(s, c, bound, steps):
+    """``_advance`` as the kernel drives it: an ordinary step wherever it stops.
+
+    Checks each call against the plain loop; returns the plain loop's
+    ``(k, s)`` and the number of ordinary steps taken.
+    """
+    taken = ordinary = 0
+    while True:
+        k, s_k = _advance(s, c, bound, steps - taken)
+        assert 0 <= k <= steps - taken
+        assert repr((k, s_k)) == repr(plain_advance(s, c, bound, k))
+        s, taken = s_k, taken + k
+        if taken == steps or not s + c < bound:
+            return (taken, s), ordinary
+        s, taken, ordinary = s + c, taken + 1, ordinary + 1
+
+
+ULP1 = 2.0**-52                     # one ulp of [1, 2)
+
+
+@pytest.mark.parametrize(
+    "name, s, c, bound, steps, max_ordinary",
+    [
+        ("tie, rounds to even", 1.0, 1.5 * ULP1, 2.0, 300, 300),
+        ("tie at half an ulp, s stays", 1.0 + ULP1, 0.5 * ULP1, 2.0, 300, 300),
+        ("binade crossings", 0.3, 1e-4, 2.5, 30_000, 3),
+        ("bound inside the binade", 1.0, 0.1, 1.55, 100, 1),
+        ("bound on the stride's grid", 1.0, 0.125, 1.5, 100, 1),
+        ("bound at the binade top", 1.5, 0.125, 2.0, 100, 1),
+        ("bound already reached", 1.0, 0.1, 1.0, 100, 0),
+        ("bound passed", 1.5, 0.1, 1.0, 100, 0),
+        ("zero steps", 0.5, 1e-3, 1.0, 0, 0),
+        ("far below an ulp", 1.0, 1e-30, 2.0, 100_000, 0),
+        ("just below half an ulp", 1.0, math.nextafter(0.5 * ULP1, 0.0), 2.0, 1000, 0),
+        ("just above half an ulp", 1.0, math.nextafter(0.5 * ULP1, 1.0), 2.0, 1000, 0),
+        ("one ulp", 1.0, ULP1, 2.0, 1000, 0),
+        ("an ulp and a bit", 1.0, ULP1 * (1.0 + 2.0**-20), 2.0, 1000, 0),
+        ("a step wider than the binade", 1.0, 1.5, 10.0, 5, 3),
+        ("subnormal start", 5e-324, 5e-324, 1e-320, 100, 100),
+    ],
+)
+def test_advance_matches_the_plain_loop(name, s, c, bound, steps, max_ordinary):
+    got, ordinary = driven_advance(s, c, bound, steps)
+    assert repr(got) == repr(plain_advance(s, c, bound, steps)), name
+    assert ordinary <= max_ordinary, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1e-3, 10.0),
+    st.floats(-60.0, -3.0),
+    st.floats(0.0, 2.0),
+    st.integers(0, 3000),
+)
+def test_advance_matches_the_plain_loop_on_random_strides(s, c_exp, span, steps):
+    c = s * 2.0**c_exp
+    bound = s + span
+    got, _ = driven_advance(s, c, bound, steps)
+    assert repr(got) == repr(plain_advance(s, c, bound, steps))
 
 
 # --- run_climb, the recording kernel, against step() folded over a run ---
