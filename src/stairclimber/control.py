@@ -175,17 +175,17 @@ def avoidance_policy(occ: RegionOccupancy, desired: DriveCommand) -> DriveComman
     through unchanged.  Otherwise the first clear candidate heading wins
     (straight, veer right, veer left, spin right, spin left), rescaled to
     the desired speed; with every candidate blocked the command degrades to
-    a full stop.
+    a full stop.  A candidate counts only if it still heads into its own
+    cell once rescaled: below about 4e-12 the veers read as straight.
     """
     heading = _heading_region(desired.left_effort, desired.right_effort)
     if heading is None or not occ.is_occupied(heading):
         return desired
     speed = max(abs(desired.left_effort), abs(desired.right_effort))
     for region, (l_scale, r_scale) in _CANDIDATES:
-        if not occ.is_occupied(region):
-            return replace(
-                desired, left_effort=l_scale * speed, right_effort=r_scale * speed
-            )
+        left, right = l_scale * speed, r_scale * speed
+        if not occ.is_occupied(region) and _heading_region(left, right) == region:
+            return replace(desired, left_effort=left, right_effort=right)
     return replace(desired, left_effort=0.0, right_effort=0.0)
 
 

@@ -35,22 +35,32 @@ Three implementations share the arithmetic of one step, in the same order:
 - ``run_climb`` is the recording kernel.  It runs whole climbs on scalar
   locals and appends each step to per-field columns of a ``Trajectory``;
   ``Trajectory.states`` builds ``SimState`` rows only when read.  Tests hold
-  it equal to ``step`` folded over a run.
+  it equal to ``step`` folded over a run.  Under a constant torque it
+  appends a settled cruise up the climb zone in bulk: at the stair cap,
+  with the actuator at its target and a net force that keeps the cap, each
+  step there repeats the last but for ``s = s + stair_cap*dt`` and ``t = t
+  + dt``.
 - ``_climb_verdict`` decides a sweep probe.  It needs only (completed, fall,
   final speed), and plate levelling never feeds back into the dynamics, so
   it drops the plate, actuator, event and column work.  Recording costs
   several times the dynamics, and the sweep runs a dozen probes per search,
   so the two kernels stay separate.  Tests hold it equal to ``run_climb``.
-  It also skips two kinds of step whose outcome is fixed, exactly rather
-  than approximately.  Cruising at the stair cap in the stair zones, a step
-  only adds ``stair_cap*dt`` to ``s`` when the thrust covers grade plus
-  roll at the zones' worst pitch; IEEE-754 addition of a fixed ``c`` adds
-  the same number of ulps within one binade, so ``_advance`` finds the
-  step before the crest end in closed form.  In a static-friction stall
-  (``v == 0`` and net force 0) every later step repeats the last one, so
-  the run ends stalled at the horizon.  Neither shortcut changes a result:
-  the kernel still reports the Coulomb-reversal ``Fall`` that ``step``
-  gives on baseline40 at 23 and 25 N*m.
+  It also skips or trims three kinds of step whose outcome is fixed.
+  Cruising at the stair cap in the stair zones, a step only adds
+  ``stair_cap*dt`` to ``s`` when the thrust covers grade plus roll at the
+  zones' worst pitch.  In a static-friction stall (``v == 0`` and net force
+  0) every later step repeats the last one, so the run ends stalled at the
+  horizon.  Slowing up the climb zone under a constant negative net force,
+  a step is only ``v = v + decel`` and ``s = s + v*dt``, so a tight loop
+  does those two additions until the speed would reach 0, the crest or the
+  horizon.
+
+The capped stretches share one closed form, ``_advance``: IEEE-754 addition
+of a fixed ``c`` adds the same number of ulps while the sum stays in one
+binade, so it counts the steps before a bound without taking them.  Every
+shortcut does the float operations of the steps it replaces, in the same
+order, so no result changes; the kernels still report the Coulomb-reversal
+``Fall`` that ``step`` gives on baseline40 at 23 and 25 N*m.
 
 Defaults for track length, plate rig and run-out length are installation
 parameters, not derived from hardware measurements; override per scenario.
@@ -63,6 +73,7 @@ import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate, islice, repeat
 
 from .drivetrain import MotorSpec, TrackParams, min_static_torque
 
@@ -391,6 +402,19 @@ def run_climb(
     trajectory equals ``step`` folded over the run.  A state's pitch and
     phase are those of its position, so each step reuses the previous
     step's instead of calling ``pitch_at`` and ``phase_at`` again.
+
+    A settled cruise up the climb zone is appended in bulk rather than
+    stepped, exactly.  Under a constant torque, once a step ends in the
+    climb zone at ``v == stair_cap`` with the actuator at its target (the
+    step moved it by 0), every later step in the zone repeats it but for
+    ``s`` and ``t``: its net force is the zone's constant
+    ``thrust - grade - roll``, and when ``stair_cap + net/inertia*dt >=
+    stair_cap`` (as for any net >= 0) ``min`` returns the cap again, so the
+    step adds ``stair_cap*dt`` to ``s`` and ``dt`` to ``t``, keeps the
+    plate and raises no event.  ``_advance`` counts those steps up to the
+    last one before the crest, or the horizon, one binade of ``s`` at a
+    time, and the ``s`` and ``t`` columns get the same float additions,
+    done by ``accumulate``.
     """
     schedule = _as_schedule(torque_schedule)
     p, rig = cfg.track, cfg.plate
@@ -414,6 +438,10 @@ def run_climb(
     min_move = -max_move
     copysign = math.copysign
     approach, engaging, climbing, cresting, level = Phase
+    # a step from the stair cap in the climb zone ends at the cap again
+    cruise = (not callable(torque_schedule)
+              and stair + (float(torque_schedule) / r - grade_climb - roll_climb) / inertia * dt >= stair)
+    stride = stair * dt
 
     state = initial_state(cfg, stairs)
     phase, s, v, plate, ext, tau, t = (
@@ -434,80 +462,97 @@ def run_climb(
     completed = s >= goal
     fall = False
     saturated = False
-    for _ in range(int(round(cfg.duration / dt))):
-        tau = schedule(t)
-        mag = abs(tau)
-        if mag > peak:                    # max(peak, abs(tau))
-            peak = mag
+    steps = int(round(cfg.duration / dt))
+    i = 0                                 # steps taken
+    while i < steps:
+        for i in range(i + 1, steps + 1):
+            tau = schedule(t)
+            mag = abs(tau)
+            if mag > peak:                    # max(peak, abs(tau))
+                peak = mag
 
-        thrust = tau / r
-        if v > 0.0:
-            net = thrust - grade - roll
+            thrust = tau / r
+            if v > 0.0:
+                net = thrust - grade - roll
+            else:
+                # at rest the resistance acts like static friction
+                net0 = thrust - grade
+                net = 0.0 if abs(net0) <= roll else net0 - copysign(roll, net0)
+            v = v + net / inertia * dt
+            fell = False
+            if v < 0.0:
+                fell = pitch > 0.0 and v < -_FALL_TOL
+                v = 0.0
+            if cap < v:                       # min(v, cap), NaN included
+                v = cap
+
+            s = s + v * dt
+            # phase_at(s) and pitch_at(s), with the force terms of the next step
+            if s < engage:
+                phase, cap, pitch, grade, roll = approach, ground, 0.0, grade_flat, roll_flat
+            elif s < climb:
+                phase, cap = engaging, stair
+                pitch = inc * (s - engage) / ramp_in
+                grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
+            elif s < crest:
+                phase, cap, pitch, grade, roll = climbing, stair, inc, grade_climb, roll_climb
+            elif s < end:
+                phase, cap = cresting, stair
+                pitch = inc * (1.0 - (s - crest) / ramp_out)
+                grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
+            else:
+                phase, cap = level, ground
+                # pitch_at: flat past the end, NaN at a NaN position on stairs
+                pitch = 0.0 if s >= end or flat else inc * (1.0 - (s - crest) / ramp_out)
+                grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
+            # re-clamp so the stored row respects its own phase's cap
+            if cap < v:
+                v = cap
+
+            # plate levelling: track the chassis pitch within rate and stroke limits
+            reach = pitch * lever
+            target = stroke if stroke < reach else reach          # min(reach, stroke)
+            delta = target - ext
+            move = delta if delta < max_move else max_move        # min(max_move, delta)
+            ext = ext + (move if move > min_move else min_move)   # max(-max_move, move)
+            plate = pitch - ext / lever
+            t = t + dt
+
+            if fell:
+                events.append((t, "Fall"))
+            if reach > stroke_tol and abs(plate) > tolerance:
+                if not saturated:             # report saturation once per onset
+                    events.append((t, "ActuatorSaturation"))
+                saturated = True
+            else:
+                saturated = False
+            add_phase(phase)
+            add_s(s)
+            add_v(v)
+            add_plate(plate)
+            add_ext(ext)
+            add_tau(tau)
+            add_t(t)
+            if fell:
+                fall = True
+                break
+            if s >= goal:
+                completed = True
+                break
+            if cruise and v == stair and phase is climbing and delta == 0.0:
+                break
         else:
-            # at rest the resistance acts like static friction
-            net0 = thrust - grade
-            net = 0.0 if abs(net0) <= roll else net0 - copysign(roll, net0)
-        v = v + net / inertia * dt
-        fell = False
-        if v < 0.0:
-            fell = pitch > 0.0 and v < -_FALL_TOL
-            v = 0.0
-        if cap < v:                       # min(v, cap), NaN included
-            v = cap
-
-        s = s + v * dt
-        # phase_at(s) and pitch_at(s), with the force terms of the next step
-        if s < engage:
-            phase, cap, pitch, grade, roll = approach, ground, 0.0, grade_flat, roll_flat
-        elif s < climb:
-            phase, cap = engaging, stair
-            pitch = inc * (s - engage) / ramp_in
-            grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
-        elif s < crest:
-            phase, cap, pitch, grade, roll = climbing, stair, inc, grade_climb, roll_climb
-        elif s < end:
-            phase, cap = cresting, stair
-            pitch = inc * (1.0 - (s - crest) / ramp_out)
-            grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
-        else:
-            phase, cap = level, ground
-            # pitch_at: flat past the end, NaN at a NaN position on stairs
-            pitch = 0.0 if s >= end or flat else inc * (1.0 - (s - crest) / ramp_out)
-            grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
-        # re-clamp so the stored row respects its own phase's cap
-        if cap < v:
-            v = cap
-
-        # plate levelling: track the chassis pitch within rate and stroke limits
-        reach = pitch * lever
-        target = stroke if stroke < reach else reach          # min(reach, stroke)
-        delta = target - ext
-        move = delta if delta < max_move else max_move        # min(max_move, delta)
-        ext = ext + (move if move > min_move else min_move)   # max(-max_move, move)
-        plate = pitch - ext / lever
-        t = t + dt
-
-        if fell:
-            events.append((t, "Fall"))
-        if reach > stroke_tol and abs(plate) > tolerance:
-            if not saturated:             # report saturation once per onset
-                events.append((t, "ActuatorSaturation"))
-            saturated = True
-        else:
-            saturated = False
-        add_phase(phase)
-        add_s(s)
-        add_v(v)
-        add_plate(plate)
-        add_ext(ext)
-        add_tau(tau)
-        add_t(t)
-        if fell:
-            fall = True
+            break                         # the horizon
+        if fall or completed:
             break
-        if s >= goal:
-            completed = True
-            break
+        # settled cruise: every step up to the crest repeats this one but for s and t
+        k = _advance(s, stride, crest, steps - i)[0]
+        for col, x in ((phases, phase), (vs, v), (plates, plate), (exts, ext), (taus, tau)):
+            col += repeat(x, k)
+        ss += islice(accumulate(repeat(stride, k), initial=s), 1, None)
+        ts += islice(accumulate(repeat(dt, k), initial=t), 1, None)
+        s, t = ss[-1], ts[-1]
+        i += k
     return Trajectory(
         phase=tuple(phases),
         s=tuple(ss),
@@ -566,7 +611,8 @@ def _climb_verdict(cfg: SimConfig, stairs: Staircase, tau: float) -> tuple[bool,
     the dynamics.  Every state's phase is ``phase_at`` of its position, so
     the speed cap is tracked from the position alone.
 
-    Two kinds of step are skipped rather than taken, and both exactly:
+    Three kinds of step are skipped or trimmed rather than taken, all
+    exactly:
 
     - Cruising at the stair cap.  In the stair zones (``engage <= s <
       end``; keyed on the zone, not on the cap's value, which may equal
@@ -587,6 +633,14 @@ def _climb_verdict(cfg: SimConfig, stairs: Staircase, tau: float) -> tuple[bool,
       0 leaves ``s`` and ``v`` as they were, so every later step repeats it
       and the run ends stalled at the horizon.  The test is on the state
       itself, so a NaN speed never takes it.
+    - Slowing up the climb zone.  When the zone's net force from a moving
+      start, ``thrust - grade - roll`` at ``inc``, is below 0, a step from
+      ``0 < v <= stair_cap`` there computes that same force, so it adds the
+      fixed ``decel = net/inertia*dt <= 0`` to ``v``, needs no clamp while
+      the sum stays > 0, and adds ``v*dt`` to ``s``, which stays in the zone
+      while it is below the crest.  A tight loop of those two additions
+      runs until the next step would take ``v`` to <= 0 (or NaN) or ``s``
+      to the crest, or to the horizon; the ordinary loop takes that step.
 
     Steps the model gets wrong are kept as they are: a Coulomb-resistance
     reversal of a slow forward speed still ends in ``Fall`` (baseline40 at
@@ -611,6 +665,10 @@ def _climb_verdict(cfg: SimConfig, stairs: Staircase, tau: float) -> tuple[bool,
     worst = grade_climb + roll_climb if cmg * math.tan(inc) <= mg else math.hypot(mg, cmg)
     cruise = thrust >= worst * (1.0 + _CRUISE_MARGIN)
     stride = stair * dt
+    # the net force of a moving step in the climb zone, and its speed change
+    climb_net = thrust - grade_climb - roll_climb
+    slowing = climb_net < 0.0
+    decel = climb_net / inertia * dt
 
     s = v = 0.0
     pitch = pitch_at(s, stairs, cfg)
@@ -658,10 +716,29 @@ def _climb_verdict(cfg: SimConfig, stairs: Staircase, tau: float) -> tuple[bool,
                 return True, False, v
             if v == 0.0 and net == 0.0:   # stalled: every later step repeats this one
                 return completed, False, v
-            if cruise and v == stair and engage <= s < end:
+            if slowing:
+                if v > 0.0 and climb <= s < crest:
+                    break
+            elif cruise and v == stair and engage <= s < end:
                 break
-        k, s = _advance(s, stride, end, steps - i)
-        i += k
+        else:
+            break                         # the horizon
+        if slowing:
+            # slowing up the climb zone: a step is v + decel, then s + v*dt
+            for n in range(i, steps):
+                w = v + decel
+                if not w > 0.0:
+                    break
+                x = s + w * dt
+                if not x < crest:
+                    break
+                v, s = w, x
+            else:
+                n = steps
+            i = n
+        else:
+            k, s = _advance(s, stride, end, steps - i)
+            i += k
     return completed, False, v
 
 

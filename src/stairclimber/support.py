@@ -18,9 +18,7 @@ bisection.
 
 Note on units: the force relation is applied exactly as the linkage was
 sized, with ``(a + b)`` in metres and no moment-arm divisor, so its output
-carries an extra length dimension (N*m rather than N).  An optional
-``moment_arm`` divisor is exposed for callers that want a proper force; it
-defaults to 1.0 so the sizing figures are reproduced unchanged.
+carries an extra length dimension (N*m rather than N).
 
 All angles are radians.  Degree conversion happens only at the CLI boundary.
 """
@@ -139,25 +137,22 @@ def actuator_force(
     gamma: float,
     geom: SupportGeometry,
     load: SupportLoad,
-    moment_arm: float = 1.0,
 ) -> float:
     """Actuator force magnitude holding the arm at (theta, gamma).
 
-    Computed as (a + b) * m * g * cos(theta) / sin(gamma) / moment_arm.
-    With the default moment_arm = 1.0 this reproduces the as-sized figures;
-    see the module docstring for the dimensional caveat.
+    Computed as (a + b) * m * g * cos(theta) / sin(gamma), the as-sized
+    figures; see the module docstring for the dimensional caveat.
     """
     s = math.sin(gamma)
     if abs(s) < 1e-12:
         raise SingularGamma(f"sin(gamma) ~ 0 at gamma={gamma!r}")
-    return (geom.a + geom.b) * load.mass * load.gravity * math.cos(theta) / s / moment_arm
+    return (geom.a + geom.b) * load.mass * load.gravity * math.cos(theta) / s
 
 
 def force_profile(
     geom: SupportGeometry,
     load: SupportLoad,
     theta_grid: list[float],
-    moment_arm: float = 1.0,
 ) -> list[tuple[float, float, float]]:
     """Force curve over an elevation grid: (theta, gamma, force) per point.
 
@@ -177,7 +172,7 @@ def force_profile(
             gamma = solve_gamma(theta, geom)
         except NoRoot as exc:
             raise NoRoot(f"theta={math.degrees(theta):.3f} deg: {exc}") from exc
-        out.append((theta, gamma, actuator_force(theta, gamma, geom, load, moment_arm)))
+        out.append((theta, gamma, actuator_force(theta, gamma, geom, load)))
     return out
 
 

@@ -1,8 +1,9 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stairclimber.control as control
@@ -143,6 +144,24 @@ def test_avoidance_redirects_blocked_turns():
     # spinning right with only R blocked keeps the spin direction change
     out = avoidance_policy(occupancy({"R"}), DriveCommand(1.0, -1.0))
     assert (out.left_effort, out.right_effort) == (1.0, 1.0)
+
+
+# every sensor state, so every occupancy region_map can give
+BLOCKED_SETS = [set(c) for k in range(4) for c in combinations("LFR", k)]
+EFFORTS = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e-11, 1e-11))
+
+
+@settings(max_examples=200, deadline=None)
+@given(EFFORTS, EFFORTS, st.floats(-1.0, 1.0), st.sampled_from(list(Mode)))
+@example(3e-12, 3e-12, 0.0, Mode.KEYPAD)    # rescaled this small, a veer reads as straight
+def test_avoidance_never_heads_into_an_occupied_cell(left, right, posture, mode):
+    desired = DriveCommand(left, right, posture, mode)
+    for blocked in BLOCKED_SETS:
+        occ = occupancy(blocked)
+        out = avoidance_policy(occ, desired)
+        heading = control._heading_region(out.left_effort, out.right_effort)
+        assert heading is None or not occ.is_occupied(heading), sorted(blocked)
+        assert (out.posture_rate, out.mode) == (posture, mode)
 
 
 def test_avoidance_preserves_posture_and_mode():
@@ -405,6 +424,75 @@ def test_slew_budget_uses_elapsed_time():
     second = cmds[1][1].left_effort
     assert first == pytest.approx(0.5 * SLEW)
     assert second - first == pytest.approx(0.1 * SLEW)
+
+
+@st.composite
+def event_streams(draw):
+    """``(cfg, events)``: every event type in time order, mode keys included,
+    under random speeds, caps and slew rates."""
+    unit = st.floats(0.0, 1.0)
+    cfg = ArbiterConfig(
+        keypad_speed=draw(unit), keypad_turn=draw(unit), voice_speed=draw(unit),
+        voice_turn=draw(unit), cruise=draw(unit), kp=draw(st.floats(0.0, 5.0)),
+        accel_cap=draw(st.floats(0.05, 5.0)), speed_scale=draw(st.floats(0.5, 5.0)),
+        effort_cap=draw(st.floats(0.05, 1.0)),
+    )
+    t = draw(st.sampled_from([0.0, 1e6]))
+    events = []
+    for _ in range(draw(st.integers(1, 80))):
+        kind = draw(st.sampled_from(["key", "key", "voice", "eeg", "track", "sonar", "touch"]))
+        # equal times are allowed, except between headset samples
+        t += draw(st.floats(1e-3, 2.0) if kind == "eeg" else st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+        if kind == "key":
+            events.append(KeyPress(t, draw(st.sampled_from("82465ABCD"))))
+        elif kind == "voice":
+            events.append(VoiceCommand(t, draw(st.sampled_from(
+                ["FORWARD", "BACK", "LEFT", "RIGHT", "STOP", "RAISE", "LOWER"]))))
+        elif kind == "eeg":
+            events.append(EegUpdate(t, EegRecord(t, 50, draw(st.integers(1, 100)))))
+        elif kind == "track":
+            events.append(TrackUpdate(t, draw(st.one_of(st.none(), st.floats(-3.0, 3.0)))))
+        elif kind == "sonar":
+            reading = st.floats(0.05, 4.0)
+            events.append(SonarUpdate(t, SonarTriple(draw(reading), draw(reading), draw(reading))))
+        else:
+            events.append(TouchTarget(t, draw(st.floats(0.0, 640.0)), draw(st.floats(0.0, 480.0))))
+    return cfg, events
+
+
+@settings(max_examples=150, deadline=None)
+@given(event_streams())
+def test_arbiter_efforts_stay_capped_and_slew_limited(stream):
+    # |effort| <= effort_cap always; a command that is not a stop moves each
+    # effort by at most slew_rate * dt since the last command
+    cfg, events = stream
+    state = ArbiterState()
+    for event in events:
+        new, cmd = arbiter_step(state, event, cfg)
+        if cmd is not None:
+            budget = cfg.slew_rate * max(0.0, event.t - state.last_t)
+            for before, after in ((state.left, cmd.left_effort), (state.right, cmd.right_effort)):
+                assert abs(after) <= cfg.effort_cap
+                if not cmd.stopped:
+                    assert abs(after - before) <= budget + 1e-12
+        state = new
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="_emit applies the slew limit after avoidance, so a redirected "
+                          "command can be slewed back into the occupied cell")
+def test_slew_limited_redirect_never_heads_into_an_occupied_cell():
+    # twelve forward presses 0.1 s apart ramp both tracks to 11/60; with the
+    # front and right blocked, avoidance turns the next press into the FL
+    # veer (0.5, 1.0), but the slew budget of 1/30 raises both tracks alike,
+    # to 0.2167, which heads straight into F
+    events = [KeyPress(0.1 * k, "8") for k in range(12)]
+    events += [SonarUpdate(1.25, SonarTriple(d_left=3.0, d_front=0.3, d_right=0.3)), KeyPress(1.3, "8")]
+    state = ArbiterState()
+    for event in events:
+        state, cmd = arbiter_step(state, event, CFG)
+    heading = control._heading_region(cmd.left_effort, cmd.right_effort)
+    assert heading is None or not state.occupancy.is_occupied(heading)
 
 
 def test_run_events_rejects_time_going_backwards():

@@ -786,3 +786,94 @@ def test_sim_config_refuses_nan_and_runs_over_the_step_budget():
     for duration in (math.nan, 1e9):
         with pytest.raises(ValueError):
             min_torque_sweep(CFG, STAIRS, duration=duration)
+
+
+# --- the settled cruise and the climb-zone slowdown, on long ramps ---
+
+
+@st.composite
+def settled_climbs(draw):
+    """``(cfg, stairs, tau, side)``: ramps long enough for the actuator to
+    settle at the stair cap, and a constant torque clearly above (``side``
+    1), clearly below (-1) or within ulps (0) of the climb zone's balance
+    torque ``r*M*g*(sin(inc) + c_rr*cos(inc))``."""
+    inclination = math.radians(draw(st.floats(5.0, 40.0)))
+    lever = draw(st.floats(0.1, 0.5))
+    rig = PlateRig(lever_arm=lever, max_rate=draw(st.floats(0.05, 0.2)),
+                   stroke=draw(st.floats(0.3, 1.5)) * lever * inclination,
+                   tolerance=math.radians(draw(st.floats(0.2, 6.0))))
+    stair_cap = draw(st.floats(0.1, 0.3))
+    # the distance the actuator may still slew over at the cap once the pitch is full
+    settle = stair_cap * min(inclination * lever, rig.stroke) / rig.max_rate
+    stairs = Staircase.from_angle(
+        inclination,
+        draw(st.floats(0.10, 0.20)),
+        ramp_length=2.0 + settle + draw(st.floats(0.0, 1.0)),
+        # long enough to reach the cap on the flat, below the balance torque too
+        approach_length=draw(st.floats(0.1, 0.5)),
+    )
+    track_length, level_run = draw(st.floats(0.02, 0.3)), draw(st.floats(0.0, 0.3))
+    path = stairs.approach_length + 2 * track_length + stairs.ramp_length + level_run
+    dt = draw(st.sampled_from([5e-3, 1e-2]))
+    cfg = SimConfig(
+        replace(TRACK, M=draw(st.floats(20.0, 150.0)), m1=draw(st.floats(0.0, 3.0))),
+        MOTOR,
+        dt=dt,
+        # from 60% of the path onwards the cruise has settled
+        duration=round((draw(st.floats(0.6, 1.2)) * path / stair_cap + 2.0) / dt) * dt,
+        # with c_rr*tan(inc) < 1 grade plus roll peaks in the climb zone, and
+        # with c_rr <= 1 it exceeds the roll on the flat by a few percent
+        rolling_resist_coeff=draw(st.one_of(
+            st.just(0.0), st.floats(0.0, min(1.0, 0.9 / math.tan(inclination))))),
+        ground_cap=draw(st.one_of(st.just(stair_cap), st.floats(stair_cap, 3.0))),
+        stair_cap=stair_cap,
+        track_length=track_length,
+        level_run=level_run,
+        plate=rig,
+    )
+    _, _, grade, roll = forces_at_inc(cfg, stairs)
+    balance = cfg.track.r * (grade + roll)
+    side = draw(st.sampled_from([1, -1, 0]))
+    if side == 1:
+        tau = balance * (1.0 + draw(st.floats(0.02, 1.0)))
+    elif side == -1:
+        # short of the balance by at most the force that would take half the
+        # cap's kinetic energy over the engage ramp, so the climb zone is
+        # entered moving
+        inertia = cfg.track.M + cfg.track.m1
+        most = min(0.02, stair_cap**2 * inertia / (4.0 * (grade + roll) * track_length))
+        tau = balance * (1.0 - draw(st.floats(1e-4, most)))
+    else:
+        tau = ulps(balance, draw(st.integers(-4, 4)))
+    return cfg, stairs, tau, side
+
+
+def settled_cruise_rows(traj, stair_cap):
+    """Climb-zone rows at the stair cap that left the actuator where it was."""
+    return sum(
+        1 for i in range(1, len(traj.t))
+        if traj.phase[i - 1] is traj.phase[i] is Phase.CLIMB and traj.v[i] == stair_cap
+        and traj.actuator_ext[i] == traj.actuator_ext[i - 1]
+    )
+
+
+def slowdown_rows(traj):
+    """Climb-zone rows whose speed fell and stayed above 0."""
+    return sum(
+        1 for i in range(1, len(traj.t))
+        if traj.phase[i - 1] is traj.phase[i] is Phase.CLIMB and 0.0 < traj.v[i] < traj.v[i - 1]
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(settled_climbs())
+def test_run_climb_and_verdict_match_references_through_settled_cruise_and_slowdown(climb):
+    # run_climb appends the settled cruise in bulk and _climb_verdict takes
+    # the slowdown in a tight loop; the columns show both stretches were there
+    cfg, stairs, tau, side = climb
+    traj = assert_matches_reference(cfg, stairs, tau)
+    assert repr(_climb_verdict(cfg, stairs, tau)) == repr((traj.completed, traj.fall, traj.v[-1]))
+    if side == 1:
+        assert settled_cruise_rows(traj, cfg.stair_cap) > 0
+    elif side == -1:
+        assert slowdown_rows(traj) > 0
