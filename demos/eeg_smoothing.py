@@ -10,9 +10,10 @@ import numpy as np
 from stairclimber.eeg import (
     EegStreamParser,
     LoessConfig,
-    PostureController,
+    PostureState,
     encode_frame,
     loess_smooth,
+    posture_transition,
 )
 
 rng = np.random.default_rng(42)
@@ -45,10 +46,11 @@ print(f"{len(records)} records decoded, {parser.checksum_failures} corrupt frame
 series = [(r.t, float(r.meditation)) for r in records]
 smoothed = loess_smooth(series, LoessConfig(span=0.3))
 
-seat = PostureController(lo=40.0, hi=60.0)
+seat = PostureState.HOLDING
 print()
 print(f"{'t':>4} {'raw':>4} {'smooth':>7} {'seat':>9}")
 for (t, raw), (_, level) in zip(series, smoothed):
-    rate = seat.update(min(100.0, max(1.0, level)))
+    seat = posture_transition(min(100.0, max(1.0, level)), seat, lo=40.0, hi=60.0)
+    rate = seat.seat_rate(1.0)
     label = {1.0: "raising", -1.0: "lowering", 0.0: "holding"}[rate]
     print(f"{t:4.0f} {raw:4.0f} {level:7.1f} {label:>9}")

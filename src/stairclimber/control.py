@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -211,8 +212,14 @@ class ArbiterConfig:
     def __post_init__(self):
         if not 0.0 < self.effort_cap <= 1.0:
             raise ValueError("effort_cap must lie in (0, 1]")
-        if self.accel_cap <= 0 or self.speed_scale <= 0:
+        if not (self.accel_cap > 0 and self.speed_scale > 0):
             raise ValueError("accel_cap and speed_scale must be positive")
+        if math.isnan(self.kp):
+            raise ValueError("kp must be a number")
+        if not (self.hysteresis_lo < self.hysteresis_hi):
+            raise ValueError(
+                f"need hysteresis_lo < hysteresis_hi (got {self.hysteresis_lo}, {self.hysteresis_hi})"
+            )
         if self.eeg_window < 3:
             raise ValueError("eeg_window must be >= 3")
         for name in ("keypad_speed", "keypad_turn", "voice_speed", "voice_turn",

@@ -73,7 +73,7 @@ class TrackParams:
     are second order at the design acceleration cap.
     """
 
-    M: float                  # kg, mass borne per track
+    M: float = 97.0           # kg, mass borne per track
     m1: float = 0.0           # kg, mass of pulley P1
     m: float = 0.0            # kg, mass of each of P2/P3
     R: float = 0.05           # m, radius of P1
@@ -85,10 +85,12 @@ class TrackParams:
     accel_cap: float = 0.5    # m/s^2, design acceleration limit
 
     def __post_init__(self):
-        if self.M <= 0:
+        if not (self.M > 0):
             raise ValueError(f"supported mass must be positive (got {self.M})")
-        if self.m1 < 0 or self.m < 0:
+        if not (self.m1 >= 0 and self.m >= 0):
             raise ValueError("pulley masses must be >= 0")
+        if not (self.gravity > 0):
+            raise ValueError(f"gravity must be positive (got {self.gravity})")
         if not (self.R > 0 and self.r > 0 and self.R >= self.r):
             raise ValueError(f"need R >= r > 0 (R={self.R}, r={self.r})")
         if not (0.0 <= self.theta <= self.theta_cap + 1e-12):
@@ -96,7 +98,7 @@ class TrackParams:
                 f"stair angle {math.degrees(self.theta):.2f} deg exceeds cap "
                 f"{math.degrees(self.theta_cap):.2f} deg"
             )
-        if abs(self.accel) > self.accel_cap + 1e-12:
+        if not (abs(self.accel) <= self.accel_cap + 1e-12):
             raise ValueError(f"|accel| exceeds {self.accel_cap} m/s^2 (got {self.accel})")
 
 
@@ -141,7 +143,7 @@ def min_pinion_teeth(alpha: float, f: float = 1.0) -> int:
     """
     if not (0.0 < alpha < math.pi / 2 or math.isclose(alpha, math.pi / 2)):
         raise ValueError(f"pressure angle must lie in (0, 90 deg] (got {alpha!r})")
-    if f <= 0:
+    if not (f > 0):
         raise ValueError("addendum factor must be positive")
     n = 2.0 * f / math.sin(alpha) ** 2
     return math.ceil(n - 1e-9)
@@ -149,21 +151,26 @@ def min_pinion_teeth(alpha: float, f: float = 1.0) -> int:
 
 @dataclass(frozen=True)
 class GearDesign:
-    """Spur gear (timing pulley) geometry, lengths in millimetres."""
+    """Spur gear (timing pulley) geometry, lengths in millimetres.
 
-    pressure_angle: float      # rad
-    addendum_factor: float     # addendum = factor * module
-    module_mm: float
-    teeth: int
+    teeth=None sizes the pinion at the no-interference minimum.
+    """
+
+    pressure_angle: float = math.radians(20.0)
+    addendum_factor: float = 1.0   # addendum = factor * module
+    module_mm: float = 4.0
+    teeth: int | None = None
     addendum: float = field(init=False)
     pitch_radius: float = field(init=False)
     base_radius: float = field(init=False)
     outer_radius: float = field(init=False)
 
     def __post_init__(self):
-        if self.module_mm <= 0 or self.teeth < 1:
-            raise InvalidGeometry("module and tooth count must be positive")
         n_min = min_pinion_teeth(self.pressure_angle, self.addendum_factor)
+        if self.teeth is None:
+            object.__setattr__(self, "teeth", n_min)
+        if not (self.module_mm > 0) or self.teeth < 1:
+            raise InvalidGeometry("module and tooth count must be positive")
         if self.teeth < n_min:
             raise InvalidGeometry(
                 f"{self.teeth} teeth undercut against a rack; need >= {n_min}"
@@ -223,10 +230,11 @@ class MotorSpec:
     reduction: float = 2.0        # output:input torque multiplier
 
     def __post_init__(self):
-        if min(self.rated_power, self.rated_torque, self.rated_speed, self.reduction) <= 0:
+        ratings = (self.rated_power, self.rated_torque, self.rated_speed, self.reduction)
+        if not all(x > 0 for x in ratings):
             raise ValueError("motor ratings must be positive")
         mech = self.rated_torque * self.rated_speed * 2.0 * math.pi / 60.0
-        if abs(mech - self.rated_power) > 0.05 * self.rated_power:
+        if not (abs(mech - self.rated_power) <= 0.05 * self.rated_power):
             raise ValueError(
                 f"nameplate inconsistent: torque*speed gives {mech:.1f} W "
                 f"vs rated {self.rated_power:.1f} W (>5% apart)"

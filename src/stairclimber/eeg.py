@@ -14,11 +14,13 @@ frames are dropped, never raised.
 The meditation series is pre-smoothed with LOESS (locally weighted linear
 regression, tricube weights) before driving the seat: raw headset values are
 spiky and a single outlier must not toggle the actuators.  The arbiter fits
-only the newest sample of its window (loess_last).  The posture controller
-is a hysteresis band on the smoothed value: at or above the high threshold
-the seat raises, at or below the low threshold it lowers, and in between it
-holds its previous state.  Thresholds default to 60/40, symmetric about the
-scale midpoint with a dead band wide enough to reject smoothed noise.
+only the newest sample of its window (loess_last).  posture_transition is a
+hysteresis band on the smoothed value: at or above the high threshold the
+seat raises, at or below the low threshold it lowers, and in between it
+holds its previous state.  Exactly one state is active at a time, so the
+seat is never commanded both ways at once; PostureState.seat_rate turns the
+state into the rate command.  Thresholds default to 60/40, symmetric about
+the scale midpoint with a dead band wide enough to reject smoothed noise.
 """
 
 from __future__ import annotations
@@ -37,13 +39,13 @@ __all__ = [
     "loess_smooth",
     "loess_last",
     "PostureState",
-    "PostureController",
     "posture_transition",
     "encode_frame",
 ]
 
 SYNC = 0xAA
 _PAYLOAD_LEN = 2
+_MIN_WINDOW = 3   # points in the smallest window a straight-line fit can smooth
 
 
 class TooFewPoints(ValueError):
@@ -129,17 +131,13 @@ class LoessConfig:
     """Local regression settings: tricube weights, straight-line local fits."""
 
     span: float = 0.3  # fraction of points in each local window
-    degree: int = 1    # only degree-1 fits are supported
 
     def __post_init__(self):
         if not 0.0 < self.span <= 1.0:
             raise ValueError(f"span must lie in (0, 1] (got {self.span})")
-        if self.degree != 1:
-            raise ValueError("only degree-1 local fits are supported")
 
     def window(self, n: int) -> int:
-        # window never shrinks below degree + 2 points
-        return min(n, max(self.degree + 2, math.ceil(self.span * n)))
+        return min(n, max(_MIN_WINDOW, math.ceil(self.span * n)))
 
 
 def loess_smooth(
@@ -176,8 +174,8 @@ def _checked_series(series, cfg: LoessConfig | None) -> tuple[np.ndarray, np.nda
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("series must be a sequence of (t, value) pairs")
     n = arr.shape[0]
-    if n < cfg.degree + 2:
-        raise TooFewPoints(f"need at least {cfg.degree + 2} points (got {n})")
+    if n < _MIN_WINDOW:
+        raise TooFewPoints(f"need at least {_MIN_WINDOW} points (got {n})")
     t, y = arr[:, 0], arr[:, 1]
     if not np.all(np.diff(t) > 0):
         raise ValueError("t must be strictly increasing")
@@ -236,26 +234,3 @@ def posture_transition(
         return PostureState.LOWERING
     return state  # dead band keeps the previous state
 
-
-class PostureController:
-    """Hysteresis band turning a smoothed meditation value into a seat rate.
-
-    value >= hi  -> raising; value <= lo -> lowering; otherwise the previous
-    state is kept.  Exactly one state is active at a time, so the same input
-    sequence can never command raise and lower at the same position.
-    """
-
-    def __init__(self, lo: float = 40.0, hi: float = 60.0, rate: float = 1.0):
-        if not lo < hi:
-            raise ValueError(f"need lo < hi (got {lo}, {hi})")
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self.lo = lo
-        self.hi = hi
-        self.rate = rate
-        self.state = PostureState.HOLDING
-
-    def update(self, value: float) -> float:
-        """Consume one smoothed value, return the actuator rate command."""
-        self.state = posture_transition(value, self.state, self.lo, self.hi)
-        return self.state.seat_rate(self.rate)

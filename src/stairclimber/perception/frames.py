@@ -28,8 +28,6 @@ __all__ = [
 # horizontal field of view of the onboard camera stand-in, config-overridable
 DEFAULT_HFOV = math.radians(53.5)
 
-MIN_TRACKING_SIZE = 16
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -57,9 +55,6 @@ class Frame:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-    def trackable(self) -> bool:
-        return self.width >= MIN_TRACKING_SIZE and self.height >= MIN_TRACKING_SIZE
 
 
 def read_pgm(path) -> Frame:

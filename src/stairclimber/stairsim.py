@@ -144,9 +144,9 @@ class Staircase:
     @classmethod
     def from_angle(
         cls,
-        inclination: float,
-        step_rise: float,
-        ramp_length: float,
+        inclination: float = math.radians(40.0),
+        step_rise: float = 0.17,
+        ramp_length: float = 0.55,
         approach_length: float = 0.0,
     ) -> "Staircase":
         """Build a staircase from its angle, deriving the step run."""
@@ -177,7 +177,7 @@ class SimConfig:
     rolling_resist_coeff: float = 0.0
     ground_cap: float = 3.0        # m/s on approach / run-out
     stair_cap: float = 0.1         # m/s on engage / climb / crest
-    track_length: float = 0.2      # m; sets engage and crest zone lengths
+    track_length: float = 0.15     # m; sets engage and crest zone lengths
     level_run: float = 0.2         # m of run-out required for completion
     plate: PlateRig = PlateRig()
 

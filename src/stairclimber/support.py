@@ -64,9 +64,9 @@ class SupportGeometry:
     h: actuator base offset from the hinge
     """
 
-    a: float
-    b: float
-    h: float
+    a: float = 0.335
+    b: float = 0.225
+    h: float = 0.60
 
     def __post_init__(self):
         if not (self.a >= 0 and self.b >= 0 and self.h > 0):
@@ -83,9 +83,11 @@ class SupportLoad:
     safety_factor: float = 1.25
 
     def __post_init__(self):
-        if self.mass <= 0 or self.gravity <= 0:
+        if not (self.mass > 0 and self.gravity > 0):
             raise ValueError("mass and gravity must be positive")
-        if self.safety_factor < 1.0:
+        if math.isnan(self.hinge_shear_limit):
+            raise ValueError("hinge_shear_limit must be a number")
+        if not (self.safety_factor >= 1.0):
             raise ValueError(f"safety_factor must be >= 1 (got {self.safety_factor})")
 
 

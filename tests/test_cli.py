@@ -275,3 +275,39 @@ def test_climb_artifacts_match_golden_digests(tmp_path):
         if path.is_file()
     }
     assert got == golden
+
+
+def test_default_artifacts_match_golden_digests(tmp_path):
+    # the run with no --scenario takes every value from the built-in defaults,
+    # so these digests pin those defaults end to end
+    golden = dict(
+        reversed(line.split(maxsplit=1))
+        for line in (DATA / "default_artifacts.sha256").read_text().splitlines()
+    )
+    for command in ("design", "sim", "sweep"):
+        assert main([command, "--out", str(tmp_path / command)]) == 0
+    got = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    assert got == golden
+
+
+@pytest.mark.parametrize(
+    "obj, where",
+    [
+        ({"name": None}, "name"),
+        ({"sim": {"dt_s": None}}, "sim.dt_s"),
+        ({"teleop": {"arbiter": {"eeg_window": None}}}, "teleop.arbiter.eeg_window"),
+    ],
+)
+def test_null_scenario_value_exits_1(tmp_path, monkeypatch, capsys, obj, where):
+    # null stands for "auto" or "none" only where the schema says so; no
+    # --out, so a null name would reach the default runs/<name> directory
+    monkeypatch.chdir(tmp_path)
+    scenario = write_scenario(tmp_path, obj)
+    assert main(["design", "--scenario", scenario]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}: expected ")
+    assert "Traceback" not in err

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stairclimber.control import ArbiterConfig
 from stairclimber.eeg import (
     SYNC,
     EegRecord,
     EegStreamParser,
     LoessConfig,
-    PostureController,
     PostureState,
     TooFewPoints,
     encode_frame,
@@ -169,7 +169,7 @@ def test_loess_window_rule():
     cfg = LoessConfig(span=0.3)
     assert cfg.window(10) == 3
     assert cfg.window(20) == 6
-    assert cfg.window(5) == 3   # never below degree + 2
+    assert cfg.window(5) == 3   # never below 3 points
     assert LoessConfig(span=1.0).window(8) == 8
 
 
@@ -180,8 +180,6 @@ def test_loess_input_validation():
         loess_smooth([(0.0, 1.0), (0.0, 2.0), (1.0, 3.0)])  # t not increasing
     with pytest.raises(ValueError):
         LoessConfig(span=0.0)
-    with pytest.raises(ValueError):
-        LoessConfig(degree=2)
 
 
 @st.composite
@@ -241,22 +239,24 @@ def test_hysteresis_band():
 
 def test_hysteresis_never_commands_both_ways():
     # one state at a time: the rate command is single-valued by construction
-    ctl = PostureController()
+    state = PostureState.HOLDING
     rng = np.random.default_rng(11)
     for value in rng.uniform(1.0, 100.0, size=200):
-        rate = ctl.update(float(value))
-        assert rate in (-1.0, 0.0, 1.0)
+        state = posture_transition(float(value), state)
+        assert state.seat_rate(1.0) in (-1.0, 0.0, 1.0)
 
 
 def test_posture_controller_rates():
-    ctl = PostureController(rate=0.7)
-    assert ctl.update(80.0) == pytest.approx(0.7)
-    assert ctl.update(50.0) == pytest.approx(0.7)  # held by the band
-    assert ctl.update(20.0) == pytest.approx(-0.7)
+    state = PostureState.HOLDING
+    for value, rate in [(80.0, 0.7), (50.0, 0.7), (20.0, -0.7)]:  # 50 is held by the band
+        state = posture_transition(value, state)
+        assert state.seat_rate(0.7) == pytest.approx(rate)
 
 
 def test_posture_validation():
     with pytest.raises(ValueError):
         posture_transition(0.5, PostureState.HOLDING)
     with pytest.raises(ValueError):
-        PostureController(lo=60.0, hi=40.0)
+        ArbiterConfig(hysteresis_lo=60.0, hysteresis_hi=40.0)
+    with pytest.raises(ValueError):
+        ArbiterConfig(hysteresis_lo=50.0, hysteresis_hi=50.0)

@@ -148,8 +148,7 @@ def test_frame_validation():
     with pytest.raises(ValueError):
         Frame(np.zeros(16))
     f = Frame(np.zeros((20, 20)))
-    assert f.width == 20 and f.height == 20 and f.trackable()
-    assert not Frame(np.zeros((8, 8))).trackable()
+    assert f.width == 20 and f.height == 20
     with pytest.raises(ValueError):
         f.pixels[0, 0] = 1.0  # frozen buffer
 

@@ -1,12 +1,22 @@
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stairclimber.scenario import ConfigError, build_scenario, load_scenario
+from stairclimber.control import ArbiterConfig
+from stairclimber.drivetrain import GearDesign, MotorSpec, TrackParams, min_pinion_teeth
+from stairclimber.eeg import LoessConfig
+from stairclimber.scenario import ConfigError, Scenario, build_scenario, load_scenario
+from stairclimber.stairsim import SimConfig, Staircase
+from stairclimber.support import SupportGeometry, SupportLoad
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def test_defaults():
@@ -143,3 +153,165 @@ def test_bundled_scenarios_load():
     assert flat.stairs.approach_length == 10.0
     replay = load_scenario(SCENARIOS / "teleop_replay.json")
     assert replay.event_log is not None and replay.event_log.exists()
+
+
+def test_empty_scenario_takes_every_default_from_the_dataclasses():
+    sc = build_scenario({})
+    assert sc == Scenario(
+        name="scenario",
+        support_geom=SupportGeometry(),
+        support_load=SupportLoad(),
+        track=TrackParams(),
+        gear=GearDesign(),
+        motor=MotorSpec(),
+        stairs=Staircase.from_angle(),
+        sim=SimConfig(TrackParams(), MotorSpec()),
+        arbiter=ArbiterConfig(),
+    )
+
+
+@pytest.mark.parametrize(
+    "ctor, name",
+    [
+        (ctor, f.name)
+        for ctor in (TrackParams, MotorSpec, GearDesign, SupportGeometry, SupportLoad,
+                     ArbiterConfig, LoessConfig)
+        for f in dataclasses.fields(ctor)
+        if f.init and f.type == "float"
+    ],
+)
+def test_config_dataclasses_refuse_nan(ctor, name):
+    with pytest.raises(ValueError):
+        ctor(**{name: math.nan})
+
+
+def _same(x):
+    return x
+
+
+# Every scenario key: a strategy for values that are valid in any
+# combination, where the value lands, and how its unit converts.
+LEAVES = {
+    ("name",): (st.text(max_size=8), lambda sc: sc.name, _same),
+    ("robot", "per_track_mass_kg"): (st.floats(20.0, 150.0), lambda sc: sc.track.M, _same),
+    ("robot", "pulley1_mass_kg"): (st.floats(0.0, 5.0), lambda sc: sc.track.m1, _same),
+    ("robot", "pulley23_mass_kg"): (st.floats(0.0, 5.0), lambda sc: sc.track.m, _same),
+    ("robot", "pulley1_radius_m"): (st.floats(0.05, 0.1), lambda sc: sc.track.R, _same),
+    ("robot", "pulley23_radius_m"): (st.floats(0.01, 0.05), lambda sc: sc.track.r, _same),
+    ("robot", "gravity_mps2"): (
+        st.floats(1.0, 20.0),
+        lambda sc: (sc.track.gravity, sc.support_load.gravity),
+        lambda v: (v, v),
+    ),
+    ("robot", "support", "a_m"): (st.floats(0.0, 1.0), lambda sc: sc.support_geom.a, _same),
+    ("robot", "support", "b_m"): (st.floats(0.0, 1.0), lambda sc: sc.support_geom.b, _same),
+    ("robot", "support", "h_m"): (st.floats(0.1, 1.0), lambda sc: sc.support_geom.h, _same),
+    ("robot", "support", "payload_mass_kg"): (
+        st.floats(10.0, 200.0), lambda sc: sc.support_load.mass, _same),
+    ("robot", "support", "hinge_shear_limit_n"): (
+        st.floats(100.0, 5000.0), lambda sc: sc.support_load.hinge_shear_limit, _same),
+    ("robot", "support", "safety_factor"): (
+        st.floats(1.0, 3.0), lambda sc: sc.support_load.safety_factor, _same),
+    ("robot", "gear", "pressure_angle_deg"): (
+        st.floats(20.0, 35.0), lambda sc: sc.gear.pressure_angle, math.radians),
+    ("robot", "gear", "module_mm"): (st.floats(0.5, 10.0), lambda sc: sc.gear.module_mm, _same),
+    ("robot", "gear", "addendum_factor"): (
+        st.floats(0.5, 1.0), lambda sc: sc.gear.addendum_factor, _same),
+    ("robot", "gear", "teeth"): (st.integers(18, 80), lambda sc: sc.gear.teeth, _same),
+    ("robot", "motor", "power_w"): (
+        st.floats(320.0, 330.0), lambda sc: sc.motor.rated_power, _same),
+    ("robot", "motor", "torque_nm"): (
+        st.floats(21.8, 22.2), lambda sc: sc.motor.rated_torque, _same),
+    ("robot", "motor", "speed_rpm"): (
+        st.floats(142.0, 144.0), lambda sc: sc.motor.rated_speed, _same),
+    ("robot", "motor", "reduction"): (st.floats(0.5, 5.0), lambda sc: sc.motor.reduction, _same),
+    ("staircase", "inclination_deg"): (
+        st.floats(5.0, 40.0),
+        lambda sc: (sc.stairs.inclination, sc.track.theta),
+        lambda v: (math.radians(v), math.radians(v)),
+    ),
+    ("staircase", "step_rise_m"): (st.floats(0.1, 0.25), lambda sc: sc.stairs.step_rise, _same),
+    ("staircase", "ramp_length_m"): (st.floats(0.0, 3.0), lambda sc: sc.stairs.ramp_length, _same),
+    ("staircase", "approach_length_m"): (
+        st.floats(0.0, 5.0), lambda sc: sc.stairs.approach_length, _same),
+    ("sim", "dt_s"): (st.floats(1e-4, 1e-2), lambda sc: sc.sim.dt, _same),
+    ("sim", "duration_s"): (st.floats(1.0, 60.0), lambda sc: sc.sim.duration, _same),
+    ("sim", "rolling_resist_coeff"): (
+        st.floats(0.0, 0.5), lambda sc: sc.sim.rolling_resist_coeff, _same),
+    ("sim", "ground_speed_cap_mps"): (st.floats(0.1, 5.0), lambda sc: sc.sim.ground_cap, _same),
+    ("sim", "stair_speed_cap_mps"): (st.floats(0.01, 1.0), lambda sc: sc.sim.stair_cap, _same),
+    ("sim", "track_zone_m"): (st.floats(0.01, 0.5), lambda sc: sc.sim.track_length, _same),
+    ("sim", "level_run_m"): (st.floats(0.0, 1.0), lambda sc: sc.sim.level_run, _same),
+    ("sim", "plate", "lever_arm_m"): (st.floats(0.05, 1.0), lambda sc: sc.sim.plate.lever_arm, _same),
+    ("sim", "plate", "max_rate_mps"): (st.floats(0.01, 1.0), lambda sc: sc.sim.plate.max_rate, _same),
+    ("sim", "plate", "stroke_m"): (st.floats(0.05, 1.0), lambda sc: sc.sim.plate.stroke, _same),
+    ("sim", "plate", "tolerance_deg"): (
+        st.floats(0.1, 10.0), lambda sc: sc.sim.plate.tolerance, math.radians),
+    ("teleop", "event_log"): (
+        st.text("abc", min_size=1, max_size=4), lambda sc: sc.event_log, lambda v: ROOT / v),
+    ("teleop", "sonar_log"): (
+        st.text("abc", min_size=1, max_size=4), lambda sc: sc.sonar_log, lambda v: ROOT / v),
+    ("teleop", "sonar_max_range_m"): (st.floats(1.0, 10.0), lambda sc: sc.sonar_max_range, _same),
+    ("teleop", "sonar_threshold_m"): (st.floats(0.1, 1.0), lambda sc: sc.sonar_threshold, _same),
+    **{
+        ("teleop", "arbiter", key): (st.floats(0.0, 1.0), getter, _same)
+        for key, getter in [
+            ("keypad_speed", lambda sc: sc.arbiter.keypad_speed),
+            ("keypad_turn", lambda sc: sc.arbiter.keypad_turn),
+            ("voice_speed", lambda sc: sc.arbiter.voice_speed),
+            ("voice_turn", lambda sc: sc.arbiter.voice_turn),
+            ("cruise", lambda sc: sc.arbiter.cruise),
+            ("posture_rate", lambda sc: sc.arbiter.posture_rate),
+        ]
+    },
+    ("teleop", "arbiter", "kp_per_rad"): (st.floats(0.0, 5.0), lambda sc: sc.arbiter.kp, _same),
+    ("teleop", "arbiter", "accel_cap_mps2"): (
+        st.floats(0.1, 2.0), lambda sc: sc.arbiter.accel_cap, _same),
+    ("teleop", "arbiter", "speed_scale_mps"): (
+        st.floats(0.5, 5.0), lambda sc: sc.arbiter.speed_scale, _same),
+    ("teleop", "arbiter", "effort_cap"): (
+        st.floats(0.01, 1.0), lambda sc: sc.arbiter.effort_cap, _same),
+    ("teleop", "arbiter", "eeg_window"): (
+        st.integers(3, 60), lambda sc: sc.arbiter.eeg_window, _same),
+    ("teleop", "arbiter", "loess_span"): (
+        st.floats(0.01, 1.0), lambda sc: sc.arbiter.loess.span, _same),
+    ("teleop", "arbiter", "hysteresis_lo"): (
+        st.floats(1.0, 49.0), lambda sc: sc.arbiter.hysteresis_lo, _same),
+    ("teleop", "arbiter", "hysteresis_hi"): (
+        st.floats(51.0, 100.0), lambda sc: sc.arbiter.hysteresis_hi, _same),
+}
+
+
+@st.composite
+def key_subsets(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(LEAVES)), unique=True))
+    return {key: draw(LEAVES[key][0]) for key in keys}
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_subsets())
+def test_each_key_lands_in_its_field(drawn):
+    obj = {}
+    for path, value in drawn.items():
+        section = obj
+        for part in path[:-1]:
+            section = section.setdefault(part, {})
+        section[path[-1]] = value
+    sc = build_scenario(obj, base_dir=ROOT)
+    default = build_scenario({})
+    for path, (_, getter, convert) in LEAVES.items():
+        if path in drawn:
+            assert getter(sc) == convert(drawn[path]), path
+        elif path == ("robot", "gear", "teeth"):
+            # left out, the pinion is sized at the no-interference minimum
+            assert sc.gear.teeth == min_pinion_teeth(sc.gear.pressure_angle, sc.gear.addendum_factor)
+        else:
+            assert getter(sc) == getter(default), path
+
+
+def test_readme_scenario_example_loads():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Scenarios.*?```json\n(.*?)```", readme, re.S).group(1)
+    sc = build_scenario(json.loads(block), base_dir=SCENARIOS)
+    assert sc.name == "baseline40"
+    assert sc.event_log == SCENARIOS / "teleop_events.jsonl"
