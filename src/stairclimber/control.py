@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
+from .eeg import _HYSTERESIS_HI, _HYSTERESIS_LO
 from .eeg import EegRecord, LoessConfig, PostureState, loess_last, posture_transition
 from .perception.sonar import RegionOccupancy, SonarTriple, region_map
 
@@ -206,8 +207,8 @@ class ArbiterConfig:
     effort_cap: float = 1.0      # active speed cap, as an effort bound
     eeg_window: int = 15         # trailing samples kept for smoothing
     loess: LoessConfig = field(default_factory=LoessConfig)
-    hysteresis_lo: float = 40.0
-    hysteresis_hi: float = 60.0
+    hysteresis_lo: float = _HYSTERESIS_LO
+    hysteresis_hi: float = _HYSTERESIS_HI
 
     def __post_init__(self):
         if not 0.0 < self.effort_cap <= 1.0:

@@ -46,6 +46,7 @@ __all__ = [
 SYNC = 0xAA
 _PAYLOAD_LEN = 2
 _MIN_WINDOW = 3   # points in the smallest window a straight-line fit can smooth
+_HYSTERESIS_LO, _HYSTERESIS_HI = 40.0, 60.0  # seat band; ArbiterConfig reads these too
 
 
 class TooFewPoints(ValueError):
@@ -223,7 +224,7 @@ class PostureState(Enum):
 
 
 def posture_transition(
-    value: float, state: PostureState, lo: float = 40.0, hi: float = 60.0
+    value: float, state: PostureState, lo: float = _HYSTERESIS_LO, hi: float = _HYSTERESIS_HI
 ) -> PostureState:
     """One step of the hysteresis band as a pure function."""
     if not 1.0 <= value <= 100.0:

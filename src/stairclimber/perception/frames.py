@@ -1,9 +1,8 @@
 """Grayscale frames, PGM fixture I/O, synthetic textures and bearing math.
 
 Frames carry float64 intensities in [0, 1] and are frozen after
-construction.  The synthetic texture is a band-limited sum of cosine waves:
-it can be sampled at arbitrary subpixel positions, which gives tracking
-tests an exact ground truth for any fractional shift.
+construction.  The synthetic texture is a band-limited sum of cosine waves,
+rendered under any subpixel shift: an exact ground truth for tracking tests.
 """
 
 from __future__ import annotations
@@ -95,8 +94,7 @@ def write_pgm(path, frame: Frame) -> None:
 class CosineTexture:
     """Band-limited scene: 0.5 plus a normalized sum of planar cosine waves.
 
-    Normalizing by twice the total amplitude keeps samples strictly inside
-    (0, 1), and the closed form can be evaluated at any real coordinate.
+    At (x, y): 0.5 + sum_k a_k cos(2 pi (fx_k x + fy_k y) + phi_k) / (2 sum_k a_k), in [0, 1].
     """
 
     freqs: np.ndarray   # (k, 2) spatial frequencies, cycles per px (fx, fy)
@@ -115,14 +113,6 @@ class CosineTexture:
             arr = np.ascontiguousarray(arr)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    def sample(self, x, y):
-        """Intensity at real coordinates (x, y); accepts scalars or arrays."""
-        x = np.asarray(x, dtype=float)[..., None]
-        y = np.asarray(y, dtype=float)[..., None]
-        phase = 2.0 * math.pi * (self.freqs[:, 0] * x + self.freqs[:, 1] * y)
-        waves = self.amps * np.cos(phase + self.phases)
-        return 0.5 + waves.sum(axis=-1) / (2.0 * self.amps.sum())
 
 
 def random_texture(
@@ -157,13 +147,18 @@ def render_texture(
 
     A feature at (x, y) in the unshifted frame appears at (x+sx, y+sy) in
     the shifted one, so `shift` is exactly the displacement a tracker
-    should recover between the two renders.
+    should recover between the two renders.  The sum is separable: with
+    A[j, k] = 2 pi fx_k (j - sx) + phi_k and B[i, k] = 2 pi fy_k (i - sy),
+    cos(A + B) = cos A cos B - sin A sin B makes the frame one
+    (H, 2K) @ (2K, W) product, 2K(H + W) trig calls instead of K H W.
     """
     sx, sy = shift
-    xs = np.arange(width, dtype=float) - sx
-    ys = np.arange(height, dtype=float) - sy
-    gx, gy = np.meshgrid(xs, ys)
-    return Frame(tex.sample(gx, gy), timestamp=timestamp)
+    cols = 2.0 * math.pi * np.outer(np.arange(width) - sx, tex.freqs[:, 0]) + tex.phases
+    rows = 2.0 * math.pi * np.outer(np.arange(height) - sy, tex.freqs[:, 1])
+    waves = np.hstack([np.cos(rows), -np.sin(rows)]) @ np.vstack(
+        [(tex.amps * np.cos(cols)).T, (tex.amps * np.sin(cols)).T])
+    # cos A cos B - sin A sin B can round an ulp past -1 or 1 at a trough or crest
+    return Frame(np.clip(0.5 + waves / (2.0 * tex.amps.sum()), 0.0, 1.0), timestamp=timestamp)
 
 
 def pixel_to_bearing(px: float, width: int, hfov: float = DEFAULT_HFOV) -> float:

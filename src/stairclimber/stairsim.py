@@ -118,6 +118,12 @@ class Unclimbable(RuntimeError):
     """Even the motor-limit torque cannot complete the climb."""
 
 
+def _check_inclination(inclination: float) -> None:
+    if not (0.0 < inclination <= _MAX_INCLINATION + 1e-12):  # NaN fails too
+        raise ValueError(f"inclination must lie in (0, {math.degrees(_MAX_INCLINATION):.0f} deg] "
+                         f"(got {math.degrees(inclination):.2f} deg)")
+
+
 @dataclass(frozen=True)
 class Staircase:
     """Stair geometry.  ramp_length runs along the slope; zero means no stairs."""
@@ -129,11 +135,7 @@ class Staircase:
     approach_length: float    # m of flat ground before the first nose
 
     def __post_init__(self):
-        if not (0.0 < self.inclination <= _MAX_INCLINATION + 1e-12):
-            raise ValueError(
-                f"inclination must lie in (0, {math.degrees(_MAX_INCLINATION):.0f} deg] "
-                f"(got {math.degrees(self.inclination):.2f} deg)"
-            )
+        _check_inclination(self.inclination)
         if not (self.step_rise > 0 and self.step_run > 0):
             raise ValueError("step rise and run must be positive")
         if abs(self.inclination - math.atan2(self.step_rise, self.step_run)) > 1e-9:
@@ -150,6 +152,7 @@ class Staircase:
         approach_length: float = 0.0,
     ) -> "Staircase":
         """Build a staircase from its angle, deriving the step run."""
+        _check_inclination(inclination)  # before tan(0) can divide by zero
         run = step_rise / math.tan(inclination)
         return cls(inclination, step_rise, run, ramp_length, approach_length)
 

@@ -162,6 +162,36 @@ def test_report_seed_changes_tracking_case(tmp_path):
     assert line and line[0] not in b
 
 
+# the self-check section of baseline40's report.txt, as rendered by the
+# pointwise texture sum before frames were rendered separably
+TRACKING_CHECK_GOLDEN = {
+    1: """[tracking self-check]
+seed = 1
+true shift = (-1.76038982, 1.5981336) px
+recovered shift = (-1.75410107, 1.60171843) px
+error = 0.00723874741 px
+bearing of tracked point = -0.706256917 deg
+tracking self-check = pass
+""",
+    2: """[tracking self-check]
+seed = 2
+true shift = (-1.99648199, -2.30697935) px
+recovered shift = (-1.99152005, -2.30227593) px
+error = 0.00683688213 px
+bearing of tracked point = -0.839961293 deg
+tracking self-check = pass
+""",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TRACKING_CHECK_GOLDEN))
+def test_report_tracking_check_matches_golden(tmp_path, seed):
+    out = tmp_path / "report"
+    assert main(["report", "--scenario", BASELINE, "--out", str(out), "--seed", str(seed)]) == 0
+    text = (out / "report.txt").read_text()
+    assert text[text.index("[tracking self-check]"):] == TRACKING_CHECK_GOLDEN[seed]
+
+
 def test_usage_errors_exit_1():
     assert main([]) == 1
     assert main(["unknown-command"]) == 1
@@ -193,6 +223,14 @@ def test_non_finite_scenario_number_exits_1(tmp_path, capsys, section, key, valu
     assert main(["sweep", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {section}.{key}: expected a finite number")
+
+
+def test_zero_inclination_exits_1(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, {"staircase": {"inclination_deg": 0}})
+    assert main(["design", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: staircase: inclination must lie in (0, 40 deg]")
+    assert "Traceback" not in err
 
 
 def test_bad_sonar_log_exits_1(tmp_path, capsys):

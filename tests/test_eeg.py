@@ -46,6 +46,50 @@ def test_any_chunking_yields_identical_records():
         assert records == whole
 
 
+@st.composite
+def corrupted_streams(draw):
+    """A stream in which some whole frames are corrupted, with its clean frames.
+
+    A corrupted frame keeps its sync pair and length byte, and its payload
+    and checksum become bytes that fail the checksum; or the whole frame
+    becomes line noise.  Only the noise's last byte may be a sync byte, so
+    the one false sync pair that can form, with the next frame's first sync
+    byte, reads a bad length and cannot swallow part of that frame.
+    """
+    non_sync = st.integers(0, 255).filter(lambda b: b != SYNC)
+    bad_tail = st.tuples(non_sync, non_sync, non_sync).filter(
+        lambda t: (2 + t[0] + t[1]) & 0xFF != t[2])
+    pieces, clean, n_bad_sums = [], [], 0
+    for att, med in draw(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)),
+                                  max_size=30)):
+        frame = encode_frame(att, med)
+        kind = draw(st.sampled_from(["clean", "clean", "checksum", "noise"]))
+        if kind == "clean":
+            pieces.append(frame)
+            clean.append(frame)
+        elif kind == "checksum":
+            pieces.append(frame[:3] + bytes(draw(bad_tail)))
+            n_bad_sums += 1
+        else:
+            noise = draw(st.lists(non_sync, min_size=5, max_size=5))
+            pieces.append(bytes(noise + [draw(st.sampled_from([SYNC, 0x00]))]))
+    stream = b"".join(pieces)
+    cuts = sorted(draw(st.lists(st.integers(0, len(stream)), max_size=12)))
+    return stream, b"".join(clean), cuts, n_bad_sums
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_streams())
+def test_corrupted_frames_drop_out_under_any_chunking(case):
+    stream, clean, cuts, n_bad_sums = case
+    parser = EegStreamParser(dt=0.25)
+    records = []
+    for a, b in zip([0, *cuts], [*cuts, len(stream)]):
+        records += parser.feed(stream[a:b])
+    assert records == EegStreamParser(dt=0.25).feed(clean)
+    assert parser.checksum_failures >= n_bad_sums
+
+
 def test_byte_at_a_time_feed():
     stream = make_stream([(5, 95), (60, 35)])
     parser = EegStreamParser()

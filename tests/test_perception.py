@@ -11,6 +11,7 @@ from stairclimber.perception import (
     DEFAULT_HFOV,
     REGIONS,
     Corner,
+    CosineTexture,
     Frame,
     LkParams,
     NoCorners,
@@ -317,6 +318,40 @@ def test_render_shift_moves_content():
     b = render_texture(tex, 32, 32, (3.0, -2.0))
     # integer shift relocates samples exactly inside the overlap
     assert np.allclose(b.pixels[0:30, 3:32], a.pixels[2:32, 0:29], atol=1e-12)
+
+
+def pointwise_render(tex, width, height, shift=(0.0, 0.0)):
+    """The texture's closed form, one cosine per pixel per wave."""
+    x = (np.arange(width, dtype=float) - shift[0])[None, :, None]
+    y = (np.arange(height, dtype=float) - shift[1])[:, None, None]
+    phase = 2.0 * math.pi * (tex.freqs[:, 0] * x + tex.freqs[:, 1] * y)
+    waves = tex.amps * np.cos(phase + tex.phases)
+    return 0.5 + waves.sum(axis=-1) / (2.0 * tex.amps.sum())
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 20),
+    st.integers(2, 200),
+    st.integers(2, 200),
+    st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)),
+)
+def test_render_matches_pointwise_closed_form(seed, n_waves, width, height, shift):
+    tex = random_texture(np.random.default_rng(seed), n_waves=n_waves)
+    frame = render_texture(tex, width, height, shift)
+    assert frame.pixels.shape == (height, width)
+    np.testing.assert_allclose(frame.pixels, pointwise_render(tex, width, height, shift),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_render_keeps_single_wave_troughs_in_range():
+    # along this diagonal cos A cos B - sin A sin B rounds to just below -1,
+    # which unclamped would put pixels an ulp below 0 and fail Frame's check
+    for f in np.linspace(0.01, 0.49, 25):
+        tex = CosineTexture([[f, -f]], [math.pi], [0.7])
+        np.testing.assert_allclose(render_texture(tex, 200, 200).pixels,
+                                   pointwise_render(tex, 200, 200), rtol=0.0, atol=1e-12)
 
 
 # Reference pyramidal LK: the tracker as it was before it shared pyramids

@@ -83,6 +83,12 @@ def test_invalid_value_names_section():
         build_scenario({"staircase": {"inclination_deg": 70.0}})
 
 
+@pytest.mark.parametrize("degrees", [0, 0.0, -10.0])
+def test_flat_or_negative_inclination_names_staircase(degrees):
+    with pytest.raises(ConfigError, match=r"^staircase: inclination must lie in"):
+        build_scenario({"staircase": {"inclination_deg": degrees}})
+
+
 def test_wrong_types_rejected():
     with pytest.raises(ConfigError):
         build_scenario({"sim": {"dt_s": "fast"}})

@@ -55,6 +55,14 @@ def test_staircase_validation():
         Staircase.from_angle(math.radians(40.0), 0.17, -1.0)
 
 
+@pytest.mark.parametrize("inclination", [0.0, -0.0, -0.3, math.nan, math.inf])
+def test_from_angle_refuses_bad_inclination_before_dividing(inclination):
+    # the step run divides by tan(inclination), and tan(0) is 0: a bad angle
+    # must be a ValueError naming the inclination, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="inclination must lie in"):
+        Staircase.from_angle(inclination, 0.17, 1.0)
+
+
 def test_phase_layout_along_path():
     # approach 0.3, engage 0.15, climb 0.55, crest 0.15
     assert phase_at(0.0, STAIRS, CFG) is Phase.APPROACH
