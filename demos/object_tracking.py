@@ -38,7 +38,7 @@ drift = np.cumsum(rng.uniform([0.5, -0.3], [2.0, 0.3], size=(8, 2)), axis=0)
 prev = scene
 print(f"{'frame':>5} {'x':>7} {'y':>7} {'bearing':>8} {'status':>9}")
 for i, (dx, dy) in enumerate(drift, start=1):
-    frame = render_texture(tex, width, height, (float(dx), float(dy)), timestamp=i / 8.0)
+    frame = render_texture(tex, width, height, (float(dx), float(dy)))
     point = fb_track(prev, frame, point)
     if point.lost:
         print(f"{i:5d} {'-':>7} {'-':>7} {'-':>8} {'lost':>9}")

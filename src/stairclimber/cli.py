@@ -5,7 +5,8 @@ Subcommands:
     sim     stair-climb trajectory on the scenario staircase
     sweep   minimum constant climbing torque search
     teleop  replay an event log through the control stack
-    report  everything above plus power bookkeeping and a tracking self-check
+    report  the design, sim and sweep.csv artifacts plus power bookkeeping
+            and a tracking self-check
 
 All outputs are plain text, CSV or JSON lines, written under --out, and are
 deterministic functions of the scenario and replay files (and --seed for
@@ -43,8 +44,6 @@ from .scenario import ConfigError, Scenario, build_scenario, load_scenario
 
 __all__ = ["main"]
 
-SIZING_TARGETS = drivetrain.SIZING_TARGETS
-
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
@@ -75,13 +74,27 @@ def _load(args) -> Scenario:
     return scenario
 
 
-def _out_dir(args, scenario: Scenario) -> Path:
-    out = Path(args.out) if args.out else Path("runs") / scenario.name
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _design(sc: Scenario, out: Path) -> list[str]:
+    """Write the force profile, torque table and design report; return the report lines."""
+    theta_grid = np.linspace(0.0, math.pi / 2.0, 91)
+    profile = support.force_profile(sc.support_geom, sc.support_load, theta_grid)
+    _write_csv(
+        out / "force_profile.csv",
+        ["theta_deg", "gamma_deg", "force_n"],
+        [(math.degrees(t), math.degrees(g), f) for t, g, f in profile],
+    )
+    rows = []
+    for theta in np.linspace(0.0, sc.track.theta_cap, 41):
+        p = replace(sc.track, theta=float(theta), accel=sc.track.accel_cap)
+        rows.append(
+            (
+                math.degrees(theta),
+                drivetrain.torque_case(drivetrain.Pulley.P1, p),
+                drivetrain.torque_case(drivetrain.Pulley.P3, p),
+            )
+        )
+    _write_csv(out / "torque_vs_theta.csv", ["theta_deg", "torque_p1_nm", "torque_p3_nm"], rows)
 
-
-def _design_lines(sc: Scenario, profile) -> list[str]:
     gear = sc.gear
     tension = {
         p.name: " >= ".join(drivetrain.tension_order(p))
@@ -104,13 +117,14 @@ def _design_lines(sc: Scenario, profile) -> list[str]:
     # one mass per sizing target: the three targets do not back-solve to a
     # single consistent mass, so each is reported with its own
     lines += ["", "[sizing targets: back-solved per-track mass]"]
+    design = replace(sc.track, theta=sc.track.theta_cap, accel=sc.track.accel_cap)
     cases = {
-        "p1_accel": (drivetrain.Pulley.P1, replace(sc.track, theta=sc.track.theta_cap, accel=sc.track.accel_cap)),
-        "p3_accel": (drivetrain.Pulley.P3, replace(sc.track, theta=sc.track.theta_cap, accel=sc.track.accel_cap)),
-        "p3_static": (drivetrain.Pulley.P3, replace(sc.track, theta=sc.track.theta_cap, accel=0.0)),
+        "p1_accel": (drivetrain.Pulley.P1, design),
+        "p3_accel": (drivetrain.Pulley.P3, design),
+        "p3_static": (drivetrain.Pulley.P3, replace(design, accel=0.0)),
     }
     masses = {}
-    for target_name, target in SIZING_TARGETS.items():
+    for target_name, target in drivetrain.SIZING_TARGETS.items():
         pulley, params = cases[target_name]
         mass = drivetrain.back_solve_mass(pulley, target, params)
         masses[target_name] = (mass, pulley, params)
@@ -130,10 +144,7 @@ def _design_lines(sc: Scenario, profile) -> list[str]:
         + ", ".join(f"{name} = {_fmt(tq)} N*m" for name, tq in sorted(cross.items()))
     )
 
-    required = drivetrain.torque_case(
-        drivetrain.Pulley.P1,
-        replace(sc.track, theta=sc.track.theta_cap, accel=sc.track.accel_cap),
-    )
+    required = drivetrain.torque_case(drivetrain.Pulley.P1, design)
     margin = drivetrain.motor_margin(sc.motor, required)
     lines += [
         "",
@@ -155,22 +166,19 @@ def _design_lines(sc: Scenario, profile) -> list[str]:
         f"margin = {_fmt(structural.margin)}",
         f"check = {'pass' if structural.passed else 'FAIL'}",
     ]
+    (out / "design_report.txt").write_text("\n".join(lines) + "\n")
     return lines
 
 
-def _cmd_design(args) -> int:
-    sc = _load(args)
-    out = _out_dir(args, sc)
-    _design_outputs(sc, out)
+def _cmd_design(sc: Scenario, out: Path, args) -> int:
+    _design(sc, out)
     print(f"design artifacts written to {out}")
     return 0
 
 
-def _run_climb(sc: Scenario) -> stairsim.Trajectory:
-    return stairsim.run_climb(sc.sim, sc.stairs, sc.motor.available_track_torque)
-
-
-def _sim_outputs(out: Path, sc: Scenario, traj: stairsim.Trajectory) -> None:
+def _sim(sc: Scenario, out: Path) -> stairsim.Trajectory:
+    """Climb at the motor limit; write the trajectory, events and summary."""
+    traj = stairsim.run_climb(sc.sim, sc.stairs, sc.motor.available_track_torque)
     _write_csv(
         out / "trajectory.csv",
         ["t_s", "phase", "s_m", "v_mps", "plate_angle_deg", "torque_nm", "events"],
@@ -194,13 +202,11 @@ def _sim_outputs(out: Path, sc: Scenario, traj: stairsim.Trajectory) -> None:
         if phase in present:
             lines.append(f"max speed {phase.value} = {_fmt(traj.max_speed(phase))} m/s")
     (out / "sim_summary.txt").write_text("\n".join(lines) + "\n")
+    return traj
 
 
-def _cmd_sim(args) -> int:
-    sc = _load(args)
-    out = _out_dir(args, sc)
-    traj = _run_climb(sc)
-    _sim_outputs(out, sc, traj)
+def _cmd_sim(sc: Scenario, out: Path, args) -> int:
+    traj = _sim(sc, out)
     if traj.fall or not traj.completed:
         print(f"simulation failed (completed={traj.completed}, fall={traj.fall}); see {out}")
         return 2
@@ -208,17 +214,25 @@ def _cmd_sim(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    sc = _load(args)
-    out = _out_dir(args, sc)
+def _sweep(sc: Scenario, out: Path) -> tuple[float, list[stairsim.SweepProbe]]:
+    """Search the minimum climbing torque; write sweep.csv, also when it raises Unclimbable."""
     probes: list[stairsim.SweepProbe] = []
     try:
-        best = stairsim.min_torque_sweep(sc.sim, sc.stairs, probes=probes)
+        return stairsim.min_torque_sweep(sc.sim, sc.stairs, probes=probes), probes
+    finally:
+        _write_csv(
+            out / "sweep.csv",
+            ["torque_nm", "completed", "fall", "final_v_mps"],
+            [(p.torque, str(p.completed).lower(), str(p.fall).lower(), p.final_v) for p in probes],
+        )
+
+
+def _cmd_sweep(sc: Scenario, out: Path, args) -> int:
+    try:
+        best, probes = _sweep(sc, out)
     except stairsim.Unclimbable as exc:
-        _write_sweep_csv(out, probes)
         print(f"sweep failed: {exc}")
         return 2
-    _write_sweep_csv(out, probes)
     static = drivetrain.min_static_torque(replace(sc.track, theta=sc.stairs.inclination))
     lines = [
         f"scenario: {sc.name}",
@@ -232,17 +246,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _write_sweep_csv(out: Path, probes) -> None:
-    _write_csv(
-        out / "sweep.csv",
-        ["torque_nm", "completed", "fall", "final_v_mps"],
-        [(p.torque, str(p.completed).lower(), str(p.fall).lower(), p.final_v) for p in probes],
-    )
-
-
-def _cmd_teleop(args) -> int:
-    sc = _load(args)
-    out = _out_dir(args, sc)
+def _cmd_teleop(sc: Scenario, out: Path, args) -> int:
     if sc.event_log is None:
         raise ConfigError("teleop requires teleop.event_log in the scenario")
     try:
@@ -310,22 +314,13 @@ def _tracking_check_lines(seed: int) -> list[str]:
     return lines
 
 
-def _cmd_report(args) -> int:
-    sc = _load(args)
-    out = _out_dir(args, sc)
-
-    lines = _design_outputs(sc, out)
-    traj = _run_climb(sc)
-    _sim_outputs(out, sc, traj)
-
-    probes: list[stairsim.SweepProbe] = []
-    sweep_failed = False
+def _cmd_report(sc: Scenario, out: Path, args) -> int:
+    lines = _design(sc, out)
+    traj = _sim(sc, out)
     try:
-        best = stairsim.min_torque_sweep(sc.sim, sc.stairs, probes=probes)
+        best, _ = _sweep(sc, out)
     except stairsim.Unclimbable:
         best = None
-        sweep_failed = True
-    _write_sweep_csv(out, probes)
 
     lines += [
         "",
@@ -362,31 +357,7 @@ def _cmd_report(args) -> int:
     lines += _tracking_check_lines(args.seed)
     (out / "report.txt").write_text("\n".join(lines) + "\n")
     print(f"report written to {out / 'report.txt'}")
-    return 2 if (traj.fall or not traj.completed or sweep_failed) else 0
-
-
-def _design_outputs(sc: Scenario, out: Path) -> list[str]:
-    theta_grid = np.linspace(0.0, math.pi / 2.0, 91)
-    profile = support.force_profile(sc.support_geom, sc.support_load, theta_grid)
-    _write_csv(
-        out / "force_profile.csv",
-        ["theta_deg", "gamma_deg", "force_n"],
-        [(math.degrees(t), math.degrees(g), f) for t, g, f in profile],
-    )
-    rows = []
-    for theta in np.linspace(0.0, sc.track.theta_cap, 41):
-        p = replace(sc.track, theta=float(theta), accel=sc.track.accel_cap)
-        rows.append(
-            (
-                math.degrees(theta),
-                drivetrain.torque_case(drivetrain.Pulley.P1, p),
-                drivetrain.torque_case(drivetrain.Pulley.P3, p),
-            )
-        )
-    _write_csv(out / "torque_vs_theta.csv", ["theta_deg", "torque_p1_nm", "torque_p3_nm"], rows)
-    lines = _design_lines(sc, profile)
-    (out / "design_report.txt").write_text("\n".join(lines) + "\n")
-    return lines
+    return 2 if (traj.fall or not traj.completed or best is None) else 0
 
 
 def main(argv=None) -> int:
@@ -409,13 +380,13 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        sc = _load(args)
+        out = Path(args.out) if args.out else Path("runs") / sc.name
+        out.mkdir(parents=True, exist_ok=True)
+        return args.handler(sc, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (stairsim.Unclimbable,) as exc:
-        print(f"simulation failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -245,7 +245,6 @@ class ArbiterState:
     last_t: float = 0.0          # time the drivers last got a command
     posture: PostureState = PostureState.HOLDING
     med_history: tuple[tuple[float, float], ...] = ()
-    touch: tuple[float, float] | None = None
 
 
 _MODE_KEYS = {"A": Mode.EEG, "B": Mode.VOICE, "C": Mode.TRACKING}
@@ -390,8 +389,8 @@ def arbiter_step(
         return replace(state, occupancy=region_map(event.triple)), None
 
     if isinstance(event, TouchTarget):
-        # remembered for target selection; produces no drive output
-        return replace(state, touch=(event.px, event.py)), None
+        # target selection happens in perception; the arbiter has no use for it
+        return state, None
 
     if isinstance(event, EegUpdate):
         if state.mode is not Mode.EEG:
@@ -419,17 +418,12 @@ def arbiter_step(
     raise TypeError(f"unknown event type: {type(event).__name__}")
 
 
-def run_events(
-    events,
-    cfg: ArbiterConfig | None = None,
-    state: ArbiterState | None = None,
-) -> list[tuple[float, DriveCommand]]:
-    """Fold a whole event sequence, collecting timestamped commands.
+def run_events(events, cfg: ArbiterConfig | None = None) -> list[tuple[float, DriveCommand]]:
+    """Fold a whole event sequence from the initial state, collecting timestamped commands.
 
     Raises ValueError when an event is earlier than the one before it.
     """
-    if state is None:
-        state = ArbiterState()
+    state = ArbiterState()
     out: list[tuple[float, DriveCommand]] = []
     last = -float("inf")
     for i, event in enumerate(events):
@@ -480,9 +474,17 @@ def event_to_dict(event: ControlEvent) -> dict:
     raise TypeError(f"unknown event type: {type(event).__name__}")
 
 
+def _finite(value) -> float:
+    # json reads NaN and Infinity; no event time, pixel or bearing may be either
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {value!r}")
+    return x
+
+
 def event_from_dict(obj: dict) -> ControlEvent:
     try:
-        t = float(obj["t"])
+        t = _finite(obj["t"])
         kind = obj["type"]
         payload = obj["payload"]
         if kind == "key":
@@ -494,23 +496,18 @@ def event_from_dict(obj: dict) -> ControlEvent:
                 t, EegRecord(t, int(payload["attention"]), int(payload["meditation"]))
             )
         if kind == "touch":
-            return TouchTarget(t, float(payload["px"]), float(payload["py"]))
+            return TouchTarget(t, _finite(payload["px"]), _finite(payload["py"]))
         if kind == "sonar":
+            # an absent range or threshold takes SonarTriple's default
+            fields = ("d_left", "d_front", "d_right", "max_range", "threshold")
             return SonarUpdate(
-                t,
-                SonarTriple(
-                    d_left=float(payload["d_left"]),
-                    d_front=float(payload["d_front"]),
-                    d_right=float(payload["d_right"]),
-                    max_range=float(payload.get("max_range", 4.0)),
-                    threshold=float(payload.get("threshold", 0.5)),
-                ),
+                t, SonarTriple(**{k: float(payload[k]) for k in fields if k in payload})
             )
         if kind == "track":
             if payload.get("lost"):
                 return TrackUpdate(t, None)
-            return TrackUpdate(t, float(payload["bearing"]))
-    except (KeyError, TypeError, ValueError) as exc:
+            return TrackUpdate(t, _finite(payload["bearing"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ValueError(f"malformed event object: {obj!r}") from exc
     raise ValueError(f"unknown event type: {kind!r}")
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ __all__ = [
     "DEFAULT_HFOV",
 ]
 
-# horizontal field of view of the onboard camera stand-in, config-overridable
+# horizontal field of view of the onboard camera stand-in
 DEFAULT_HFOV = math.radians(53.5)
 
 
@@ -33,7 +33,6 @@ class Frame:
     """One grayscale image: float64 intensities in [0, 1], row-major."""
 
     pixels: np.ndarray
-    timestamp: float = 0.0
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=float)
@@ -141,7 +140,6 @@ def render_texture(
     width: int,
     height: int,
     shift: tuple[float, float] = (0.0, 0.0),
-    timestamp: float = 0.0,
 ) -> Frame:
     """Rasterize a texture, with the scene translated by (sx, sy) pixels.
 
@@ -158,7 +156,7 @@ def render_texture(
     waves = np.hstack([np.cos(rows), -np.sin(rows)]) @ np.vstack(
         [(tex.amps * np.cos(cols)).T, (tex.amps * np.sin(cols)).T])
     # cos A cos B - sin A sin B can round an ulp past -1 or 1 at a trough or crest
-    return Frame(np.clip(0.5 + waves / (2.0 * tex.amps.sum()), 0.0, 1.0), timestamp=timestamp)
+    return Frame(np.clip(0.5 + waves / (2.0 * tex.amps.sum()), 0.0, 1.0))
 
 
 def pixel_to_bearing(px: float, width: int, hfov: float = DEFAULT_HFOV) -> float:

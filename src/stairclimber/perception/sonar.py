@@ -10,6 +10,7 @@ nonempty subsets of {L, F, R} and occupancy is subset-wise.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -34,9 +35,9 @@ class SonarTriple:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.threshold < self.max_range:
+        if not 0.0 < self.threshold < self.max_range < math.inf:
             raise ValueError(
-                f"need 0 < threshold < max_range (got {self.threshold}, {self.max_range})"
+                f"need 0 < threshold < max_range < inf (got {self.threshold}, {self.max_range})"
             )
         for name in ("d_left", "d_front", "d_right"):
             d = getattr(self, name)
@@ -85,7 +86,7 @@ def region_map(s: SonarTriple) -> RegionOccupancy:
 
 
 def read_sonar_log(
-    path, max_range: float = 4.0, threshold: float = 0.5
+    path, max_range: float = SonarTriple.max_range, threshold: float = SonarTriple.threshold
 ) -> list[tuple[float, SonarTriple]]:
     """Read a replay CSV with header t,d_left,d_front,d_right."""
     rows: list[tuple[float, SonarTriple]] = []
@@ -96,9 +97,12 @@ def read_sonar_log(
             raise ValueError(f"expected columns {sorted(expected)} (got {reader.fieldnames})")
         for row in reader:
             try:
+                t = float(row["t"])
+                if not math.isfinite(t):
+                    raise ValueError(f"t must be finite (got {row['t']})")
                 rows.append(
                     (
-                        float(row["t"]),
+                        t,
                         SonarTriple(
                             d_left=float(row["d_left"]),
                             d_front=float(row["d_front"]),

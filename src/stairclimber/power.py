@@ -58,14 +58,13 @@ class PowerConfig:
     actuator_bank: BatteryBank = field(
         default_factory=lambda: BatteryBank(3.7, 3, 2.7, count=2)
     )
-    logic_voltage: float = 5.0
     avg_current_limit: float = 40.0   # A, 1-s sliding mean
     peak_current_limit: float = 80.0  # A, instantaneous
     k_t: float = _RATED_KT            # N*m/A at the motor shaft
 
     def __post_init__(self):
-        if self.logic_voltage <= 0 or self.k_t <= 0:
-            raise ValueError("logic_voltage and k_t must be positive")
+        if self.k_t <= 0:
+            raise ValueError("k_t must be positive")
         if not 0 < self.avg_current_limit <= self.peak_current_limit:
             raise ValueError("need 0 < avg limit <= peak limit")
 
@@ -84,17 +83,14 @@ class DriverReport:
     passed: bool
     max_window_avg: float  # worst 1-s sliding-window mean, A
     peak: float            # worst instantaneous sample, A
-    window_s: float = 1.0
 
 
-def check_driver(
-    times, currents, cfg: PowerConfig | None = None, window_s: float = 1.0
-) -> DriverReport:
+def check_driver(times, currents, cfg: PowerConfig | None = None) -> DriverReport:
     """Check a current profile against the driver's average and peak limits.
 
     The average limit applies to every sample window spanning at most
-    window_s seconds (on a profile shorter than the window, to the whole
-    profile).  Timestamps must be strictly increasing.
+    1 s (on a profile shorter than that, to the whole profile).
+    Timestamps must be strictly increasing.
     """
     if cfg is None:
         cfg = PowerConfig()
@@ -110,7 +106,7 @@ def check_driver(
     max_avg = 0.0
     lo = 0
     for hi in range(t.size):
-        while t[hi] - t[lo] > window_s:
+        while t[hi] - t[lo] > 1.0:       # the 1-s window of avg_current_limit
             lo += 1
         avg = (prefix[hi + 1] - prefix[lo]) / (hi + 1 - lo)
         if avg > max_avg:
@@ -120,7 +116,7 @@ def check_driver(
         max_avg <= cfg.avg_current_limit * (1.0 + tol)
         and peak <= cfg.peak_current_limit * (1.0 + tol)
     )
-    return DriverReport(passed, max_avg, peak, window_s)
+    return DriverReport(passed, max_avg, peak)
 
 
 def runtime_estimate(avg_current: float, cfg: PowerConfig | None = None, bank: str = "drive") -> float:

@@ -21,6 +21,7 @@ from pathlib import Path
 from .control import ArbiterConfig
 from .drivetrain import GearDesign, MotorSpec, TrackParams
 from .eeg import LoessConfig
+from .perception.sonar import SonarTriple
 from .stairsim import PlateRig, SimConfig, Staircase
 from .support import SupportGeometry, SupportLoad
 
@@ -44,8 +45,8 @@ class Scenario:
     arbiter: ArbiterConfig
     event_log: Path | None = None
     sonar_log: Path | None = None
-    sonar_max_range: float = 4.0
-    sonar_threshold: float = 0.5
+    sonar_max_range: float = SonarTriple.max_range
+    sonar_threshold: float = SonarTriple.threshold
 
 
 # Value kinds: each checks one JSON value and converts it to its field's unit.

@@ -756,7 +756,6 @@ class SweepProbe:
 def min_torque_sweep(
     cfg: SimConfig,
     stairs: Staircase,
-    duration: float | None = None,
     resolution: float = 0.05,
     probes: list[SweepProbe] | None = None,
 ) -> float:
@@ -774,8 +773,6 @@ def min_torque_sweep(
     # 0 would bisect forever, and NaN would end at the motor limit
     if not (0.0 < resolution < math.inf):
         raise ValueError(f"resolution must be finite and > 0 (got {resolution})")
-    if duration is not None:
-        cfg = replace(cfg, duration=duration)     # SimConfig checks it
 
     def climbs(tau: float) -> bool:
         completed, fall, final_v = _climb_verdict(cfg, stairs, tau)

@@ -25,6 +25,14 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def tree_digests(root):
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in root.rglob("*")
+        if path.is_file()
+    }
+
+
 def write_scenario(tmp_path, obj, name="case.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -247,6 +255,41 @@ def test_bad_sonar_log_exits_1(tmp_path, capsys):
     assert err.startswith(f"config error: {sonar}:3: d_left must lie in (0, max_range]")
 
 
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("events.jsonl", '{"t": Infinity, "type": "key", "payload": {"key": "8"}}'),
+        ("events.jsonl", '{"t": NaN, "type": "key", "payload": {"key": "8"}}'),
+        ("events.jsonl", '{"t": 2, "type": "track", "payload": {"bearing": NaN}}'),
+        ("events.jsonl", '{"t": 2, "type": "track", "payload": {"bearing": -Infinity}}'),
+        ("events.jsonl", '{"t": 2, "type": "touch", "payload": {"px": NaN, "py": 3}}'),
+        ("events.jsonl", '{"t": 2, "type": "touch", "payload": {"px": 3, "py": Infinity}}'),
+        ("events.jsonl", '{"t": 2, "type": "eeg", "payload": {"attention": Infinity, "meditation": 50}}'),
+        ("events.jsonl", '{"t": 2, "type": "sonar", "payload": '
+                         '{"d_left": 1, "d_front": 1, "d_right": 1, "max_range": Infinity}}'),
+        ("sonar.csv", "nan,2.0,2.0,2.0"),
+        ("sonar.csv", "inf,2.0,2.0,2.0"),
+    ],
+    ids=["t-inf", "t-nan", "bearing-nan", "bearing-neg-inf", "px-nan", "py-inf",
+         "attention-inf", "sonar-max-range-inf", "sonar-csv-t-nan", "sonar-csv-t-inf"],
+)
+def test_non_finite_teleop_input_exits_1(tmp_path, capsys, name, bad):
+    # json reads NaN and Infinity, and float() reads "nan" and "inf"; the bad
+    # line is the second of its file, after a valid key press or the header
+    files = {
+        "events.jsonl": ['{"t": 1, "type": "key", "payload": {"key": "8"}}'],
+        "sonar.csv": ["t,d_left,d_front,d_right"],
+    }
+    files[name].append(bad)
+    for file_name, lines in files.items():
+        (tmp_path / file_name).write_text("\n".join(lines) + "\n")
+    scenario = write_scenario(
+        tmp_path, {"teleop": {"event_log": "events.jsonl", "sonar_log": "sonar.csv"}}
+    )
+    assert main(["teleop", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {tmp_path / name}:2: ")
+
+
 def test_repeated_eeg_timestamp_exits_1(tmp_path, capsys):
     # a second copy of every headset sample: the smoother needs distinct times
     lines = []
@@ -307,12 +350,7 @@ def test_climb_artifacts_match_golden_digests(tmp_path):
             out = tmp_path / name / command
             scenario = str(SCENARIOS / f"{name}.json")
             assert main([command, "--scenario", scenario, "--seed", "1", "--out", str(out)]) == 0
-    got = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.rglob("*")
-        if path.is_file()
-    }
-    assert got == golden
+    assert tree_digests(tmp_path) == golden
 
 
 def test_default_artifacts_match_golden_digests(tmp_path):
@@ -324,12 +362,22 @@ def test_default_artifacts_match_golden_digests(tmp_path):
     )
     for command in ("design", "sim", "sweep"):
         assert main([command, "--out", str(tmp_path / command)]) == 0
-    got = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.rglob("*")
-        if path.is_file()
-    }
-    assert got == golden
+    assert tree_digests(tmp_path) == golden
+
+
+def test_report_and_teleop_artifacts_match_golden_digests(tmp_path):
+    # every file report writes for the bundled climbs and the defaults, and
+    # every file teleop writes for the replay fixture
+    golden = dict(
+        reversed(line.split(maxsplit=1))
+        for line in (DATA / "report_artifacts.sha256").read_text().splitlines()
+    )
+    for name in ("baseline40", "flat_ground", "default"):
+        scenario = [] if name == "default" else ["--scenario", str(SCENARIOS / f"{name}.json")]
+        out = tmp_path / name / "report"
+        assert main(["report", *scenario, "--seed", "1", "--out", str(out)]) == 0
+    assert main(["teleop", "--scenario", REPLAY, "--out", str(tmp_path / "teleop_replay" / "teleop")]) == 0
+    assert tree_digests(tmp_path) == golden
 
 
 @pytest.mark.parametrize(

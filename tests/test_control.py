@@ -405,10 +405,10 @@ def test_sonar_updates_gate_later_commands():
     assert cmd.right_effort == pytest.approx(cmd.left_effort / 2.0)
 
 
-def test_touch_target_is_stored():
+def test_touch_target_commands_nothing():
     state = ArbiterState()
     out, cmd = arbiter_step(state, TouchTarget(1.0, 55.0, 40.5), CFG)
-    assert cmd is None and out.touch == (55.0, 40.5)
+    assert cmd is None and out == state
 
 
 def test_effort_cap_limits_commands():

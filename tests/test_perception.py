@@ -158,7 +158,7 @@ def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     # quantized values survive the 8-bit file exactly
     px = np.round(rng.uniform(0.0, 1.0, size=(24, 32)) * 255.0) / 255.0
-    f = Frame(px, timestamp=1.5)
+    f = Frame(px)
     path = tmp_path / "frame.pgm"
     write_pgm(path, f)
     back = read_pgm(path)

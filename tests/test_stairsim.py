@@ -217,10 +217,10 @@ def test_sweep_raises_when_motor_limit_fails():
 
 def test_sweep_duration_override():
     with pytest.raises(ValueError):
-        min_torque_sweep(CFG, STAIRS, duration=0.0)
+        min_torque_sweep(replace(CFG, duration=0.0), STAIRS)
     # a too-short horizon is unclimbable at any torque
     with pytest.raises(Unclimbable):
-        min_torque_sweep(CFG, STAIRS, duration=1.0)
+        min_torque_sweep(replace(CFG, duration=1.0), STAIRS)
 
 
 def test_plate_levels_out_during_climb():
@@ -790,10 +790,10 @@ def test_sim_config_refuses_nan_and_runs_over_the_step_budget():
                          (1e-12, 10.0), (1e-320, 10.0), (1e-3, math.inf)]:
         with pytest.raises(ValueError):
             SimConfig(TRACK, MOTOR, dt=dt, duration=duration)
-    # the sweep's horizon override goes through the same checks
+    # a horizon override through replace() goes through the same checks
     for duration in (math.nan, 1e9):
         with pytest.raises(ValueError):
-            min_torque_sweep(CFG, STAIRS, duration=duration)
+            replace(CFG, duration=duration)
 
 
 # --- the settled cruise and the climb-zone slowdown, on long ramps ---
