@@ -76,6 +76,7 @@ def _load(args) -> Scenario:
 
 def _design(sc: Scenario, out: Path) -> list[str]:
     """Write the force profile, torque table and design report; return the report lines."""
+    out.mkdir(parents=True, exist_ok=True)
     theta_grid = np.linspace(0.0, math.pi / 2.0, 91)
     profile = support.force_profile(sc.support_geom, sc.support_load, theta_grid)
     _write_csv(
@@ -178,6 +179,7 @@ def _cmd_design(sc: Scenario, out: Path, args) -> int:
 
 def _sim(sc: Scenario, out: Path) -> stairsim.Trajectory:
     """Climb at the motor limit; write the trajectory, events and summary."""
+    out.mkdir(parents=True, exist_ok=True)
     traj = stairsim.run_climb(sc.sim, sc.stairs, sc.motor.available_track_torque)
     _write_csv(
         out / "trajectory.csv",
@@ -216,6 +218,7 @@ def _cmd_sim(sc: Scenario, out: Path, args) -> int:
 
 def _sweep(sc: Scenario, out: Path) -> tuple[float, list[stairsim.SweepProbe]]:
     """Search the minimum climbing torque; write sweep.csv, also when it raises Unclimbable."""
+    out.mkdir(parents=True, exist_ok=True)
     probes: list[stairsim.SweepProbe] = []
     try:
         return stairsim.min_torque_sweep(sc.sim, sc.stairs, probes=probes), probes
@@ -263,6 +266,7 @@ def _cmd_teleop(sc: Scenario, out: Path, args) -> int:
             raise ConfigError(f"{sc.event_log}: two eeg events at t = {_fmt(a)} s")
 
     commands = run_events(events, sc.arbiter)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "commands.jsonl", "w") as fh:
         for t, cmd in commands:
             fh.write(json.dumps(command_to_dict(t, cmd)) + "\n")
@@ -381,8 +385,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         sc = _load(args)
+        # each handler checks its own inputs before it makes the directory
         out = Path(args.out) if args.out else Path("runs") / sc.name
-        out.mkdir(parents=True, exist_ok=True)
         return args.handler(sc, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

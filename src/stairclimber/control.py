@@ -482,33 +482,51 @@ def _finite(value) -> float:
     return x
 
 
-def event_from_dict(obj: dict) -> ControlEvent:
+def _field(obj: dict, key: str, convert=None, where: str = ""):
+    """obj[key], through convert; a missing or bad value raises a ValueError
+    that names the key."""
+    if key not in obj:
+        raise ValueError(f"missing field {where + key!r}")
     try:
-        t = _finite(obj["t"])
-        kind = obj["type"]
-        payload = obj["payload"]
-        if kind == "key":
-            return KeyPress(t, str(payload["key"]))
-        if kind == "voice":
-            return VoiceCommand(t, str(payload["symbol"]))
-        if kind == "eeg":
-            return EegUpdate(
-                t, EegRecord(t, int(payload["attention"]), int(payload["meditation"]))
-            )
-        if kind == "touch":
-            return TouchTarget(t, _finite(payload["px"]), _finite(payload["py"]))
-        if kind == "sonar":
-            # an absent range or threshold takes SonarTriple's default
-            fields = ("d_left", "d_front", "d_right", "max_range", "threshold")
-            return SonarUpdate(
-                t, SonarTriple(**{k: float(payload[k]) for k in fields if k in payload})
-            )
-        if kind == "track":
-            if payload.get("lost"):
-                return TrackUpdate(t, None)
-            return TrackUpdate(t, _finite(payload["bearing"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-        raise ValueError(f"malformed event object: {obj!r}") from exc
+        return obj[key] if convert is None else convert(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+        raise ValueError(f"field {where + key!r}: {exc}") from exc
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {value!r}")
+    return value
+
+
+def event_from_dict(obj: dict) -> ControlEvent:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an event object, got {obj!r}")
+    t = _field(obj, "t", _finite)
+    kind = _field(obj, "type")
+    payload = _field(obj, "payload", _object)
+
+    def get(key, convert=None):
+        return _field(payload, key, convert, "payload.")
+
+    if kind == "key":
+        return KeyPress(t, get("key", str))
+    if kind == "voice":
+        return VoiceCommand(t, get("symbol", str))
+    if kind == "eeg":
+        return EegUpdate(t, EegRecord(t, get("attention", int), get("meditation", int)))
+    if kind == "touch":
+        return TouchTarget(t, get("px", _finite), get("py", _finite))
+    if kind == "sonar":
+        # an absent range or threshold takes SonarTriple's default, whose
+        # checks name the field they refuse
+        fields = ("d_left", "d_front", "d_right")
+        fields += tuple(k for k in ("max_range", "threshold") if k in payload)
+        return SonarUpdate(t, SonarTriple(**{k: get(k, float) for k in fields}))
+    if kind == "track":
+        if payload.get("lost"):
+            return TrackUpdate(t, None)
+        return TrackUpdate(t, get("bearing", _finite))
     raise ValueError(f"unknown event type: {kind!r}")
 
 

@@ -2,6 +2,10 @@
 
 One point is tracked from frame to frame by iterative least squares on the
 local brightness constraint, coarse-to-fine over a box-downsampled pyramid.
+The Gauss-Newton steps are damped: each time the window's squared residual
+rises, the step gain halves, for that step and every later one of the same
+level.  Damping leaves the fixed point where it was and only shortens the
+path to it, so a solve whose residual never rises takes the plain steps.
 A track survives only if tracking the result backwards lands near the start
 point; otherwise, or when the window leaves the frame or the local gradient
 structure degenerates, the point is reported Lost and tracking stops.  No
@@ -32,8 +36,10 @@ __all__ = ["LkParams", "TrackStatus", "TrackedPoint", "lk_track", "fb_track"]
 class LkParams:
     window: int = 15           # odd side length of the correlation window, px
     levels: int = 3            # pyramid depth cap; level 0 is full resolution
-    max_iters: int = 30
-    epsilon: float = 0.01      # stop when the update step is shorter than this, px
+    max_iters: int = 30        # cap on Gauss-Newton steps per level; the step
+                               # gain halves whenever the residual rises
+    epsilon: float = 0.01      # stop when the (damped) update step is shorter
+                               # than this, px
     min_eig: float = 1e-6      # floor on the windowed gradient tensor's min
                                # eigenvalue, per pixel; below it the solve is
                                # treated as degenerate
@@ -166,16 +172,22 @@ def _lk_level(
     det = gxx * gyy - gxy * gxy
 
     dx, dy = guess
+    gain, last = 1.0, math.inf
     for _ in range(p.max_iters):
         qx, qy = px + dx, py + dy
         if not _window_fits(qx, qy, next_px.shape, hw):
             raise _TrackFail("search window outside image")
         block, taps = _taps(qx, qy, offs)
         diff = _bilinear(next_px[block], taps) - template
+        err = float((diff * diff).sum())
+        if err > last:
+            # the last step overshot: halve this step and every later one
+            gain /= 2.0
+        last = err
         bx = float((diff * ix).sum())
         by = float((diff * iy).sum())
-        step_x = -(gyy * bx - gxy * by) / det
-        step_y = -(gxx * by - gxy * bx) / det
+        step_x = -gain * (gyy * bx - gxy * by) / det
+        step_y = -gain * (gxx * by - gxy * bx) / det
         dx += step_x
         dy += step_y
         if math.hypot(step_x, step_y) < p.epsilon:

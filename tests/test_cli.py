@@ -170,23 +170,24 @@ def test_report_seed_changes_tracking_case(tmp_path):
     assert line and line[0] not in b
 
 
-# the self-check section of baseline40's report.txt, as rendered by the
-# pointwise texture sum before frames were rendered separably
+# the self-check section of baseline40's report.txt: frames as the pointwise
+# texture sum rendered them before the separable render, tracked with the
+# damped Gauss-Newton steps
 TRACKING_CHECK_GOLDEN = {
     1: """[tracking self-check]
 seed = 1
 true shift = (-1.76038982, 1.5981336) px
-recovered shift = (-1.75410107, 1.60171843) px
-error = 0.00723874741 px
-bearing of tracked point = -0.706256917 deg
+recovered shift = (-1.75414313, 1.60167113) px
+error = 0.00717880682 px
+bearing of tracked point = -0.706280607 deg
 tracking self-check = pass
 """,
     2: """[tracking self-check]
 seed = 2
 true shift = (-1.99648199, -2.30697935) px
-recovered shift = (-1.99152005, -2.30227593) px
-error = 0.00683688213 px
-bearing of tracked point = -0.839961293 deg
+recovered shift = (-1.99152004, -2.30227592) px
+error = 0.00683690159 px
+bearing of tracked point = -0.839961285 deg
 tracking self-check = pass
 """,
 }
@@ -288,6 +289,36 @@ def test_non_finite_teleop_input_exits_1(tmp_path, capsys, name, bad):
     )
     assert main(["teleop", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {tmp_path / name}:2: ")
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("t", '{"t": NaN, "type": "key", "payload": {"key": "8"}}'),
+        ("payload.bearing", '{"t": 2, "type": "track", "payload": {"bearing": NaN}}'),
+        ("payload.px", '{"t": 2, "type": "touch", "payload": {"px": "left", "py": 3}}'),
+        ("payload.py", '{"t": 2, "type": "touch", "payload": {"px": 3}}'),
+        ("payload.key", '{"t": 2, "type": "key", "payload": {}}'),
+    ],
+    ids=["t", "bearing", "px", "py", "key"],
+)
+def test_bad_event_field_is_named(tmp_path, capsys, field, bad):
+    log = tmp_path / "events.jsonl"
+    log.write_text('{"t": 1, "type": "key", "payload": {"key": "8"}}\n' + bad + "\n")
+    scenario = write_scenario(tmp_path, {"teleop": {"event_log": "events.jsonl"}})
+    out = tmp_path / "o"
+    assert main(["teleop", "--scenario", scenario, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {log}:2: ")
+    assert f"field {field!r}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_teleop_config_error_leaves_no_out_dir(tmp_path):
+    scenario = write_scenario(tmp_path, {})
+    out = tmp_path / "o"
+    assert main(["teleop", "--scenario", scenario, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_repeated_eeg_timestamp_exits_1(tmp_path, capsys):

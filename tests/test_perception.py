@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stairclimber.cli import _tracking_check_lines
 from stairclimber.perception import (
     DEFAULT_HFOV,
     REGIONS,
@@ -429,16 +430,22 @@ def ref_lk_level(prev_px, next_px, grads, px, py, guess, p):
         raise RefFail
     det = gxx * gyy - gxy * gxy
     dx, dy = guess
+    gain = 1.0
+    residuals = []
     for _ in range(p.max_iters):
         qx, qy = px + dx, py + dy
         if not ref_window_fits(qx, qy, next_px.shape, hw):
             raise RefFail
         sx, sy = ref_patch_grid(qx, qy, hw)
         diff = ref_bilinear(next_px, sx, sy) - template
+        residuals.append(float(np.sum(diff**2)))
+        # damping: every rise of the residual halves the gain for good
+        if len(residuals) > 1 and residuals[-1] > residuals[-2]:
+            gain *= 0.5
         bx = float((diff * ix).sum())
         by = float((diff * iy).sum())
-        step_x = -(gyy * bx - gxy * by) / det
-        step_y = -(gxx * by - gxy * bx) / det
+        step_x = gain * (-(gyy * bx - gxy * by) / det)
+        step_y = gain * (-(gxx * by - gxy * bx) / det)
         dx += step_x
         dy += step_y
         if math.hypot(step_x, step_y) < p.epsilon:
@@ -579,18 +586,64 @@ def test_fb_track_accepts_only_accurate_tracks(seed, radius, angle, x, y):
         assert math.hypot(got.x - x - shift[0], got.y - y - shift[1]) <= 0.1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Gauss-Newton at the 60x60 level walks off a 0.07 px shift and the "
-    "track ends 10 px off, so the gate rejects it",
-)
-def test_fb_track_follows_a_small_shift_on_a_weak_coarse_level():
-    # found by random search over the cases of the test above
+def weak_coarse_level_case():
+    # found by random search over the cases of the test above: undamped,
+    # Gauss-Newton at the 60x60 level walked 1.3 px off a 0.07 px shift
     tex = random_texture(np.random.default_rng(3432261657))
     shift = (-0.2551097453529559, 0.1080592054603158)
-    x, y = 154.3870419476701, 90.28021621394598
     a = render_texture(tex, 240, 240)
     b = render_texture(tex, 240, 240, shift)
+    return a, b, shift, (154.3870419476701, 90.28021621394598)
+
+
+def test_fb_track_follows_a_small_shift_on_a_weak_coarse_level():
+    a, b, shift, (x, y) = weak_coarse_level_case()
     got = fb_track(a, b, TrackedPoint(x, y))
     assert got.status is TrackStatus.TRACKING
     assert math.hypot(got.x - x - shift[0], got.y - y - shift[1]) <= 0.1
+
+
+@pytest.fixture
+def lk_iterations(monkeypatch):
+    """Gauss-Newton iterations of each LK level solve while the test runs."""
+    taps, level = flow._taps, flow._lk_level
+    calls, solves = [0], []
+
+    def counting_taps(*args):
+        calls[0] += 1
+        return taps(*args)
+
+    def counting_level(*args):
+        start = calls[0]
+        try:
+            return level(*args)
+        finally:
+            # one call samples the template; each iteration samples once more
+            solves.append(calls[0] - start - 1)
+
+    monkeypatch.setattr(flow, "_taps", counting_taps)
+    monkeypatch.setattr(flow, "_lk_level", counting_level)
+    return solves
+
+
+def test_lk_damping_keeps_the_weak_coarse_level_under_the_iteration_cap(lk_iterations):
+    a, b, _, point = weak_coarse_level_case()
+    fb_track(a, b, TrackedPoint(*point))
+    assert lk_iterations and max(lk_iterations) < LkParams().max_iters
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lk_damping_keeps_the_report_self_check_under_the_iteration_cap(lk_iterations, seed):
+    assert _tracking_check_lines(seed)[-1] == "tracking self-check = pass"
+    assert lk_iterations and max(lk_iterations) < LkParams().max_iters
+
+
+def test_lk_damping_keeps_a_drifting_240px_pair_under_the_iteration_cap(lk_iterations):
+    # undamped, the backward solve at the 60x60 level zigzags to the cap
+    tex = random_texture(np.random.default_rng(7))
+    shift = (1.2 * math.cos(2.0), 1.2 * math.sin(2.0))
+    a = render_texture(tex, 240, 240)
+    b = render_texture(tex, 240, 240, shift)
+    got = fb_track(a, b, TrackedPoint(120.0, 120.0))
+    assert math.hypot(got.x - 120.0 - shift[0], got.y - 120.0 - shift[1]) <= 0.1
+    assert lk_iterations and max(lk_iterations) < LkParams().max_iters
