@@ -18,11 +18,11 @@ failure (fall, unclimbable, or incomplete within the horizon).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from dataclasses import replace
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +45,31 @@ from .scenario import ConfigError, Scenario, build_scenario, load_scenario
 __all__ = ["main"]
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+# cell templates of _write_csv's columns
+_NUM = "{:.9g}"   # a float or np.float64, as %.9g (an int from 1e9 up would not print as str)
+_TEXT = "{}"      # a string with no comma, quote or line break
+
+
+def _write_csv(path: Path, columns: dict[str, str], rows) -> None:
+    """Write a header row and one line per row; ``columns`` maps each name to its cell template.
+
+    The format is what ``csv.writer`` writes with its defaults for these
+    cells, and the golden digests pin it byte for byte: comma separators,
+    ``\\r\\n`` line ends, floats as ``%.9g`` (``nan``, ``inf``, ``-0``), text
+    as is.  No field is quoted, because none can hold a separator, a quote
+    or a line end: text cells are phase and event names and ``true``/``false``.
+    """
+    line = ",".join(columns.values()) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in row])
+        fh.write(",".join(columns) + "\r\n" + "".join(starmap(line.format, rows)))
+
+
+def _make_out(out: Path) -> None:
+    """Make the output directory; a path that cannot be one is a config error."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it, or no permission
+        raise ConfigError(f"output directory {out}: {exc.strerror}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,12 +95,12 @@ def _load(args) -> Scenario:
 
 def _design(sc: Scenario, out: Path) -> list[str]:
     """Write the force profile, torque table and design report; return the report lines."""
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     theta_grid = np.linspace(0.0, math.pi / 2.0, 91)
     profile = support.force_profile(sc.support_geom, sc.support_load, theta_grid)
     _write_csv(
         out / "force_profile.csv",
-        ["theta_deg", "gamma_deg", "force_n"],
+        {"theta_deg": _NUM, "gamma_deg": _NUM, "force_n": _NUM},
         [(math.degrees(t), math.degrees(g), f) for t, g, f in profile],
     )
     rows = []
@@ -94,7 +113,11 @@ def _design(sc: Scenario, out: Path) -> list[str]:
                 drivetrain.torque_case(drivetrain.Pulley.P3, p),
             )
         )
-    _write_csv(out / "torque_vs_theta.csv", ["theta_deg", "torque_p1_nm", "torque_p3_nm"], rows)
+    _write_csv(
+        out / "torque_vs_theta.csv",
+        {"theta_deg": _NUM, "torque_p1_nm": _NUM, "torque_p3_nm": _NUM},
+        rows,
+    )
 
     gear = sc.gear
     tension = {
@@ -179,11 +202,12 @@ def _cmd_design(sc: Scenario, out: Path, args) -> int:
 
 def _sim(sc: Scenario, out: Path) -> stairsim.Trajectory:
     """Climb at the motor limit; write the trajectory, events and summary."""
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     traj = stairsim.run_climb(sc.sim, sc.stairs, sc.motor.available_track_torque)
     _write_csv(
         out / "trajectory.csv",
-        ["t_s", "phase", "s_m", "v_mps", "plate_angle_deg", "torque_nm", "events"],
+        {"t_s": _NUM, "phase": _TEXT, "s_m": _NUM, "v_mps": _NUM,
+         "plate_angle_deg": _NUM, "torque_nm": _NUM, "events": _TEXT},
         stairsim.trajectory_rows(traj),
     )
     with open(out / "sim_events.jsonl", "w") as fh:
@@ -199,9 +223,8 @@ def _sim(sc: Scenario, out: Path) -> stairsim.Trajectory:
         f"peak track torque = {_fmt(traj.peak_torque)} N*m",
         f"max speed overall = {_fmt(traj.max_speed())} m/s",
     ]
-    present = set(traj.phase)
     for phase in stairsim.Phase:
-        if phase in present:
+        if phase in traj.phase:
             lines.append(f"max speed {phase.value} = {_fmt(traj.max_speed(phase))} m/s")
     (out / "sim_summary.txt").write_text("\n".join(lines) + "\n")
     return traj
@@ -218,14 +241,14 @@ def _cmd_sim(sc: Scenario, out: Path, args) -> int:
 
 def _sweep(sc: Scenario, out: Path) -> tuple[float, list[stairsim.SweepProbe]]:
     """Search the minimum climbing torque; write sweep.csv, also when it raises Unclimbable."""
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     probes: list[stairsim.SweepProbe] = []
     try:
         return stairsim.min_torque_sweep(sc.sim, sc.stairs, probes=probes), probes
     finally:
         _write_csv(
             out / "sweep.csv",
-            ["torque_nm", "completed", "fall", "final_v_mps"],
+            {"torque_nm": _NUM, "completed": _TEXT, "fall": _TEXT, "final_v_mps": _NUM},
             [(p.torque, str(p.completed).lower(), str(p.fall).lower(), p.final_v) for p in probes],
         )
 
@@ -266,7 +289,7 @@ def _cmd_teleop(sc: Scenario, out: Path, args) -> int:
             raise ConfigError(f"{sc.event_log}: two eeg events at t = {_fmt(a)} s")
 
     commands = run_events(events, sc.arbiter)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     with open(out / "commands.jsonl", "w") as fh:
         for t, cmd in commands:
             fh.write(json.dumps(command_to_dict(t, cmd)) + "\n")

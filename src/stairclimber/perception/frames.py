@@ -73,10 +73,16 @@ def read_pgm(path) -> Frame:
             tokens.append(tok)
     if tokens[0] != b"P5":
         raise ValueError(f"not a binary PGM (magic {tokens[0]!r})")
+    for name, tok in zip(("width", "height", "maxval"), tokens[1:]):
+        if not (tok.isdigit() and int(tok) > 0):
+            raise ValueError(f"{name} must be a positive integer (got {tok.decode(errors='replace')})")
     width, height, maxval = (int(t) for t in tokens[1:])
     if maxval != 255:
         raise ValueError(f"only 8-bit PGM supported (maxval {maxval})")
     # exactly one whitespace byte separates the header from the raster
+    have = max(len(data) - pos - 1, 0)
+    if have < width * height:
+        raise ValueError(f"raster holds {have} bytes, fewer than width*height = {width * height}")
     raster = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos + 1)
     return Frame(raster.reshape(height, width).astype(float) / 255.0)
 

@@ -73,7 +73,8 @@ import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, compress, islice, repeat
+from operator import attrgetter, is_
 
 from .drivetrain import MotorSpec, TrackParams, min_static_torque
 
@@ -349,7 +350,7 @@ class Trajectory:
     def max_speed(self, phase: Phase | None = None) -> float:
         if phase is None:
             return max(self.v)
-        return max((v for v, ph in zip(self.v, self.phase) if ph is phase), default=0.0)
+        return max(compress(self.v, map(is_, self.phase, repeat(phase))), default=0.0)
 
 
 class _States(Sequence):
@@ -810,11 +811,9 @@ def trajectory_rows(traj: Trajectory) -> list[tuple[float, str, float, float, fl
     for t, name in traj.events:
         by_time.setdefault(t, []).append(name)
     joined = {t: ";".join(names) for t, names in by_time.items()}
-    value = {phase: phase.value for phase in Phase}
-    degrees = math.degrees
-    return [
-        (t, value[phase], s, v, degrees(plate), torque, joined.get(t, ""))
-        for phase, s, v, plate, torque, t in zip(
-            traj.phase, traj.s, traj.v, traj.plate_angle, traj.track_torque, traj.t
-        )
-    ]
+    # built column by column in C: ``_value_`` is what ``Phase.value`` returns,
+    # without the Python-level property, and no row hashes its Phase
+    return list(zip(
+        traj.t, map(attrgetter("_value_"), traj.phase), traj.s, traj.v,
+        map(math.degrees, traj.plate_angle), traj.track_torque, map(joined.get, traj.t, repeat("")),
+    ))

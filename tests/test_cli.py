@@ -7,10 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stairclimber import cli, support
 from stairclimber.cli import main
+from stairclimber.control import _fmt
 from stairclimber.drivetrain import Pulley, TrackParams, torque_case
+from stairclimber.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -321,6 +327,19 @@ def test_teleop_config_error_leaves_no_out_dir(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["design", "sim", "sweep", "teleop", "report"])
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+def test_out_path_at_or_under_a_file_exits_1(tmp_path, capsys, command, under):
+    blocker = tmp_path / "f"
+    blocker.write_text("keep\n")
+    out = blocker / under if under else blocker
+    assert main([command, "--scenario", REPLAY, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: output directory {out}: ")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "keep\n"
+
+
 def test_repeated_eeg_timestamp_exits_1(tmp_path, capsys):
     # a second copy of every headset sample: the smoother needs distinct times
     lines = []
@@ -367,6 +386,101 @@ def test_step_budget_exits_1_quickly(tmp_path, scenario_obj, extra, prefix):
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"config error: {prefix}: duration/dt = ")
     assert "exceeds the budget of 1000000 steps" in proc.stderr
+
+
+def ref_write_csv(path, header, rows):
+    # the csv.writer form of cli._write_csv, which the golden digests were made with
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in row])
+
+
+def assert_writes_like_csv_module(tmp_path, columns, rows):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    cli._write_csv(new, columns, rows)
+    ref_write_csv(ref, list(columns), rows)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+@pytest.fixture
+def csv_calls(monkeypatch, tmp_path):
+    """Check every CSV the CLI writes against ref_write_csv; collect (file name, rows)."""
+    calls = []
+    write = cli._write_csv
+
+    def checked(path, columns, rows):
+        rows = list(rows)
+        for row in rows:
+            assert len(row) == len(columns)
+            for cell, template in zip(row, columns.values()):
+                # a float template needs a float (np.float64 is one), text a
+                # string that csv.writer would not quote
+                if template == cli._NUM:
+                    assert isinstance(cell, float), (path.name, row)
+                else:
+                    assert isinstance(cell, str) and not set(cell) & set(',"\r\n'), (path.name, row)
+        write(path, columns, rows)
+        ref_write_csv(tmp_path / "ref.csv", list(columns), rows)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), path.name
+        calls.append((path.name, rows))
+
+    monkeypatch.setattr(cli, "_write_csv", checked)
+    return calls
+
+
+def baseline_with(**sections):
+    obj = json.loads(Path(BASELINE).read_text())
+    for section, values in sections.items():
+        obj.setdefault(section, {}).update(values)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj, events",
+    [
+        (None, set()),
+        (baseline_with(robot={"per_track_mass_kg": 200.0}), {"Fall"}),
+        (baseline_with(sim={"plate": {"stroke_m": 0.1}}), {"ActuatorSaturation"}),
+        (baseline_with(sim={"rolling_resist_coeff": 2.0}), set()),   # unclimbable sweep
+    ],
+    ids=["default", "falls", "saturates", "unclimbable"],
+)
+def test_cli_csv_files_match_csv_module(tmp_path, csv_calls, obj, events):
+    scenario = [] if obj is None else ["--scenario", write_scenario(tmp_path, obj)]
+    main(["report", *scenario, "--out", str(tmp_path / "o")])
+    rows = dict(csv_calls)
+    assert set(rows) == {"force_profile.csv", "torque_vs_theta.csv", "trajectory.csv", "sweep.csv"}
+    assert {name for row in rows["trajectory.csv"] for name in row[-1].split(";") if name} == events
+    assert {row[1] for row in rows["sweep.csv"]} <= {"true", "false"}
+
+
+def test_csv_writer_matches_csv_module_on_numpy_floats(tmp_path):
+    # force_profile returns its grid points as np.float64
+    sc = load_scenario(BASELINE)
+    rows = support.force_profile(sc.support_geom, sc.support_load, np.linspace(0.0, math.pi / 2.0, 91))
+    assert type(rows[1][0]) is np.float64
+    columns = {"theta_deg": cli._NUM, "gamma_deg": cli._NUM, "force_n": cli._NUM}
+    assert_writes_like_csv_module(tmp_path, columns, rows)
+
+
+SPECIAL_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e9, -1e9,
+     999999999.5, 1234567891.0, 1e300, 1e-5, 0.0001]
+)
+FLOAT_CELLS = st.one_of(SPECIAL_FLOATS, st.floats(), st.floats(1e9, 1e12), st.floats(-1e-300, 1e-300)).flatmap(
+    lambda x: st.sampled_from([x, np.float64(x)])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    FLOAT_CELLS, st.sampled_from(["climb", "level", "", "Fall;ActuatorSaturation", "true", "false"]), FLOAT_CELLS,
+)))
+def test_csv_writer_matches_csv_module_on_drawn_floats(tmp_path_factory, rows):
+    columns = {"a": cli._NUM, "b": cli._TEXT, "c": cli._NUM}
+    assert_writes_like_csv_module(tmp_path_factory.mktemp("csv"), columns, rows)
 
 
 def test_climb_artifacts_match_golden_digests(tmp_path):

@@ -183,6 +183,26 @@ def test_pgm_rejects_other_formats(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize(
+    "header, raster, message",
+    [
+        (b"P5\n-4 4\n255\n", 16, "width must be a positive integer (got -4)"),
+        (b"P5\n0 0\n255\n", 0, "width must be a positive integer (got 0)"),
+        (b"P5\n4 0\n255\n", 0, "height must be a positive integer (got 0)"),
+        (b"P5\n99999999999 99999999999\n255\n", 16,
+         "raster holds 16 bytes, fewer than width*height = 9999999999800000000001"),
+        (b"P5\n4 4\n255\n", 15, "raster holds 15 bytes, fewer than width*height = 16"),
+    ],
+    ids=["negative", "zero", "zero-height", "huge", "short"],
+)
+def test_pgm_rejects_bad_dimensions(tmp_path, header, raster, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + bytes(raster))
+    with pytest.raises(ValueError) as info:
+        read_pgm(path)
+    assert str(info.value) == message
+
+
 def test_corners_of_a_square():
     px = np.zeros((64, 64))
     px[20:41, 24:45] = 1.0
