@@ -8,6 +8,7 @@ intensity offset leaves every score unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +38,16 @@ class Corner:
         return (self.x, self.y)
 
 
-def _gradients(px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gx = np.zeros_like(px)
-    gy = np.zeros_like(px)
-    gx[:, 1:-1] = (px[:, 2:] - px[:, :-2]) / 2.0
-    gy[1:-1, :] = (px[2:, :] - px[:-2, :]) / 2.0
-    return gx, gy
+def _gradients(px: np.ndarray) -> np.ndarray:
+    """The image and its gradients, stacked as a C-contiguous [px, gx, gy].
+
+    gx is zero in the first and last column, gy in the first and last row.
+    """
+    g = np.zeros((3, *px.shape))
+    g[0] = px
+    g[1, :, 1:-1] = (px[:, 2:] - px[:, :-2]) / 2.0
+    g[2, 1:-1, :] = (px[2:, :] - px[:-2, :]) / 2.0
+    return g
 
 
 def _box3(a: np.ndarray) -> np.ndarray:
@@ -56,7 +61,7 @@ def _box3(a: np.ndarray) -> np.ndarray:
 
 def min_eig_response(frame: Frame) -> np.ndarray:
     """Per-pixel minimum eigenvalue of the 3x3-window structure tensor."""
-    gx, gy = _gradients(frame.pixels)
+    _, gx, gy = _gradients(frame.pixels)
     sxx = _box3(gx * gx)
     syy = _box3(gy * gy)
     sxy = _box3(gx * gy)
@@ -84,11 +89,9 @@ def detect_corners(frame: Frame, max_count: int | None = None) -> list[Corner]:
             neighbor = p[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
             is_peak &= resp > neighbor
     ys, xs = np.nonzero(is_peak)
-    order = np.lexsort((xs, ys, -resp[ys, xs]))
-    corners = [Corner(float(xs[i]), float(ys[i]), float(resp[ys[i], xs[i]])) for i in order]
-    if max_count is not None:
-        corners = corners[:max_count]
-    return corners
+    order = np.lexsort((xs, ys, -resp[ys, xs]))[:max_count]
+    ys, xs = ys[order], xs[order]
+    return list(map(Corner, *np.stack((xs, ys, resp[ys, xs])).tolist()))
 
 
 def select_corner(corners: list[Corner], touch: tuple[float, float]) -> Corner:
@@ -100,6 +103,8 @@ def select_corner(corners: list[Corner], touch: tuple[float, float]) -> Corner:
     if not corners:
         raise NoCorners("no corners to select from")
     tx, ty = touch
+    if not (math.isfinite(tx) and math.isfinite(ty)):
+        raise ValueError(f"touch must be finite (got {touch})")
     best = None
     best_key = None
     for idx, c in enumerate(corners):

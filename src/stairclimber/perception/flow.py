@@ -16,11 +16,18 @@ Each frame's pyramid is built once per call and serves both directions.  A
 level differentiates only the pixel block under its window and samples it
 with separable bilinear taps, doing per pixel the arithmetic of the
 whole-level, tap-by-tap form, so the results are the same to the bit.
+Everything on the template side is fixed for a level (Baker & Matthews,
+"Lucas-Kanade 20 Years On"): the set-up samples the block and its two
+gradients as one C-contiguous (3, n, n) stack, [template, ix, iy], and each
+Gauss-Newton iteration samples the next frame once and gets the residual
+and both right-hand sides from one product and one reduction over that
+stack.  No state is kept across calls.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -46,12 +53,22 @@ class LkParams:
     fb_threshold: float = 1.0  # max forward-backward return distance, px
 
     def __post_init__(self):
+        for name in ("window", "levels", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer (got {value!r})")
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3 (got {self.window})")
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1 (got {self.levels})")
-        if self.max_iters < 1 or self.epsilon <= 0 or self.fb_threshold <= 0:
-            raise ValueError("max_iters, epsilon, fb_threshold must be positive")
+        for name in ("levels", "max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1 (got {getattr(self, name)})")
+        for name in ("epsilon", "fb_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0 (got {value!r})")
+        # 0 is allowed: a flat window still fails the solve's det > 0 test
+        if not (math.isfinite(self.min_eig) and self.min_eig >= 0):
+            raise ValueError(f"min_eig must be finite and >= 0 (got {self.min_eig!r})")
 
     @property
     def half(self) -> int:
@@ -117,8 +134,8 @@ def _taps(x: float, y: float, offs: np.ndarray):
     """
     xs = x + offs
     ys = y + offs
-    x0 = np.floor(xs).astype(int)
-    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs)
+    y0 = np.floor(ys)
     fx = xs - x0
     fy = (ys - y0)[:, None]
     c0, c1, r0, r1 = int(x0[0]), int(x0[-1]), int(y0[0]), int(y0[-1])
@@ -126,17 +143,21 @@ def _taps(x: float, y: float, offs: np.ndarray):
     # steps by 1: the taps skip a pixel only when the floors span more
     index = None
     if c1 - c0 != len(offs) - 1 or r1 - r0 != len(offs) - 1:
-        index = ((y0 - r0)[:, None], x0 - c0)
+        index = ((y0 - r0).astype(int)[:, None], (x0 - c0).astype(int))
     return (slice(r0, r1 + 2), slice(c0, c1 + 2)), (index, 1 - fx, fx, 1 - fy, fy)
 
 
 def _bilinear(block: np.ndarray, taps) -> np.ndarray:
+    """Sample a block, or a stack of blocks along the first axis, at the taps."""
     index, wx0, wx1, wy0, wy1 = taps
     if index is None:
-        a, b, c, d = block[:-1, :-1], block[:-1, 1:], block[1:, :-1], block[1:, 1:]
-    else:
-        ri, ci = index
-        a, b, c, d = block[ri, ci], block[ri, ci + 1], block[ri + 1, ci], block[ri + 1, ci + 1]
+        # a * wx0 and c * wx0 are rows of one product, as are b * wx1 and d * wx1
+        left, right = block[..., :-1] * wx0, block[..., 1:] * wx1
+        return (left[..., :-1, :] * wy0 + right[..., :-1, :] * wy0
+                + left[..., 1:, :] * wy1 + right[..., 1:, :] * wy1)
+    ri, ci = index
+    a, b = block[..., ri, ci], block[..., ri, ci + 1]
+    c, d = block[..., ri + 1, ci], block[..., ri + 1, ci + 1]
     return a * wx0 * wy0 + b * wx1 * wy0 + c * wx0 * wy1 + d * wx1 * wy1
 
 
@@ -158,18 +179,20 @@ def _lk_level(
     # that central differences read, where the level has one
     pr, pc = min(rows.start, 1), min(cols.start, 1)
     pad = prev_px[rows.start - pr : rows.stop + 1, cols.start - pc : cols.stop + 1]
-    inner = (slice(pr, pr + rows.stop - rows.start), slice(pc, pc + cols.stop - cols.start))
-    template, ix, iy = (_bilinear(g[inner], taps) for g in (pad, *_gradients(pad)))
+    stack = _gradients(pad)[:, pr : pr + rows.stop - rows.start, pc : pc + cols.stop - cols.start]
+    # [template, ix, iy]; skipped taps gather a non-contiguous stack, whose
+    # planes would be summed in another order
+    w = np.ascontiguousarray(_bilinear(stack, taps))
+    template = w[0].copy()
 
-    gxx = float((ix * ix).sum())
-    gxy = float((ix * iy).sum())
-    gyy = float((iy * iy).sum())
+    gxx, gyy = (w[1:] * w[1:]).sum(axis=(1, 2)).tolist()
+    gxy = float((w[1] * w[2]).sum())
     half_trace = (gxx + gyy) / 2.0
     radius = math.hypot((gxx - gyy) / 2.0, gxy)
     n_pix = (2 * hw + 1) ** 2
-    if (half_trace - radius) / n_pix < p.min_eig:
-        raise _TrackFail("degenerate gradient structure")
     det = gxx * gyy - gxy * gxy
+    if (half_trace - radius) / n_pix < p.min_eig or not det > 0:
+        raise _TrackFail("degenerate gradient structure")
 
     dx, dy = guess
     gain, last = 1.0, math.inf
@@ -178,14 +201,13 @@ def _lk_level(
         if not _window_fits(qx, qy, next_px.shape, hw):
             raise _TrackFail("search window outside image")
         block, taps = _taps(qx, qy, offs)
-        diff = _bilinear(next_px[block], taps) - template
-        err = float((diff * diff).sum())
+        # w becomes [diff, ix, iy], and diff times it gives err, bx and by
+        np.subtract(_bilinear(next_px[block], taps), template, out=w[0])
+        err, bx, by = (w[0] * w).sum(axis=(1, 2)).tolist()
         if err > last:
             # the last step overshot: halve this step and every later one
             gain /= 2.0
         last = err
-        bx = float((diff * ix).sum())
-        by = float((diff * iy).sum())
         step_x = -gain * (gyy * bx - gxy * by) / det
         step_y = -gain * (gxx * by - gxy * bx) / det
         dx += step_x

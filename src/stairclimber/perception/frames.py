@@ -38,9 +38,11 @@ class Frame:
         px = np.asarray(self.pixels, dtype=float)
         if px.ndim != 2:
             raise ValueError(f"pixels must be 2-D (got shape {px.shape})")
-        if not np.all(np.isfinite(px)):
-            raise ValueError("pixels must be finite")
-        if px.min() < 0.0 or px.max() > 1.0:
+        # NaN fails both comparisons, so the range check alone catches every
+        # bad frame; only a bad one is scanned again to say what is wrong
+        if not (px.min() >= 0.0 and px.max() <= 1.0):
+            if not np.all(np.isfinite(px)):
+                raise ValueError("pixels must be finite")
             raise ValueError("intensities must lie in [0, 1]")
         px = np.ascontiguousarray(px)
         px.flags.writeable = False

@@ -85,6 +85,22 @@ class DriverReport:
     peak: float            # worst instantaneous sample, A
 
 
+def _window_starts(t: np.ndarray) -> np.ndarray:
+    """First sample of the 1-s window ending at each sample of t.
+
+    That is the least lo with t[hi] - t[lo] <= 1.0, the window of
+    avg_current_limit.  Searching for t - 1.0 rounds differently, so each
+    start then steps back while the sample before it passes that test, and
+    on while it fails.
+    """
+    lo = np.searchsorted(t, t - 1.0)
+    while (back := (lo > 0) & (t - t[lo - 1] <= 1.0)).any():
+        lo -= back
+    while (on := t - t[lo] > 1.0).any():
+        lo += on
+    return lo
+
+
 def check_driver(times, currents, cfg: PowerConfig | None = None) -> DriverReport:
     """Check a current profile against the driver's average and peak limits.
 
@@ -98,19 +114,18 @@ def check_driver(times, currents, cfg: PowerConfig | None = None) -> DriverRepor
     i = np.asarray(currents, dtype=float)
     if t.ndim != 1 or t.shape != i.shape or t.size == 0:
         raise ValueError("times and currents must be equal-length nonempty 1-D arrays")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(i))):
+        raise ValueError("times and currents must be finite")
     if t.size > 1 and not np.all(np.diff(t) > 0):
         raise ValueError("times must be strictly increasing")
 
     peak = float(i.max())
     prefix = np.concatenate([[0.0], np.cumsum(i)])
-    max_avg = 0.0
-    lo = 0
-    for hi in range(t.size):
-        while t[hi] - t[lo] > 1.0:       # the 1-s window of avg_current_limit
-            lo += 1
-        avg = (prefix[hi + 1] - prefix[lo]) / (hi + 1 - lo)
-        if avg > max_avg:
-            max_avg = float(avg)
+    stop = np.arange(1, t.size + 1)   # one past each window's last sample
+    lo = _window_starts(t)
+    # fmax skips a NaN mean (from an overflowing prefix), as a max of
+    # comparisons against the best so far does
+    max_avg = max(0.0, float(np.fmax.reduce((prefix[stop] - prefix[lo]) / (stop - lo))))
     tol = 1e-12
     passed = (
         max_avg <= cfg.avg_current_limit * (1.0 + tol)

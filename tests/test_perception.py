@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stairclimber.cli import _tracking_check_lines
@@ -32,7 +32,7 @@ from stairclimber.perception import (
     select_corner,
     write_pgm,
 )
-from stairclimber.perception import flow
+from stairclimber.perception import corners, flow
 
 CLEAR, NEAR = 3.0, 0.3
 
@@ -155,6 +155,29 @@ def test_frame_validation():
         f.pixels[0, 0] = 1.0  # frozen buffer
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([math.nan], "pixels must be finite"),
+        ([math.inf], "pixels must be finite"),
+        ([-math.inf], "pixels must be finite"),
+        ([math.nan, 2.0], "pixels must be finite"),
+        ([-0.5, math.inf], "pixels must be finite"),
+        ([-1e-300], "intensities must lie in [0, 1]"),
+        ([-0.5], "intensities must lie in [0, 1]"),
+        ([math.nextafter(1.0, 2.0)], "intensities must lie in [0, 1]"),
+        ([2.0], "intensities must lie in [0, 1]"),
+        ([-0.5, 2.0], "intensities must lie in [0, 1]"),
+    ],
+)
+def test_frame_refuses_bad_pixels(bad, message):
+    px = np.full((6, 8), 0.5)
+    px[2, 3 : 3 + len(bad)] = bad
+    with pytest.raises(ValueError) as info:
+        Frame(px)
+    assert str(info.value) == message
+
+
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     # quantized values survive the 8-bit file exactly
@@ -265,6 +288,44 @@ def test_select_corner_matches_brute_force():
         assert got is corners[best]
 
 
+def ref_detect_corners(frame, max_count=None):
+    """detect_corners as it was, building each Corner from numpy scalars."""
+    resp = corners.min_eig_response(frame)
+    floor = max(corners._ABS_FLOOR, corners.DEFAULT_QUALITY * float(resp.max(initial=0.0)))
+    p = np.pad(resp, 1, constant_values=-np.inf)
+    is_peak = resp > floor
+    h, w = resp.shape
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dy or dx:
+                is_peak &= resp > p[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+    ys, xs = np.nonzero(is_peak)
+    order = np.lexsort((xs, ys, -resp[ys, xs]))
+    found = [Corner(float(xs[i]), float(ys[i]), float(resp[ys[i], xs[i]])) for i in order]
+    return found if max_count is None else found[:max_count]
+
+
+@pytest.mark.parametrize("max_count", [None, 0, 1, 5, -1])
+def test_detect_corners_matches_the_scalar_form(max_count):
+    square = np.zeros((64, 64))
+    square[20:41, 24:45] = 1.0
+    frames = [Frame(square), Frame(np.full((32, 32), 0.5))]
+    rng = np.random.default_rng(12)
+    frames += [render_texture(random_texture(rng), w, h) for w, h in ((96, 96), (80, 48))]
+    for frame in frames:
+        got = detect_corners(frame, max_count)
+        assert got == ref_detect_corners(frame, max_count)
+        assert all(type(v) is float for c in got for v in (c.x, c.y, c.score))
+
+
+@pytest.mark.parametrize(
+    "touch", [(math.nan, 5.0), (5.0, math.nan), (math.inf, 5.0), (5.0, -math.inf)]
+)
+def test_select_corner_refuses_a_non_finite_touch(touch):
+    with pytest.raises(ValueError, match="^touch must be finite"):
+        select_corner([Corner(1.0, 2.0, 0.5), Corner(4.0, 5.0, 0.7)], touch)
+
+
 def test_select_corner_rejects_empty():
     with pytest.raises(ValueError):
         select_corner([], (0.0, 0.0))
@@ -330,6 +391,54 @@ def test_lk_params_validation():
     with pytest.raises(ValueError):
         LkParams(levels=0)
     assert LkParams().half == 7
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("window", 15.0),
+        ("window", True),
+        ("window", 14),
+        ("levels", 2.0),
+        ("levels", 0),
+        ("max_iters", 2.5),
+        ("max_iters", 0),
+        ("epsilon", math.nan),
+        ("epsilon", math.inf),
+        ("epsilon", 0.0),
+        ("epsilon", -0.01),
+        ("min_eig", math.nan),
+        ("min_eig", math.inf),
+        ("min_eig", -1.0),
+        ("fb_threshold", math.nan),
+        ("fb_threshold", math.inf),
+        ("fb_threshold", 0.0),
+    ],
+)
+def test_lk_params_refuse_a_bad_field_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        LkParams(**{field: value})
+
+
+def test_lk_params_take_numpy_integers_and_ints_for_float_fields():
+    p = LkParams(window=np.int64(5), levels=np.int32(2), max_iters=10,
+                 epsilon=1, min_eig=0.0, fb_threshold=2)
+    assert p.half == 2
+
+
+@pytest.mark.parametrize("min_eig", [0.0, 1e-300])
+@pytest.mark.parametrize(
+    "px",
+    [np.full((64, 64), 0.5), np.tile(np.linspace(0.2, 0.8, 64), (64, 1))],
+    ids=["flat", "ramp"],
+)
+def test_degenerate_windows_are_lost_at_any_min_eig(px, min_eig):
+    # a flat window's gradient tensor is 0 and a ramp's has rank 1, so
+    # det = 0 and the solve cannot divide by it
+    frame = Frame(px)
+    params = LkParams(min_eig=min_eig)
+    assert lk_track(frame, frame, (32.0, 32.0), params) is None
+    assert fb_track(frame, frame, TrackedPoint(32.0, 32.0), params).lost
 
 
 def test_render_shift_moves_content():
@@ -570,6 +679,53 @@ def test_tracking_matches_reference_across_skipped_taps(point, level):
     a = render_texture(tex, 240, 240)
     b = render_texture(tex, 240, 240, (0.6, -0.3))
     assert_matches_reference(a, b, point, params)
+
+
+def test_gradient_stack_is_the_image_over_its_gradients():
+    px = np.random.default_rng(4).random((23, 31))
+    stack = flow._gradients(px)
+    assert stack.shape == (3, 23, 31) and stack.flags.c_contiguous
+    for got, want in zip(stack, (px, *ref_gradients(px))):
+        assert np.array_equal(got, want)
+
+
+@st.composite
+def tap_coords(draw, size, hw):
+    """A window centre on one axis, and whether its taps must skip a pixel.
+
+    Just below a whole m <= P, for a power of two P, x + k is exact below P,
+    but past P it falls halfway between two floats and rounds up to m + k,
+    so the floors jump by 2 where x + k crosses P (if m + hw > P); other
+    centres almost never skip.
+    """
+    if draw(st.booleans()):
+        power = draw(st.sampled_from([16, 32, 64, 128]))
+        x = math.nextafter(float(power - draw(st.integers(0, hw - 1))), 0.0)
+        assume(hw + 1.0 <= x <= size - 2.0 - hw)
+        return x, True
+    return draw(st.floats(hw + 1.0, size - 2.0 - hw)), False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 5, 15, 21]), st.data())
+def test_stacked_sampling_matches_plane_by_plane(seed, window, data):
+    px = np.random.default_rng(seed).random((150, 160))
+    hw = window // 2
+    (x, x_skips), (y, y_skips) = data.draw(tap_coords(160, hw)), data.draw(tap_coords(150, hw))
+    block, taps = flow._taps(x, y, np.arange(-hw, hw + 1, dtype=float))
+    if x_skips or y_skips:
+        assert taps[0] is not None
+    stack = flow._gradients(px)[:, block[0], block[1]]
+    planes = [flow._bilinear(g, taps) for g in stack]
+    got = flow._bilinear(stack, taps)
+    assert got.shape == (3, window, window)
+    for g, want in zip(got, planes):
+        assert np.array_equal(g, want)
+    # once contiguous, a sum over each plane adds in the order of that
+    # plane's own .sum(), as do the products the solve reduces
+    w = np.ascontiguousarray(got)
+    assert w.sum(axis=(1, 2)).tolist() == [float(g.sum()) for g in planes]
+    assert (w[0] * w).sum(axis=(1, 2)).tolist() == [float((planes[0] * g).sum()) for g in planes]
 
 
 @settings(max_examples=40, deadline=None)

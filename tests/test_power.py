@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from stairclimber.power import (
     BatteryBank,
     DriverReport,
     PowerConfig,
+    _window_starts,
     check_driver,
     motor_current,
     runtime_estimate,
@@ -93,6 +98,76 @@ def test_driver_input_validation():
         check_driver([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         check_driver([0.0, 1.0], [1.0])
+
+
+@pytest.mark.parametrize(
+    "times, currents",
+    [
+        ([0.0, math.nan], [1.0, 1.0]),
+        ([0.0, math.inf], [1.0, 1.0]),
+        ([-math.inf, 0.0], [1.0, 1.0]),
+        ([0.0, 1.0], [math.nan, 1.0]),
+        ([0.0, 1.0], [1.0, math.inf]),
+        ([0.0, 1.0], [-math.inf, 1.0]),
+    ],
+)
+def test_driver_refuses_non_finite_samples(times, currents):
+    with pytest.raises(ValueError, match="^times and currents must be finite$"):
+        check_driver(times, currents)
+
+
+def ref_window_walk(times, currents):
+    """The sample-by-sample window walk check_driver used to run: each
+    window's first sample and the largest window mean."""
+    t = np.asarray(times, dtype=float)
+    prefix = np.concatenate([[0.0], np.cumsum(np.asarray(currents, dtype=float))])
+    starts = []
+    max_avg = 0.0
+    lo = 0
+    for hi in range(t.size):
+        while t[hi] - t[lo] > 1.0:
+            lo += 1
+        starts.append(lo)
+        avg = (prefix[hi + 1] - prefix[lo]) / (hi + 1 - lo)
+        if avg > max_avg:
+            max_avg = float(avg)
+    return starts, max_avg
+
+
+# steps whose sums land on or within a few ulps of 1 s, where t[lo] < t[hi] - 1.0
+# and the window's own test t[hi] - t[lo] > 1.0 can disagree
+_NEAR_SECOND_STEPS = [1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+                      0.5, 0.25, 0.2, 0.1, 0.01, 1.0 / 3.0, 0.7, 0.3]
+
+
+@st.composite
+def near_second_profiles(draw):
+    # below -1 s, t - 1.0 can round down onto an earlier sample
+    start = draw(st.one_of(st.sampled_from([0.0, 0.1, 1.0, 7.3, 1000.0]),
+                           st.floats(-3.0, -1.0), st.floats(-1e4, 1e4)))
+    steps = draw(st.lists(st.one_of(st.sampled_from(_NEAR_SECOND_STEPS), st.floats(1e-6, 1.5)),
+                          max_size=80))
+    t = np.cumsum([start, *steps])
+    currents = draw(st.lists(st.floats(-100.0, 100.0), min_size=t.size, max_size=t.size))
+    return t, np.array(currents)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_second_profiles())
+# searching for t - 1.0 starts the last window one sample late: 1.1 - 1.0
+# rounds above 0.1, but 1.1 - 0.1 rounds to 1.0
+@example((np.array([0.1, 1.1]), np.array([0.0, 100.0])))
+# and here one sample early: -1.767... - 1.0 rounds down onto the first
+# sample, but the two are 1.0000000000000002 apart
+@example((np.array([-2.767355108523767, -1.7673551085237669]), np.array([0.0, 100.0])))
+def test_driver_window_matches_the_sample_by_sample_walk(profile):
+    t, currents = profile
+    assume(np.all(np.diff(t) > 0))
+    starts, max_avg = ref_window_walk(t, currents)
+    assert _window_starts(t).tolist() == starts
+    rep = check_driver(t, currents)
+    assert rep.max_window_avg == max_avg
+    assert rep.peak == float(currents.max())
 
 
 def test_runtime_inverse_in_current():
