@@ -38,6 +38,8 @@ class Frame:
         px = np.asarray(self.pixels, dtype=float)
         if px.ndim != 2:
             raise ValueError(f"pixels must be 2-D (got shape {px.shape})")
+        if px.size == 0:
+            raise ValueError(f"pixels must not be empty (got shape {px.shape})")
         # NaN fails both comparisons, so the range check alone catches every
         # bad frame; only a bad one is scanned again to say what is wrong
         if not (px.min() >= 0.0 and px.max() <= 1.0):

@@ -28,32 +28,21 @@ stops there), ``ActuatorSaturation`` when the stroke cannot cover the
 chassis pitch.  Runs are deterministic: identical inputs give bit-identical
 trajectories.
 
-Three implementations share the arithmetic of one step, in the same order:
+Two implementations share the arithmetic of one step, in the same order:
 
 - ``step`` is the reference single-step API: one frozen ``SimState`` in, the
-  next one out.
-- ``run_climb`` is the recording kernel.  It runs whole climbs on scalar
-  locals and appends each step to per-field columns of a ``Trajectory``;
-  ``Trajectory.states`` builds ``SimState`` rows only when read.  Tests hold
-  it equal to ``step`` folded over a run.  Under a constant torque it
-  appends a settled cruise up the climb zone in bulk: at the stair cap,
-  with the actuator at its target and a net force that keeps the cap, each
-  step there repeats the last but for ``s = s + stair_cap*dt`` and ``t = t
-  + dt``.
-- ``_climb_verdict`` decides a sweep probe.  It needs only (completed, fall,
-  final speed), and plate levelling never feeds back into the dynamics, so
-  it drops the plate, actuator, event and column work.  Recording costs
-  several times the dynamics, and the sweep runs a dozen probes per search,
-  so the two kernels stay separate.  Tests hold it equal to ``run_climb``.
-  It also skips or trims three kinds of step whose outcome is fixed.
-  Cruising at the stair cap in the stair zones, a step only adds
-  ``stair_cap*dt`` to ``s`` when the thrust covers grade plus roll at the
-  zones' worst pitch.  In a static-friction stall (``v == 0`` and net force
-  0) every later step repeats the last one, so the run ends stalled at the
-  horizon.  Slowing up the climb zone under a constant negative net force,
-  a step is only ``v = v + decel`` and ``s = s + v*dt``, so a tight loop
-  does those two additions until the speed would reach 0, the crest or the
-  horizon.
+  next one out.  A time-varying torque is ``step`` folded over a run.
+- ``_climb`` runs a whole climb at a constant torque on scalar locals and
+  returns (completed, fall, final speed), which decides a sweep probe.
+  Given lists, it also records each state's ``s`` and ``v``.  It skips or
+  trims three kinds of step whose outcome is fixed: a cruise at the stair
+  cap, a static-friction stall and a slowdown up the climb zone.
+
+``run_climb`` records a trajectory with ``_climb`` and then levels the plate
+in a second pass over the positions: plate levelling never feeds back into
+the dynamics, so each row's phase, pitch, actuator and plate follow from its
+position and the row before.  Tests hold ``run_climb`` equal to ``step``
+folded over a run, and ``_climb`` equal to ``run_climb``.
 
 The capped stretches share one closed form, ``_advance``: IEEE-754 addition
 of a fixed ``c`` adds the same number of ulps while the sum stays in one
@@ -70,11 +59,12 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Sequence
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate, compress, islice, repeat
-from operator import attrgetter, is_
+from operator import attrgetter, is_, mul
 
 from .drivetrain import MotorSpec, TrackParams, min_static_torque
 
@@ -103,8 +93,6 @@ _MAX_INCLINATION = math.radians(40.0)
 # 32 ulps of 1.0, where rounding the pitch, sin, cos, the products and the
 # sum moves grade plus roll by at most about 5
 _CRUISE_MARGIN = 2.0**-47
-
-TorqueSchedule = Callable[[float], float]
 
 
 class Phase(Enum):
@@ -384,189 +372,106 @@ class _States(Sequence):
         return NotImplemented
 
 
-def _as_schedule(torque: float | TorqueSchedule) -> TorqueSchedule:
-    if callable(torque):
-        return torque
-    value = float(torque)
-    return lambda t: value
-
-
-def run_climb(
-    cfg: SimConfig,
-    stairs: Staircase,
-    torque_schedule: float | TorqueSchedule,
-) -> Trajectory:
-    """Run the full climb sequence under a torque schedule.
+def run_climb(cfg: SimConfig, stairs: Staircase, torque: float) -> Trajectory:
+    """Run the full climb sequence under a constant torque.
 
     The run ends at completion (path end reached), on a Fall, or when the
     configured duration elapses.  Fall and ActuatorSaturation are recorded
-    as events; no exception is raised for them.
+    as events; no exception is raised for them.  A time-varying torque is
+    not taken (``TypeError``): fold ``step`` over the run for one.
 
-    Each step does the arithmetic of ``step`` in the same order, so the
-    trajectory equals ``step`` folded over the run.  A state's pitch and
-    phase are those of its position, so each step reuses the previous
-    step's instead of calling ``pitch_at`` and ``phase_at`` again.
-
-    A settled cruise up the climb zone is appended in bulk rather than
-    stepped, exactly.  Under a constant torque, once a step ends in the
-    climb zone at ``v == stair_cap`` with the actuator at its target (the
-    step moved it by 0), every later step in the zone repeats it but for
-    ``s`` and ``t``: its net force is the zone's constant
-    ``thrust - grade - roll``, and when ``stair_cap + net/inertia*dt >=
-    stair_cap`` (as for any net >= 0) ``min`` returns the cap again, so the
-    step adds ``stair_cap*dt`` to ``s`` and ``dt`` to ``t``, keeps the
-    plate and raises no event.  ``_advance`` counts those steps up to the
-    last one before the crest, or the horizon, one binade of ``s`` at a
-    time, and the ``s`` and ``t`` columns get the same float additions,
-    done by ``accumulate``.
+    ``_climb`` steps the dynamics and records each state's ``s`` and ``v``;
+    the trajectory equals ``step`` folded over the run.  Plate levelling
+    never feeds back into the dynamics, so a second pass derives each row's
+    phase, pitch, actuator extension, plate angle and saturation from its
+    position alone, with the arithmetic of ``step`` in the same order.
+    Where the pitch is constant (approach, climb zone, flat run-out) and a
+    row left the actuator where it was, every later row in that zone
+    repeats it; ``s`` never decreases and only ends in NaN, so
+    ``bisect_left`` finds where the zone ends.
     """
-    schedule = _as_schedule(torque_schedule)
-    p, rig = cfg.track, cfg.plate
+    if callable(torque):
+        raise TypeError("torque must be a constant number; fold step over the run "
+                        "for a time-varying torque")
+    tau = float(torque)
+    ss, vs = [0.0], [0.0]
+    completed, fall, _ = _climb(cfg, stairs, tau, ss, vs)
+    n = len(ss)
+    ts = list(accumulate(repeat(cfg.dt, n - 1), initial=0.0))
+
+    rig = cfg.plate
     engage, climb, crest, end = _zone_bounds(stairs, cfg)
-    goal = path_end(stairs, cfg)
     flat = stairs.ramp_length <= 0
     inc = stairs.inclination
     ramp_in = climb - engage
     ramp_out = end - crest
-    r = p.r
-    mg = p.M * p.gravity
-    cmg = cfg.rolling_resist_coeff * p.M * p.gravity
-    grade_flat, roll_flat = mg * math.sin(0.0), cmg * math.cos(0.0)
-    grade_climb, roll_climb = mg * math.sin(inc), cmg * math.cos(inc)
-    inertia = p.M + p.m1
-    dt = cfg.dt
-    ground, stair = cfg.ground_cap, cfg.stair_cap
     lever, stroke, tolerance = rig.lever_arm, rig.stroke, rig.tolerance
-    stroke_tol = rig.stroke + 1e-12
+    stroke_tol = stroke + 1e-12
     max_move = rig.max_rate * cfg.dt
     min_move = -max_move
-    copysign = math.copysign
     approach, engaging, climbing, cresting, level = Phase
-    # a step from the stair cap in the climb zone ends at the cap again
-    cruise = (not callable(torque_schedule)
-              and stair + (float(torque_schedule) / r - grade_climb - roll_climb) / inertia * dt >= stair)
-    stride = stair * dt
 
-    state = initial_state(cfg, stairs)
-    phase, s, v, plate, ext, tau, t = (
-        state.phase, state.s, state.v, state.plate_angle,
-        state.actuator_ext, state.track_torque, state.t,
-    )
-    pitch = pitch_at(s, stairs, cfg)
-    grade = mg * math.sin(pitch)
-    roll = cmg * math.cos(pitch)
-    cap = _speed_cap(phase, cfg)
-
-    phases, ss, vs, plates, exts, taus, ts = ([x] for x in (phase, s, v, plate, ext, tau, t))
-    add_phase, add_s, add_v, add_plate, add_ext, add_tau, add_t = (
-        col.append for col in (phases, ss, vs, plates, exts, taus, ts)
-    )
+    phases, plates, exts = [phase_at(0.0, stairs, cfg)], [0.0], [0.0]
     events: list[tuple[float, str]] = []
-    peak = 0.0
-    completed = s >= goal
-    fall = False
+    ext = 0.0
     saturated = False
-    steps = int(round(cfg.duration / dt))
-    i = 0                                 # steps taken
-    while i < steps:
-        for i in range(i + 1, steps + 1):
-            tau = schedule(t)
-            mag = abs(tau)
-            if mag > peak:                    # max(peak, abs(tau))
-                peak = mag
-
-            thrust = tau / r
-            if v > 0.0:
-                net = thrust - grade - roll
-            else:
-                # at rest the resistance acts like static friction
-                net0 = thrust - grade
-                net = 0.0 if abs(net0) <= roll else net0 - copysign(roll, net0)
-            v = v + net / inertia * dt
-            fell = False
-            if v < 0.0:
-                fell = pitch > 0.0 and v < -_FALL_TOL
-                v = 0.0
-            if cap < v:                       # min(v, cap), NaN included
-                v = cap
-
-            s = s + v * dt
-            # phase_at(s) and pitch_at(s), with the force terms of the next step
-            if s < engage:
-                phase, cap, pitch, grade, roll = approach, ground, 0.0, grade_flat, roll_flat
-            elif s < climb:
-                phase, cap = engaging, stair
-                pitch = inc * (s - engage) / ramp_in
-                grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
-            elif s < crest:
-                phase, cap, pitch, grade, roll = climbing, stair, inc, grade_climb, roll_climb
-            elif s < end:
-                phase, cap = cresting, stair
-                pitch = inc * (1.0 - (s - crest) / ramp_out)
-                grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
-            else:
-                phase, cap = level, ground
-                # pitch_at: flat past the end, NaN at a NaN position on stairs
-                pitch = 0.0 if s >= end or flat else inc * (1.0 - (s - crest) / ramp_out)
-                grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
-            # re-clamp so the stored row respects its own phase's cap
-            if cap < v:
-                v = cap
-
-            # plate levelling: track the chassis pitch within rate and stroke limits
-            reach = pitch * lever
-            target = stroke if stroke < reach else reach          # min(reach, stroke)
-            delta = target - ext
-            move = delta if delta < max_move else max_move        # min(max_move, delta)
-            ext = ext + (move if move > min_move else min_move)   # max(-max_move, move)
-            plate = pitch - ext / lever
-            t = t + dt
-
-            if fell:
-                events.append((t, "Fall"))
-            if reach > stroke_tol and abs(plate) > tolerance:
-                if not saturated:             # report saturation once per onset
-                    events.append((t, "ActuatorSaturation"))
-                saturated = True
-            else:
-                saturated = False
-            add_phase(phase)
-            add_s(s)
-            add_v(v)
-            add_plate(plate)
-            add_ext(ext)
-            add_tau(tau)
-            add_t(t)
-            if fell:
-                fall = True
-                break
-            if s >= goal:
-                completed = True
-                break
-            if cruise and v == stair and phase is climbing and delta == 0.0:
-                break
+    j = 1
+    while j < n:
+        s = ss[j]
+        # phase_at(s) and pitch_at(s); bound ends a zone of constant pitch
+        if s < engage:
+            phase, pitch, bound = approach, 0.0, engage
+        elif s < climb:
+            phase, pitch, bound = engaging, inc * (s - engage) / ramp_in, None
+        elif s < crest:
+            phase, pitch, bound = climbing, inc, crest
+        elif s < end:
+            phase, pitch, bound = cresting, inc * (1.0 - (s - crest) / ramp_out), None
         else:
-            break                         # the horizon
-        if fall or completed:
-            break
-        # settled cruise: every step up to the crest repeats this one but for s and t
-        k = _advance(s, stride, crest, steps - i)[0]
-        for col, x in ((phases, phase), (vs, v), (plates, plate), (exts, ext), (taus, tau)):
-            col += repeat(x, k)
-        ss += islice(accumulate(repeat(stride, k), initial=s), 1, None)
-        ts += islice(accumulate(repeat(dt, k), initial=t), 1, None)
-        s, t = ss[-1], ts[-1]
-        i += k
+            # flat past the end, NaN at a NaN position on stairs (whose delta
+            # is NaN, so it fills nothing)
+            phase, bound = level, math.inf
+            pitch = 0.0 if s >= end or flat else inc * (1.0 - (s - crest) / ramp_out)
+
+        # plate levelling: track the chassis pitch within rate and stroke limits
+        reach = pitch * lever
+        target = stroke if stroke < reach else reach          # min(reach, stroke)
+        delta = target - ext
+        move = delta if delta < max_move else max_move        # min(max_move, delta)
+        ext = ext + (move if move > min_move else min_move)   # max(-max_move, move)
+        plate = pitch - ext / lever
+        if reach > stroke_tol and abs(plate) > tolerance:
+            if not saturated:                 # report saturation once per onset
+                events.append((ts[j], "ActuatorSaturation"))
+            saturated = True
+        else:
+            saturated = False
+        phases.append(phase)
+        plates.append(plate)
+        exts.append(ext)
+        j += 1
+        if delta == 0.0 and bound is not None:
+            # every later row in the zone repeats this one
+            k = bisect_left(ss, bound, j)
+            for col, x in ((phases, phase), (plates, plate), (exts, ext)):
+                col += repeat(x, k - j)
+            j = k
+    if fall:
+        # the falling step ends where the one before it did, so it moves the
+        # actuator toward the same target and starts no saturation
+        events.append((ts[-1], "Fall"))
+
+    mag = abs(tau)
     return Trajectory(
         phase=tuple(phases),
         s=tuple(ss),
         v=tuple(vs),
         plate_angle=tuple(plates),
         actuator_ext=tuple(exts),
-        track_torque=tuple(taus),
+        track_torque=(0.0, *repeat(tau, n - 1)),
         t=tuple(ts),
         events=tuple(events),
-        peak_torque=peak,
+        peak_torque=mag if mag > 0.0 else 0.0,   # max(0.0, abs(tau)), NaN gives 0.0
         completed=completed,
         fall=fall,
     )
@@ -606,17 +511,25 @@ def _advance(s: float, c: float, bound: float, steps: int) -> tuple[int, float]:
     return k, math.ldexp(m + k * d, e - 53)
 
 
-def _climb_verdict(cfg: SimConfig, stairs: Staircase, tau: float) -> tuple[bool, bool, float]:
-    """``(completed, fall, final.v)`` of ``run_climb(cfg, stairs, tau)``.
+def _climb(
+    cfg: SimConfig,
+    stairs: Staircase,
+    tau: float,
+    ss: list[float] | None = None,
+    vs: list[float] | None = None,
+) -> tuple[bool, bool, float]:
+    """``(completed, fall, final speed)`` of a climb at the constant torque ``tau``.
 
-    The dynamics of ``run_climb`` at a constant torque, with the same
-    arithmetic in the same order (so the result is bit-identical), minus
-    the plate, actuator, event and column work that never feeds back into
-    the dynamics.  Every state's phase is ``phase_at`` of its position, so
-    the speed cap is tracked from the position alone.
+    The dynamics of ``step`` folded over the run, with the same arithmetic
+    in the same order (so the result is bit-identical), on scalar locals.
+    Every state's phase is ``phase_at`` of its position, so the speed cap is
+    tracked from the position alone.  Given lists ``ss`` and ``vs`` (holding
+    the initial state), it appends each later state's ``s`` and ``v`` to
+    them; ``run_climb`` derives the rest of a trajectory from those.
 
     Three kinds of step are skipped or trimmed rather than taken, all
-    exactly:
+    exactly; when recording, their states are regenerated afterwards with
+    the same float operations:
 
     - Cruising at the stair cap.  In the stair zones (``engage <= s <
       end``; keyed on the zone, not on the cap's value, which may equal
@@ -650,6 +563,7 @@ def _climb_verdict(cfg: SimConfig, stairs: Staircase, tau: float) -> tuple[bool,
     reversal of a slow forward speed still ends in ``Fall`` (baseline40 at
     23 and 25 N*m).
     """
+    rec = ss is not None
     p = cfg.track
     engage, climb, crest, end = _zone_bounds(stairs, cfg)
     goal = end + cfg.level_run            # path_end
@@ -686,11 +600,15 @@ def _climb_verdict(cfg: SimConfig, stairs: Staircase, tau: float) -> tuple[bool,
             if v > 0.0:
                 net = thrust - grade - roll
             else:
+                # at rest the resistance acts like static friction
                 net0 = thrust - grade
                 net = 0.0 if abs(net0) <= roll else net0 - copysign(roll, net0)
             v = v + net / inertia * dt
             if v < 0.0:
                 if pitch > 0.0 and v < -_FALL_TOL:
+                    if rec:                   # the step's s + 0.0*dt is s
+                        ss.append(s)
+                        vs.append(0.0)
                     return completed, True, 0.0
                 v = 0.0
             if cap < v:                   # min(v, cap), NaN included
@@ -714,11 +632,18 @@ def _climb_verdict(cfg: SimConfig, stairs: Staircase, tau: float) -> tuple[bool,
                 # flat past the end, NaN at a NaN position on stairs
                 pitch = 0.0 if s >= end or flat else inc * (1.0 - (s - crest) / ramp_out)
                 grade, roll = mg * sin(pitch), cmg * cos(pitch)
+            # re-clamp so the stored row respects its own phase's cap
             if cap < v:
                 v = cap
+            if rec:
+                ss.append(s)
+                vs.append(v)
             if s >= goal:
                 return True, False, v
             if v == 0.0 and net == 0.0:   # stalled: every later step repeats this one
+                if rec:
+                    ss += repeat(s, steps - i)
+                    vs += repeat(v, steps - i)
                 return completed, False, v
             if slowing:
                 if v > 0.0 and climb <= s < crest:
@@ -729,6 +654,7 @@ def _climb_verdict(cfg: SimConfig, stairs: Staircase, tau: float) -> tuple[bool,
             break                         # the horizon
         if slowing:
             # slowing up the climb zone: a step is v + decel, then s + v*dt
+            v0, s0 = v, s
             for n in range(i, steps):
                 w = v + decel
                 if not w > 0.0:
@@ -739,9 +665,17 @@ def _climb_verdict(cfg: SimConfig, stairs: Staircase, tau: float) -> tuple[bool,
                 v, s = w, x
             else:
                 n = steps
+            if rec:
+                w = list(islice(accumulate(repeat(decel, n - i), initial=v0), 1, None))
+                vs += w
+                ss += islice(accumulate(map(mul, w, repeat(dt)), initial=s0), 1, None)
             i = n
         else:
-            k, s = _advance(s, stride, end, steps - i)
+            k, s_k = _advance(s, stride, end, steps - i)
+            if rec:
+                ss += islice(accumulate(repeat(stride, k), initial=s), 1, None)
+                vs += repeat(v, k)
+            s = s_k
             i += k
     return completed, False, v
 
@@ -768,15 +702,16 @@ def min_torque_sweep(
     ValueError).  Pass a list as ``probes`` to capture every trial for
     reporting.  Raises Unclimbable when even the motor limit fails.
 
-    Each probe is decided by ``_climb_verdict``, which gives the same
-    verdict as ``run_climb`` without recording a trajectory.
+    Each probe is a constant torque, decided by ``_climb`` without
+    recording a trajectory; its verdict is that of ``run_climb``.  A
+    time-varying torque is ``step`` folded over the run.
     """
     # 0 would bisect forever, and NaN would end at the motor limit
     if not (0.0 < resolution < math.inf):
         raise ValueError(f"resolution must be finite and > 0 (got {resolution})")
 
     def climbs(tau: float) -> bool:
-        completed, fall, final_v = _climb_verdict(cfg, stairs, tau)
+        completed, fall, final_v = _climb(cfg, stairs, tau)
         if probes is not None:
             probes.append(SweepProbe(tau, completed, fall, final_v))
         return completed and not fall

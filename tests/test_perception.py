@@ -155,6 +155,12 @@ def test_frame_validation():
         f.pixels[0, 0] = 1.0  # frozen buffer
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+def test_frame_refuses_zero_size(shape):
+    with pytest.raises(ValueError, match=rf"pixels must not be empty \(got shape \({shape[0]}, {shape[1]}\)\)"):
+        Frame(np.zeros(shape))
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [

@@ -18,7 +18,7 @@ from stairclimber.stairsim import (
     Unclimbable,
     _MAX_STEPS,
     _advance,
-    _climb_verdict,
+    _climb,
     initial_state,
     min_torque_sweep,
     path_end,
@@ -133,12 +133,18 @@ def test_run_is_deterministic():
 
 
 def test_cutting_torque_mid_climb_falls():
-    traj = run_climb(CFG, STAIRS, lambda t: 30.0 if t < 1.0 else 0.0)
-    assert traj.fall and not traj.completed
-    names = [name for _, name in traj.events]
+    # a time-varying torque is step folded over the run
+    states, events, _, completed, fall = reference_run_climb(CFG, STAIRS, lambda t: 30.0 if t < 1.0 else 0.0)
+    assert fall and not completed
+    names = [name for _, name in events]
     assert "Fall" in names
     # the run stops at the fall, well before the configured duration
-    assert traj.final.t < CFG.duration
+    assert states[-1].t < CFG.duration
+
+
+def test_run_climb_refuses_a_time_varying_torque():
+    with pytest.raises(TypeError, match="torque.*fold step"):
+        run_climb(CFG, STAIRS, lambda t: 30.0)
 
 
 def test_zero_torque_on_flat_never_falls():
@@ -159,9 +165,9 @@ def test_phase_sequence_in_order():
 def test_energy_balance_without_resistance():
     # thrust work >= kinetic + potential gain, every step; the caps and the
     # rest clamp only ever discard energy
-    for schedule in (26.0, lambda t: 30.0 + 10.0 * math.sin(3.0 * t)):
-        traj = run_climb(CFG, STAIRS, schedule)
-        for prev, nxt in zip(traj.states, traj.states[1:]):
+    sine = reference_run_climb(CFG, STAIRS, lambda t: 30.0 + 10.0 * math.sin(3.0 * t))[0]
+    for states in (run_climb(CFG, STAIRS, 26.0).states, sine):
+        for prev, nxt in zip(states, states[1:]):
             ds = nxt.s - prev.s
             work = nxt.track_torque / TRACK.r * ds
             dpe = TRACK.M * 9.81 * math.sin(pitch_at(prev.s, STAIRS, CFG)) * ds
@@ -170,23 +176,36 @@ def test_energy_balance_without_resistance():
             assert slack >= -1e-6 * max(1.0, abs(work))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_energy_inequality_on_random_climbs(data):
-    # c10 on random staircases, configs and torques: without resistance the
-    # thrust's work covers the kinetic and potential energy gained, every
-    # step, for the mass the dynamics accelerate
-    cfg, stairs = data.draw(climb_cases())
-    cfg = replace(cfg, rolling_resist_coeff=0.0)
-    schedule = data.draw(torque_schedules(static_torque(cfg, stairs)))
+def assert_energy_inequality(cfg, stairs, states):
+    # without resistance the thrust's work covers the kinetic and potential
+    # energy gained, every step, for the mass the dynamics accelerate
     p = cfg.track
-    traj = run_climb(cfg, stairs, schedule)
-    for prev, nxt in zip(traj.states, traj.states[1:]):
+    for prev, nxt in zip(states, states[1:]):
         ds = nxt.s - prev.s
         work = nxt.track_torque / p.r * ds
         dpe = p.M * p.gravity * math.sin(pitch_at(prev.s, stairs, cfg)) * ds
         dke = 0.5 * (p.M + p.m1) * (nxt.v**2 - prev.v**2)
         assert work - dpe - dke >= -1e-9 * max(1.0, abs(work), abs(dpe), abs(dke))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_energy_inequality_on_random_climbs(data):
+    # c10 on random staircases, configs and constant torques
+    cfg, stairs = data.draw(climb_cases())
+    cfg = replace(cfg, rolling_resist_coeff=0.0)
+    torque = data.draw(torque_levels(static_torque(cfg, stairs)))
+    assert_energy_inequality(cfg, stairs, run_climb(cfg, stairs, torque).states)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_energy_inequality_on_random_schedules(data):
+    # the same under smooth and piecewise torques, with step folded over the run
+    cfg, stairs = data.draw(climb_cases())
+    cfg = replace(cfg, rolling_resist_coeff=0.0)
+    schedule = data.draw(torque_schedules(static_torque(cfg, stairs)))
+    assert_energy_inequality(cfg, stairs, reference_run_climb(cfg, stairs, schedule)[0])
 
 
 def test_sweep_returns_static_bound_without_resistance():
@@ -278,7 +297,7 @@ def test_nan_fields_are_refused(kind, name):
         NAN_BUILDERS[kind](**{name: math.nan})
 
 
-# --- the sweep's verdict kernel against run_climb, the step() reference ---
+# --- _climb's verdict against run_climb, the step() reference ---
 
 
 def reference_verdict(cfg, stairs, tau):
@@ -322,7 +341,7 @@ def test_climb_verdict_matches_run_climb(case, fraction):
     # (Coulomb rest) and completions
     cfg, stairs = case
     tau = fraction * static_torque(cfg, stairs)
-    assert repr(_climb_verdict(cfg, stairs, tau)) == repr(reference_verdict(cfg, stairs, tau))
+    assert repr(_climb(cfg, stairs, tau)) == repr(reference_verdict(cfg, stairs, tau))
 
 
 @pytest.mark.parametrize(
@@ -340,10 +359,40 @@ def test_climb_verdict_matches_run_climb_on_scenarios(name, torque, outcome):
         torque = sc.motor.available_track_torque
     elif torque == "half_static":
         torque = 0.5 * static_torque(sc.sim, sc.stairs)
-    verdict = _climb_verdict(sc.sim, sc.stairs, torque)
+    verdict = _climb(sc.sim, sc.stairs, torque)
     assert repr(verdict) == repr(reference_verdict(sc.sim, sc.stairs, torque))
     completed, fall, _ = verdict
     assert outcome == ("falls" if fall else "completes" if completed else "stalls")
+
+
+# rolling resistance turns a slow forward speed negative within one step,
+# and the step reports a Fall even where static friction holds the robot
+# (|thrust - grade| <= roll), so it should stall in place
+COULOMB_REVERSAL = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="a Coulomb reversal of a slow forward speed is reported as a Fall, not a stall")
+
+
+@COULOMB_REVERSAL
+def test_slow_step_stalls_where_static_friction_holds():
+    cfg = replace(CFG, rolling_resist_coeff=0.13)
+    p, pitch = cfg.track, STAIRS.inclination
+    tau = p.r * p.M * p.gravity * math.sin(pitch)             # thrust equal to the grade
+    roll = cfg.rolling_resist_coeff * p.M * p.gravity * math.cos(pitch)
+    assert abs(tau / p.r - p.M * p.gravity * math.sin(pitch)) <= roll
+    state = SimState(Phase.CLIMB, 0.7, 1e-5, 0.0, 0.0, tau, 2.0)
+    _, events = step(state, tau, cfg, STAIRS)
+    assert "Fall" not in events
+
+
+@COULOMB_REVERSAL
+@pytest.mark.parametrize("torque", [23.0, 25.0])
+def test_baseline40_stalls_between_the_static_bounds(torque):
+    # above the static bound (22.02 N*m) and below static plus rolling (25.43 N*m)
+    sc = load_scenario(SCENARIOS / "baseline40.json")
+    traj = run_climb(sc.sim, sc.stairs, torque)
+    assert not traj.fall and "Fall" not in [name for _, name in traj.events]
+    assert not _climb(sc.sim, sc.stairs, torque)[1]
 
 
 def reference_sweep(cfg, stairs, resolution=0.05):
@@ -397,7 +446,7 @@ def test_sweep_verdict_is_monotone_in_torque(case):
     lo = static_torque(cfg, stairs)
     climbs = []
     for i in range(12):
-        completed, fall, _ = _climb_verdict(cfg, stairs, lo * (0.5 + 0.25 * i))
+        completed, fall, _ = _climb(cfg, stairs, lo * (0.5 + 0.25 * i))
         climbs.append(completed and not fall)
     first = climbs.index(True) if True in climbs else len(climbs)
     assert all(climbs[first:])
@@ -527,7 +576,7 @@ def test_climb_verdict_matches_run_climb_on_long_climbs(climb):
         durations += [ended * cfg.dt] + ([(ended - 1) * cfg.dt] if ended > 1 else [])
     for duration in durations:
         cut = replace(cfg, duration=duration)
-        assert repr(_climb_verdict(cut, stairs, tau)) == repr(reference_verdict(cut, stairs, tau))
+        assert repr(_climb(cut, stairs, tau)) == repr(reference_verdict(cut, stairs, tau))
 
 
 # --- _advance, the closed form of s = s + c, against the plain loop ---
@@ -603,13 +652,14 @@ def test_advance_matches_the_plain_loop_on_random_strides(s, c_exp, span, steps)
     assert repr(got) == repr(plain_advance(s, c, bound, steps))
 
 
-# --- run_climb, the recording kernel, against step() folded over a run ---
+# --- run_climb against step() folded over a run ---
 
 
 def reference_run_climb(cfg, stairs, torque_schedule):
     """``run_climb`` written as ``step`` folded over the run.
 
-    Returns ``(states, events, peak_torque, completed, fall)``.
+    Takes a constant torque or a function of time.  Returns ``(states,
+    events, peak_torque, completed, fall)``.
     """
     schedule = torque_schedule if callable(torque_schedule) else (lambda t, v=float(torque_schedule): v)
     end = path_end(stairs, cfg)
@@ -658,9 +708,9 @@ def reference_rows(states, events):
     ]
 
 
-def assert_matches_reference(cfg, stairs, schedule):
-    traj = run_climb(cfg, stairs, schedule)
-    ref = reference_run_climb(cfg, stairs, schedule)
+def assert_matches_reference(cfg, stairs, torque):
+    traj = run_climb(cfg, stairs, torque)
+    ref = reference_run_climb(cfg, stairs, torque)
     states, events, peak, completed, fall = ref
     assert traj.states == states
     assert (traj.events, traj.peak_torque, traj.completed, traj.fall) == ref[1:]
@@ -685,14 +735,16 @@ def plate_rigs(draw, inclination):
     )
 
 
+def torque_levels(scale):
+    """Constant torques, zero and negative included."""
+    return st.one_of(st.floats(0.8, 2.5), st.floats(-1.0, 2.5), st.just(0.0)).map(lambda f: f * scale)
+
+
 @st.composite
 def torque_schedules(draw, scale):
-    """Constant, smooth and piecewise schedules, zero and negative included."""
-    level = st.one_of(st.floats(0.8, 2.5), st.floats(-1.0, 2.5), st.just(0.0)).map(lambda f: f * scale)
-    kind = draw(st.sampled_from(["constant", "sine", "piecewise"]))
-    if kind == "constant":
-        return draw(level)
-    if kind == "sine":
+    """Smooth and piecewise torques over time, for ``step`` folded over a run."""
+    level = torque_levels(scale)
+    if draw(st.booleans()):
         mean, amp, w = draw(level), draw(level), draw(st.floats(0.5, 40.0))
         return lambda t: mean + amp * math.sin(w * t)
     a, b = draw(level), draw(level)
@@ -705,38 +757,37 @@ def torque_schedules(draw, scale):
 def test_run_climb_matches_step_folded_reference(data):
     cfg, stairs = data.draw(climb_cases())
     cfg = replace(cfg, plate=data.draw(plate_rigs(stairs.inclination)))
-    schedule = data.draw(torque_schedules(static_torque(cfg, stairs)))
-    assert_matches_reference(cfg, stairs, schedule)
+    assert_matches_reference(cfg, stairs, data.draw(torque_levels(static_torque(cfg, stairs))))
 
 
-def stop_and_go(t):
-    # full torque raises the pitch faster than the actuator follows (onset),
-    # then pulses slow the climb so it catches up (end) before the pitch
-    # passes what the stroke can level (second onset)
-    if t < 0.8:
-        return 30.0
-    return 25.0 if (t - 0.8) % 0.2 < 0.1 else 16.0
+def saturates_twice():
+    # on the engage ramp the pitch outruns the actuator and the plate passes
+    # the tolerance (onset); the robot slows, so the actuator catches up
+    # (end); then the stroke runs out while the pitch still rises (second
+    # onset), and the robot rolls back
+    rig = PlateRig(lever_arm=0.15, max_rate=0.198, stroke=0.051, tolerance=math.radians(5.3))
+    cfg = SimConfig(replace(TRACK, M=28.2), MOTOR, dt=5e-3, duration=1.3, rolling_resist_coeff=0.025,
+                    ground_cap=2.8, stair_cap=0.22, track_length=0.071, level_run=0.043, plate=rig)
+    return cfg, Staircase.from_angle(math.radians(33.99), 0.17, 0.145, 0.231)
 
 
 @pytest.mark.parametrize(
-    "name, cfg, stairs, schedule, check",
+    "name, cfg, stairs, torque, check",
     [
         ("completes", CFG, STAIRS, 30.0, lambda tr: tr.completed and not tr.events),
-        ("falls", CFG, STAIRS, lambda t: 30.0 if t < 1.0 else 0.0, lambda tr: tr.fall),
+        ("falls", CFG, STAIRS, 15.0, lambda tr: tr.fall),          # below the static bound
         ("negative torque on the flat", SimConfig(TRACK, MOTOR, duration=0.5), flat_course(), -5.0,
          lambda tr: not tr.fall and tr.final.s == 0.0),
         ("saturates once", replace(CFG, plate=PlateRig(stroke=0.10)), STAIRS, 30.0,
          lambda tr: [n for _, n in tr.events] == ["ActuatorSaturation"]),
-        ("saturates twice", SimConfig(TRACK, MOTOR, duration=5.0, track_length=0.15, level_run=0.0,
-                                      plate=PlateRig(stroke=0.15, max_rate=0.12, tolerance=math.radians(4.0))),
-         replace(STAIRS, approach_length=0.0), stop_and_go,
-         lambda tr: [n for _, n in tr.events].count("ActuatorSaturation") == 2),
+        ("saturates twice", *saturates_twice(), 2.49,
+         lambda tr: [n for _, n in tr.events] == ["ActuatorSaturation", "ActuatorSaturation", "Fall"]),
         ("done at step 0", replace(CFG, level_run=0.0), flat_course(0.0), 0.0,
          lambda tr: tr.completed and len(tr.states) == 2),
     ],
 )
-def test_run_climb_matches_reference_on_cases(name, cfg, stairs, schedule, check):
-    traj = assert_matches_reference(cfg, stairs, schedule)
+def test_run_climb_matches_reference_on_cases(name, cfg, stairs, torque, check):
+    traj = assert_matches_reference(cfg, stairs, torque)
     assert check(traj), name
 
 
@@ -876,11 +927,11 @@ def slowdown_rows(traj):
 @settings(max_examples=40, deadline=None)
 @given(settled_climbs())
 def test_run_climb_and_verdict_match_references_through_settled_cruise_and_slowdown(climb):
-    # run_climb appends the settled cruise in bulk and _climb_verdict takes
-    # the slowdown in a tight loop; the columns show both stretches were there
+    # _climb takes the settled cruise in closed form and the slowdown in a
+    # tight loop; the columns show both stretches were there
     cfg, stairs, tau, side = climb
     traj = assert_matches_reference(cfg, stairs, tau)
-    assert repr(_climb_verdict(cfg, stairs, tau)) == repr((traj.completed, traj.fall, traj.v[-1]))
+    assert repr(_climb(cfg, stairs, tau)) == repr((traj.completed, traj.fall, traj.v[-1]))
     if side == 1:
         assert settled_cruise_rows(traj, cfg.stair_cap) > 0
     elif side == -1:
