@@ -34,22 +34,25 @@ Two implementations share the arithmetic of one step, in the same order:
   next one out.  A time-varying torque is ``step`` folded over a run.
 - ``_climb`` runs a whole climb at a constant torque on scalar locals and
   returns (completed, fall, final speed), which decides a sweep probe.
-  Given lists, it also records each state's ``s`` and ``v``.  It skips or
-  trims three kinds of step whose outcome is fixed: a cruise at the stair
-  cap, a static-friction stall and a slowdown up the climb zone.
+  Given lists, it also records each state's ``s`` and ``v``.  It skips
+  every stretch whose force does not change: a constant pitch (approach,
+  climb zone, run-out) in a tight loop, a fixed speed (a cruise at a cap,
+  also part-way up or down the ramps) in closed form, and a static-friction
+  stall.
 
 ``run_climb`` records a trajectory with ``_climb`` and then levels the plate
 in a second pass over the positions: plate levelling never feeds back into
 the dynamics, so each row's phase, pitch, actuator and plate follow from its
 position and the row before.  Tests hold ``run_climb`` equal to ``step``
-folded over a run, and ``_climb`` equal to ``run_climb``.
+folded over a run, and ``_climb``'s verdict equal to plain stepping.
 
-The capped stretches share one closed form, ``_advance``: IEEE-754 addition
-of a fixed ``c`` adds the same number of ulps while the sum stays in one
-binade, so it counts the steps before a bound without taking them.  Every
-shortcut does the float operations of the steps it replaces, in the same
-order, so no result changes; the kernels still report the Coulomb-reversal
-``Fall`` that ``step`` gives on baseline40 at 23 and 25 N*m.
+The fixed-speed stretches share one closed form, ``_advance``: IEEE-754
+addition of a fixed ``c`` adds the same number of ulps while the sum stays
+in one binade, so it counts the steps before a bound without taking them.
+Every shortcut does the float operations of the steps it replaces, in the
+same order, so no result changes; the kernels still report the
+Coulomb-reversal ``Fall`` that ``step`` gives on baseline40 at 23 and
+25 N*m.
 
 Defaults for track length, plate rig and run-out length are installation
 parameters, not derived from hardware measurements; override per scenario.
@@ -89,9 +92,9 @@ _FALL_TOL = 1e-6          # m/s of backward velocity tolerated before a Fall
 # runs take tens of thousands, so more than this is a units mistake
 _MAX_STEPS = 1_000_000
 _MAX_INCLINATION = math.radians(40.0)
-# relative margin on the thrust before the sweep kernel skips capped steps:
-# 32 ulps of 1.0, where rounding the pitch, sin, cos, the products and the
-# sum moves grade plus roll by at most about 5
+# relative margin on the thrust before the climb kernel skips capped steps on
+# a ramp: 32 ulps of 1.0, where rounding the pitch, sin, cos, the products
+# and the sum moves grade plus roll by at most about 5
 _CRUISE_MARGIN = 2.0**-47
 
 
@@ -378,7 +381,9 @@ def run_climb(cfg: SimConfig, stairs: Staircase, torque: float) -> Trajectory:
     The run ends at completion (path end reached), on a Fall, or when the
     configured duration elapses.  Fall and ActuatorSaturation are recorded
     as events; no exception is raised for them.  A time-varying torque is
-    not taken (``TypeError``): fold ``step`` over the run for one.
+    not taken (``TypeError``): fold ``step`` over the run for one.  A NaN or
+    infinite torque is a ``ValueError``: it would run the whole horizon on
+    NaN rows and slew the actuator past its stroke.
 
     ``_climb`` steps the dynamics and records each state's ``s`` and ``v``;
     the trajectory equals ``step`` folded over the run.  Plate levelling
@@ -394,6 +399,8 @@ def run_climb(cfg: SimConfig, stairs: Staircase, torque: float) -> Trajectory:
         raise TypeError("torque must be a constant number; fold step over the run "
                         "for a time-varying torque")
     tau = float(torque)
+    if not math.isfinite(tau):
+        raise ValueError(f"torque must be finite (got {tau})")
     ss, vs = [0.0], [0.0]
     completed, fall, _ = _climb(cfg, stairs, tau, ss, vs)
     n = len(ss)
@@ -511,6 +518,49 @@ def _advance(s: float, c: float, bound: float, steps: int) -> tuple[int, float]:
     return k, math.ldexp(m + k * d, e - 53)
 
 
+def _ramp_cruise(
+    thrust: float, mg: float, cmg: float, inc: float, zones: tuple[float, float, float, float]
+) -> tuple[float, float]:
+    """``(top, start)``: on the engage ramp below ``top``, and on the crest
+    ramp from ``start`` on, a moving step's net force is >= 0.
+
+    The thrust must cover grade plus roll, ``mg sin(pitch) + cmg cos(pitch)``,
+    times ``1 + _CRUISE_MARGIN``, at the highest pitch of the stretch.  The
+    sum rises with the pitch up to its peak ``hypot(mg, cmg)`` at
+    ``atan(mg/cmg)``, so its largest value on ``[0, pitch]`` is the sum at
+    ``pitch`` while ``cmg tan(pitch) <= mg``, else the peak.  The sum meets
+    the thrust taken a relative 2**-36 lower (far more than the closed form
+    and the kernel's pitch round by) at the pitch
+    ``asin(thrust/hypot) - atan2(cmg, mg)``.  ``top`` and ``start`` are the
+    ramp positions of that pitch, each kept only if the test holds at the
+    pitch the kernel computes there (else nothing is skipped on that ramp).
+    The kernel's pitch is monotone in ``s`` on each ramp (a chain of
+    correctly rounded operations), so the test at that one position holds
+    for every state on the near side of it.
+    """
+    engage, climb, crest, end = zones
+    ramp_in, ramp_out = climb - engage, end - crest
+    peak = math.hypot(mg, cmg)
+
+    def covers(pitch: float) -> bool:
+        worst = mg * math.sin(pitch) + cmg * math.cos(pitch) if cmg * math.tan(pitch) <= mg else peak
+        return thrust >= worst * (1.0 + _CRUISE_MARGIN)
+
+    if covers(inc):
+        return climb, crest
+    edge = thrust * (1.0 - 2.0**-36)
+    if not (ramp_in > 0.0 and ramp_out > 0.0 and cmg < edge < peak):   # NaN fails too
+        return engage, end
+    frac = (math.asin(edge / peak) - math.atan2(cmg, mg)) / inc
+    top = engage + ramp_in * frac
+    start = crest + ramp_out * (1.0 - frac)
+    if not covers(inc * (top - engage) / ramp_in):
+        top = engage
+    if not covers(inc * (1.0 - (start - crest) / ramp_out)):
+        start = end
+    return top, start
+
+
 def _climb(
     cfg: SimConfig,
     stairs: Staircase,
@@ -527,37 +577,39 @@ def _climb(
     the initial state), it appends each later state's ``s`` and ``v`` to
     them; ``run_climb`` derives the rest of a trajectory from those.
 
-    Three kinds of step are skipped or trimmed rather than taken, all
-    exactly; when recording, their states are regenerated afterwards with
-    the same float operations:
+    Every stretch of steps whose force does not change is skipped rather
+    than taken step by step, exactly; when recording, its states are
+    regenerated afterwards with the same float operations:
 
-    - Cruising at the stair cap.  In the stair zones (``engage <= s <
-      end``; keyed on the zone, not on the cap's value, which may equal
-      the ground cap) at ``v == stair_cap``, a net force >= 0 gives
-      ``v + net/inertia*dt >= cap``, so ``min`` returns the cap again and
-      the step only adds ``stair_cap*dt`` to ``s``.  The net force is >= 0
-      at every pitch of the zones when the thrust covers grade plus roll at
-      the worst pitch: at ``inc`` while ``tan(inc)*c_rr <= 1`` (the sum
-      rises on [0, inc]), else at ``atan(1/c_rr)``, where the sum is
-      ``hypot(M g, c_rr M g)``.  The relative margin ``_CRUISE_MARGIN``
-      covers the rounding of the pitch, ``sin``, ``cos``, the products and
-      the sum (and of the ``tan`` test, whose error there is second
-      order), so the rounded net force is >= 0 too.  ``_advance`` then
-      moves ``s`` in closed form to the last step before ``end``, or to
-      the horizon, one binade at a time; at a binade edge or on a rounding
-      tie the loop takes one ordinary step.
+    - A constant pitch: the approach (pitch 0 below ``engage``), the climb
+      zone (``inc`` from ``climb`` to ``crest``) and the run-out (pitch 0
+      from ``end`` to the goal).  A step from ``v > 0`` there computes the
+      zone's one net force ``thrust - grade - roll``, so it adds the fixed
+      ``acc = net/inertia*dt`` to ``v``, needs no clamp while the sum stays
+      in ``(0, cap]``, and adds ``v*dt`` to ``s``, which keeps the zone's
+      cap while it stays below the zone's end (or the goal).  A tight loop
+      of those two additions runs, speeding up or slowing down, until the
+      next step would take ``v`` to <= 0 (or NaN) or past the cap, or ``s``
+      out of the zone or to the goal, or to the horizon; the ordinary loop
+      takes that step.
+    - A fixed speed.  Where ``min(v + acc, cap) == v`` in those zones (at
+      the cap with a net force >= 0, whose floats are the very ones each
+      step uses, so no margin is needed), each step only adds ``v*dt`` to
+      ``s``.  On the ramps the pitch changes every step, so this is taken
+      only at the stair cap and where ``_ramp_cruise`` shows the net force
+      >= 0 at every pitch ahead: on the engage ramp below its bound, and on
+      the crest ramp from its bound on, where the pitch only falls.  The
+      relative margin ``_CRUISE_MARGIN`` covers the rounding of the pitch,
+      ``sin``, ``cos``, the products and the sum (and of the ``tan`` test,
+      whose error there is second order), so the rounded net force is >= 0
+      too, ``v + net/inertia*dt >= cap`` and ``min`` returns the cap again.
+      ``_advance`` moves ``s`` in closed form to the last step before the
+      stretch's end, or to the horizon, one binade at a time; at a binade
+      edge or on a rounding tie the loop takes one ordinary step.
     - A static-friction stall.  A step from ``v == 0`` with a net force of
       0 leaves ``s`` and ``v`` as they were, so every later step repeats it
       and the run ends stalled at the horizon.  The test is on the state
       itself, so a NaN speed never takes it.
-    - Slowing up the climb zone.  When the zone's net force from a moving
-      start, ``thrust - grade - roll`` at ``inc``, is below 0, a step from
-      ``0 < v <= stair_cap`` there computes that same force, so it adds the
-      fixed ``decel = net/inertia*dt <= 0`` to ``v``, needs no clamp while
-      the sum stays > 0, and adds ``v*dt`` to ``s``, which stays in the zone
-      while it is below the crest.  A tight loop of those two additions
-      runs until the next step would take ``v`` to <= 0 (or NaN) or ``s``
-      to the crest, or to the horizon; the ordinary loop takes that step.
 
     Steps the model gets wrong are kept as they are: a Coulomb-resistance
     reversal of a slow forward speed still ends in ``Fall`` (baseline40 at
@@ -565,7 +617,7 @@ def _climb(
     """
     rec = ss is not None
     p = cfg.track
-    engage, climb, crest, end = _zone_bounds(stairs, cfg)
+    zones = engage, climb, crest, end = _zone_bounds(stairs, cfg)
     goal = end + cfg.level_run            # path_end
     flat = stairs.ramp_length <= 0
     inc = stairs.inclination
@@ -580,13 +632,10 @@ def _climb(
     inertia = p.M + p.m1
     dt = cfg.dt
     ground, stair = cfg.ground_cap, cfg.stair_cap
-    worst = grade_climb + roll_climb if cmg * math.tan(inc) <= mg else math.hypot(mg, cmg)
-    cruise = thrust >= worst * (1.0 + _CRUISE_MARGIN)
-    stride = stair * dt
-    # the net force of a moving step in the climb zone, and its speed change
-    climb_net = thrust - grade_climb - roll_climb
-    slowing = climb_net < 0.0
-    decel = climb_net / inertia * dt
+    # the speed change of a moving step at pitch 0 and at inc
+    flat_acc = (thrust - grade_flat - roll_flat) / inertia * dt
+    climb_acc = (thrust - grade_climb - roll_climb) / inertia * dt
+    engage_top, crest_from = _ramp_cruise(thrust, mg, cmg, inc, zones)
 
     s = v = 0.0
     pitch = pitch_at(s, stairs, cfg)
@@ -614,24 +663,31 @@ def _climb(
             if cap < v:                   # min(v, cap), NaN included
                 v = cap
             s = s + v * dt
-            # the cap, pitch_at(s) and the force terms of the next step
+            # the cap, pitch_at(s) and the force terms of the next step; the
+            # speed change of a moving step where the pitch is constant (None
+            # on a ramp), and the end of the stretch that may be skipped
             if s < engage:
                 cap, pitch, grade, roll = ground, 0.0, grade_flat, roll_flat
+                acc, top = flat_acc, engage
             elif s < climb:
                 cap = stair
                 pitch = inc * (s - engage) / ramp_in
                 grade, roll = mg * sin(pitch), cmg * cos(pitch)
+                acc, top = None, engage_top
             elif s < crest:
                 cap, pitch, grade, roll = stair, inc, grade_climb, roll_climb
+                acc, top = climb_acc, crest
             elif s < end:
                 cap = stair
                 pitch = inc * (1.0 - (s - crest) / ramp_out)
                 grade, roll = mg * sin(pitch), cmg * cos(pitch)
+                acc, top = None, end if crest_from <= s else s
             else:
                 cap = ground
                 # flat past the end, NaN at a NaN position on stairs
                 pitch = 0.0 if s >= end or flat else inc * (1.0 - (s - crest) / ramp_out)
                 grade, roll = mg * sin(pitch), cmg * cos(pitch)
+                acc, top = flat_acc, goal
             # re-clamp so the stored row respects its own phase's cap
             if cap < v:
                 v = cap
@@ -645,38 +701,40 @@ def _climb(
                     ss += repeat(s, steps - i)
                     vs += repeat(v, steps - i)
                 return completed, False, v
-            if slowing:
-                if v > 0.0 and climb <= s < crest:
-                    break
-            elif cruise and v == stair and engage <= s < end:
+            if s < top and (v > 0.0 if acc is not None else v == cap):
                 break
         else:
             break                         # the horizon
-        if slowing:
-            # slowing up the climb zone: a step is v + decel, then s + v*dt
+        if acc is not None and min(v + acc, cap) != v:
+            # a constant force: a step is v + acc, then s + v*dt
             v0, s0 = v, s
             for n in range(i, steps):
-                w = v + decel
-                if not w > 0.0:
+                w = v + acc
+                if not 0.0 < w <= cap:
                     break
                 x = s + w * dt
-                if not x < crest:
+                if not x < top:
                     break
                 v, s = w, x
             else:
                 n = steps
             if rec:
-                w = list(islice(accumulate(repeat(decel, n - i), initial=v0), 1, None))
+                w = list(islice(accumulate(repeat(acc, n - i), initial=v0), 1, None))
                 vs += w
                 ss += islice(accumulate(map(mul, w, repeat(dt)), initial=s0), 1, None)
             i = n
         else:
-            k, s_k = _advance(s, stride, end, steps - i)
+            # a fixed speed: a step adds v*dt to s
+            stride = v * dt
+            k, s_k = _advance(s, stride, top, steps - i)
             if rec:
                 ss += islice(accumulate(repeat(stride, k), initial=s), 1, None)
                 vs += repeat(v, k)
             s = s_k
             i += k
+            if acc is None:               # the next step's pitch on the ramp
+                pitch = pitch_at(s, stairs, cfg)
+                grade, roll = mg * sin(pitch), cmg * cos(pitch)
     return completed, False, v
 
 

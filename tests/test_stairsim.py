@@ -16,11 +16,13 @@ from stairclimber.stairsim import (
     Staircase,
     SweepProbe,
     Unclimbable,
+    _CRUISE_MARGIN,
     _FALL_TOL,
     _MAX_STEPS,
     _advance,
     _climb,
     _speed_cap,
+    _zone_bounds,
     initial_state,
     min_torque_sweep,
     path_end,
@@ -147,6 +149,14 @@ def test_cutting_torque_mid_climb_falls():
 def test_run_climb_refuses_a_time_varying_torque():
     with pytest.raises(TypeError, match="torque.*fold step"):
         run_climb(CFG, STAIRS, lambda t: 30.0)
+
+
+@pytest.mark.parametrize("torque", [math.nan, math.inf, -math.inf])
+def test_run_climb_refuses_a_torque_that_is_not_finite(torque):
+    # a NaN torque ran the whole horizon on NaN rows and slewed the actuator
+    # past its stroke
+    with pytest.raises(ValueError, match="torque"):
+        run_climb(CFG, STAIRS, torque)
 
 
 def test_zero_torque_on_flat_never_falls():
@@ -514,16 +524,26 @@ def forces_at_inc(cfg, stairs):
     return mg, cmg, mg * math.sin(inc), cmg * math.cos(inc)
 
 
+def ramp_pitches(stairs, cfg, u):
+    """The pitches a fraction ``u`` up the engage ramp and ``u`` along the crest ramp."""
+    engage, climb, crest, end = _zone_bounds(stairs, cfg)
+    return (pitch_at(engage + u * (climb - engage), stairs, cfg),
+            pitch_at(crest + u * (end - crest), stairs, cfg))
+
+
 @st.composite
 def long_climbs(draw):
     """``(cfg, stairs, tau)``: long horizons and stair zones, and torques on
-    both sides of the kernel's shortcut conditions."""
+    both sides of the kernel's shortcut conditions.  Long flats with low
+    ground caps reach the cap on the approach and on the run-out."""
     inclination = math.radians(draw(st.floats(5.0, 40.0)))
+    long_flats = draw(st.booleans())
     stairs = Staircase.from_angle(
         inclination,
         draw(st.floats(0.10, 0.20)),
         ramp_length=draw(st.floats(0.3, 1.5)),
-        approach_length=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5))),
+        approach_length=draw(st.floats(0.5, 3.0) if long_flats
+                             else st.one_of(st.just(0.0), st.floats(0.0, 0.5))),
     )
     # light robots on coarse steps at low caps: there one ulp of force
     # moves the speed by an ulp
@@ -541,15 +561,17 @@ def long_climbs(draw):
             st.floats(0.0, 3.0),
             st.floats(0.5, 1.5).map(lambda k: min(3.0, k / math.tan(inclination))),
         )),
-        ground_cap=draw(st.one_of(st.just(stair_cap), st.floats(0.01, stair_cap), st.floats(stair_cap, 3.0))),
+        ground_cap=draw(st.floats(stair_cap, 1.0) if long_flats else st.one_of(
+            st.just(stair_cap), st.floats(0.01, stair_cap), st.floats(stair_cap, 3.0))),
         stair_cap=stair_cap,
         track_length=draw(st.floats(0.02, 0.3)),
-        level_run=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3))),
+        level_run=draw(st.floats(0.3, 2.0) if long_flats
+                       else st.one_of(st.just(0.0), st.floats(0.0, 0.3))),
     )
 
     mg, cmg, grade, roll = forces_at_inc(cfg, stairs)
     r, peak = track.r, math.hypot(mg, cmg)
-    kind = draw(st.sampled_from(["balance", "peak", "stall", "fraction", "non-finite"]))
+    kind = draw(st.sampled_from(["balance", "peak", "ramp", "stall", "fraction", "non-finite"]))
     if kind == "balance":           # thrust at grade plus roll at inc, and a few ulps off
         tau = ulps(r * (grade + roll), draw(st.integers(-4, 4)))
     elif kind == "peak":            # between grade plus roll at inc and its peak, and at the peak
@@ -557,6 +579,14 @@ def long_climbs(draw):
             st.floats(0.0, 1.0).map(lambda u: r * (grade + roll + u * (peak - grade - roll))),
             st.integers(-4, 4).map(lambda n: ulps(r * peak, n)),
         ))
+    elif kind == "ramp":
+        # grade plus roll at a pitch inside the engage or the crest ramp, and
+        # that times the kernel's cruise margin, each a few ulps off: the
+        # ramp cruise ends, or starts, near there
+        pitch = draw(st.sampled_from(ramp_pitches(stairs, cfg, draw(st.floats(0.0, 1.0)))))
+        edge = mg * math.sin(pitch) + cmg * math.cos(pitch)
+        edge *= draw(st.sampled_from([1.0, 1.0 + _CRUISE_MARGIN]))
+        tau = ulps(r * edge, draw(st.integers(-4, 4)))
     elif kind == "stall":           # Coulomb band: thrust between grade and grade plus roll
         tau = r * (grade + draw(st.floats(0.0, 1.0)) * roll)
     elif kind == "fraction":
@@ -585,6 +615,23 @@ def peak_climb():
     return cfg, stairs, TRACK.r * 0.5 * (grade + roll + math.hypot(mg, cmg))
 
 
+def engage_cruise_probe():
+    # the benchmark's seed-1 climb study, fifth staircase, at its first
+    # bisection probe: it cruises 40% of the way up the engage ramp at the
+    # stair cap, then slows and falls before the ramp's top
+    cfg = SimConfig(replace(TRACK, M=133.522918), MOTOR, duration=15.791, rolling_resist_coeff=0.165699,
+                    track_length=0.15, level_run=0.241352)
+    stairs = Staircase.from_angle(math.radians(16.111435), 0.162191, 0.340147, 0.409707)
+    return cfg, stairs, 13.085801380612908
+
+
+def baseline40_half_static():
+    # from rest on the engage ramp: it speeds up to the stair cap, cruises
+    # part of the way up the ramp and falls
+    sc = load_scenario(SCENARIOS / "baseline40.json")
+    return sc.sim, sc.stairs, 0.5 * static_torque(sc.sim, sc.stairs)
+
+
 @settings(max_examples=150, deadline=None)
 @given(long_climbs())
 @example(balance_climb())
@@ -594,12 +641,18 @@ def peak_climb():
 # decelerating up the ramp, the speed rounds to rest within the fall
 # tolerance; the next step, from rest, falls
 @example((CFG, STAIRS, 7.833221149600235))
+@example(engage_cruise_probe())
+@example(baseline40_half_static())
 def test_climb_verdict_matches_run_climb_on_long_climbs(climb):
     # long capped stretches, where the kernel skips cruising and stalled
     # steps; a run that ends early is also cut one step before its end, so
     # the kernel must end on the same step, not only with the same verdict
+    # (run_climb refuses the non-finite torques, so the steps are counted on
+    # the states _climb records)
     cfg, stairs, tau = climb
-    ended = len(run_climb(cfg, stairs, tau).t) - 1
+    ss = [0.0]
+    _climb(cfg, stairs, tau, ss, [0.0])
+    ended = len(ss) - 1
     durations = [cfg.duration]
     if ended < round(cfg.duration / cfg.dt):
         durations += [ended * cfg.dt] + ([(ended - 1) * cfg.dt] if ended > 1 else [])
@@ -800,6 +853,15 @@ def saturates_twice():
     return cfg, Staircase.from_angle(math.radians(33.99), 0.17, 0.145, 0.231)
 
 
+def nose_landing():
+    # exact binary fractions: 64 N on 64 kg adds 2**-10 m/s in a step of
+    # 2**-10 s, so the speed-up on the approach ends 63 steps in on s =
+    # 2016 * 2**-20, which is the engage nose: that row takes the stair cap
+    track = TrackParams(M=64.0, R=0.05, r=2.0**-5, theta=math.radians(30.0))
+    cfg = SimConfig(track, MOTOR, dt=2.0**-10, duration=1.0, stair_cap=0.05, track_length=0.15, level_run=0.0)
+    return cfg, Staircase.from_angle(math.radians(30.0), 0.17, 0.3, 2016 * 2.0**-20)
+
+
 @pytest.mark.parametrize(
     "name, cfg, stairs, torque, check",
     [
@@ -821,6 +883,17 @@ def saturates_twice():
                                           plate=PlateRig(stroke=0.02, max_rate=0.5)), STAIRS, 21.0,
          lambda tr: [n for _, n in tr.events] == ["ActuatorSaturation", "Fall"]
          and tr.phase[-1] is Phase.CLIMB and tr.actuator_ext[-200:] == (0.02,) * 200),
+        # the stair-cap cruise ends part-way up the engage ramp
+        ("cruises part of the engage ramp", *engage_cruise_probe(),
+         lambda tr: tr.fall and tr.phase[-1] is Phase.ENGAGE
+         and rows_in(tr, Phase.ENGAGE, lambda u, v: u == v == 0.1) > 500),
+        ("lands on the engage nose", *nose_landing(), 2.0,
+         lambda tr: tr.s[63] == 2016 * 2.0**-20 and tr.phase[63] is Phase.ENGAGE
+         and tr.v[63] == 0.05 < tr.v[62]),
+        # up to the ground cap on the approach and on the run-out
+        ("speeds up on the flats", replace(CFG, duration=15.0, ground_cap=0.4, level_run=1.0),
+         Staircase.from_angle(math.radians(30.0), 0.17, 0.3, 1.0), 40.0,
+         lambda tr: tr.completed and tr.max_speed(Phase.APPROACH) == tr.max_speed(Phase.LEVEL) == 0.4),
     ],
 )
 def test_run_climb_matches_reference_on_cases(name, cfg, stairs, torque, check):
@@ -882,6 +955,92 @@ def test_sim_config_refuses_nan_and_runs_over_the_step_budget():
     for duration in (math.nan, 1e9):
         with pytest.raises(ValueError):
             replace(CFG, duration=duration)
+
+
+# --- the ramp cruise and the flats, row for row ---
+
+
+@st.composite
+def ramp_and_flat_climbs(draw):
+    """``(cfg, stairs, tau, kind)``: long flats, and a torque that balances
+    grade plus roll at a pitch inside the engage or the crest ramp (``kind``
+    "engage" or "crest"; a few ulps off, and times the cruise margin), that
+    falls short of the peak of grade plus roll, where the ramps pass it,
+    over a pitch span of several steps ("peak"), or that climbs at ease and
+    speeds up on the flats at 1 m/s**2 or more ("ease")."""
+    kind = draw(st.sampled_from(["engage", "crest", "peak", "ease"]))
+    peak = kind == "peak"
+    inclination = math.radians(draw(st.floats(25.0 if peak else 5.0, 40.0)))
+    stairs = Staircase.from_angle(
+        inclination,
+        draw(st.floats(0.10, 0.20)),
+        ramp_length=draw(st.floats(0.1, 0.6)),
+        approach_length=draw(st.floats(0.3, 1.5)),
+    )
+    stair_cap = draw(st.floats(0.1, 0.15 if peak else 0.3))
+    track_length, level_run = draw(st.floats(0.2 if peak else 0.05, 0.3)), draw(st.floats(0.3, 1.5))
+    path = stairs.approach_length + 2 * track_length + stairs.ramp_length + level_run
+    dt = draw(st.sampled_from([5e-3] if peak else [5e-3, 1e-2]))
+    cfg = SimConfig(
+        replace(TRACK, M=draw(st.floats(20.0, 150.0)), m1=draw(st.floats(0.0, 3.0))),
+        MOTOR,
+        dt=dt,
+        duration=round((1.5 * path / stair_cap + 5.0) / dt) * dt,
+        # grade plus roll peaks inside the ramps' pitches for "peak", at
+        # least 7 deg below inc, else at inc
+        rolling_resist_coeff=draw(
+            st.floats(1.5, 3.0).map(lambda k: k / math.tan(inclination)) if peak
+            else st.one_of(st.just(0.0), st.floats(0.0, 0.9 / math.tan(inclination)))),
+        # 1 m/s**2 reaches 0.77 m/s over the shortest flat
+        ground_cap=draw(st.floats(stair_cap, 0.75)),
+        stair_cap=stair_cap,
+        track_length=track_length,
+        level_run=level_run,
+        plate=draw(plate_rigs(inclination)),
+    )
+    mg, cmg, grade, roll = forces_at_inc(cfg, stairs)
+    r, inertia = cfg.track.r, cfg.track.M + cfg.track.m1
+    if kind == "ease":
+        thrust = max((grade + roll) * draw(st.floats(1.05, 2.0)), cmg + inertia * 1.0)
+        return cfg, stairs, r * thrust, kind
+    if peak:
+        return cfg, stairs, r * math.hypot(mg, cmg) * (1.0 - draw(st.floats(1e-4, 5e-4))), kind
+    engage, crest = ramp_pitches(stairs, cfg, draw(st.floats(0.2, 0.8)))
+    pitch = engage if kind == "engage" else crest
+    edge = (mg * math.sin(pitch) + cmg * math.cos(pitch)) * draw(st.sampled_from([1.0, 1.0 + _CRUISE_MARGIN]))
+    return cfg, stairs, ulps(r * edge, draw(st.integers(-4, 4))), kind
+
+
+def rows_in(traj, phase, test):
+    """Rows of ``phase`` whose speed, and the speed before it, pass ``test``."""
+    return sum(1 for i in range(1, len(traj.t)) if traj.phase[i] is phase and test(traj.v[i - 1], traj.v[i]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ramp_and_flat_climbs())
+def test_run_climb_matches_reference_through_ramp_cruise_and_flats(climb):
+    # the kernel skips the stair-cap cruise part-way up the engage ramp and
+    # from part-way down the crest ramp, and the speed-up and the ground-cap
+    # cruise on the approach and the run-out; the columns show the stretches
+    # were there
+    cfg, stairs, tau, kind = climb
+    traj = assert_matches_reference(cfg, stairs, tau)
+    assert repr(_climb(cfg, stairs, tau)) == repr(plain_verdict(cfg, stairs, tau))
+    stair, ground = cfg.stair_cap, cfg.ground_cap
+    if kind == "engage":
+        assert rows_in(traj, Phase.ENGAGE, lambda u, v: u == v == stair)
+        assert rows_in(traj, Phase.ENGAGE, lambda u, v: v < u)
+    elif kind == "peak":
+        # past the peak on the crest, below the cap, then back at it
+        assert traj.completed
+        assert rows_in(traj, Phase.CREST, lambda u, v: v < u)
+        assert rows_in(traj, Phase.CREST, lambda u, v: u == v == stair)
+    elif kind == "ease":
+        assert traj.completed
+        assert rows_in(traj, Phase.APPROACH, lambda u, v: u == v == ground)
+        if ground > stair:
+            assert rows_in(traj, Phase.LEVEL, lambda u, v: u < v)
+            assert rows_in(traj, Phase.LEVEL, lambda u, v: u == v == ground)
 
 
 # --- the settled cruise and the climb-zone slowdown, on long ramps ---
