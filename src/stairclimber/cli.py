@@ -95,6 +95,10 @@ def _load(args) -> Scenario:
 
 def _design(sc: Scenario, out: Path) -> list[str]:
     """Write the force profile, torque table and design report; return the report lines."""
+    design = replace(sc.track, theta=sc.track.theta_cap, accel=sc.track.accel_cap)
+    required = drivetrain.torque_case(drivetrain.Pulley.P1, design)
+    if not required > 0:  # every factor is positive, so only an underflow gets here
+        raise ConfigError(f"robot: the design-point P1 torque underflows to {required} N*m")
     _make_out(out)
     theta_grid = np.linspace(0.0, math.pi / 2.0, 91)
     profile = support.force_profile(sc.support_geom, sc.support_load, theta_grid)
@@ -141,7 +145,6 @@ def _design(sc: Scenario, out: Path) -> list[str]:
     # one mass per sizing target: the three targets do not back-solve to a
     # single consistent mass, so each is reported with its own
     lines += ["", "[sizing targets: back-solved per-track mass]"]
-    design = replace(sc.track, theta=sc.track.theta_cap, accel=sc.track.accel_cap)
     cases = {
         "p1_accel": (drivetrain.Pulley.P1, design),
         "p3_accel": (drivetrain.Pulley.P3, design),
@@ -159,16 +162,19 @@ def _design(sc: Scenario, out: Path) -> list[str]:
         f"{_fmt(min(m_vals))}..{_fmt(max(m_vals))} kg; they are not mutually "
         "consistent and are reported separately."
     )
-    cross = {
-        name: drivetrain.torque_case(pulley, replace(params, M=masses["p1_accel"][0]))
-        for name, (m, pulley, params) in masses.items()
-    }
-    lines.append(
-        "cross-check with M from p1_accel: "
-        + ", ".join(f"{name} = {_fmt(tq)} N*m" for name, tq in sorted(cross.items()))
-    )
+    try:
+        cross = {
+            name: drivetrain.torque_case(pulley, replace(params, M=masses["p1_accel"][0]))
+            for name, (m, pulley, params) in masses.items()
+        }
+    except ValueError as exc:  # the back-solved mass is no valid track, e.g. M <= 0
+        lines.append(f"cross-check with M from p1_accel: skipped, {exc}")
+    else:
+        lines.append(
+            "cross-check with M from p1_accel: "
+            + ", ".join(f"{name} = {_fmt(tq)} N*m" for name, tq in sorted(cross.items()))
+        )
 
-    required = drivetrain.torque_case(drivetrain.Pulley.P1, design)
     margin = drivetrain.motor_margin(sc.motor, required)
     lines += [
         "",

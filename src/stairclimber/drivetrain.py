@@ -89,6 +89,11 @@ class TrackParams:
             raise ValueError(f"supported mass must be positive (got {self.M})")
         if not (self.m1 >= 0 and self.m >= 0):
             raise ValueError("pulley masses must be >= 0")
+        if not (self.M + self.m - self.m1 / 2.0 > 0):
+            raise ValueError(
+                f"P1's effective mass M + m - m1/2 must be positive "
+                f"(M={self.M}, m={self.m}, m1={self.m1})"
+            )
         if not (self.gravity > 0):
             raise ValueError(f"gravity must be positive (got {self.gravity})")
         if not (self.R > 0 and self.r > 0 and self.R >= self.r):
@@ -145,7 +150,10 @@ def min_pinion_teeth(alpha: float, f: float = 1.0) -> int:
         raise ValueError(f"pressure angle must lie in (0, 90 deg] (got {alpha!r})")
     if not (f > 0):
         raise ValueError("addendum factor must be positive")
-    n = 2.0 * f / math.sin(alpha) ** 2
+    s2 = math.sin(alpha) ** 2   # underflows to 0 below about 1e-154 rad
+    n = 2.0 * f / s2 if s2 > 0.0 else math.inf
+    if not math.isfinite(n):
+        raise ValueError(f"no finite tooth count at pressure angle {alpha!r} rad, addendum factor {f!r}")
     return math.ceil(n - 1e-9)
 
 
@@ -179,6 +187,13 @@ class GearDesign:
         object.__setattr__(self, "pitch_radius", self.module_mm * self.teeth / 2.0)
         object.__setattr__(self, "base_radius", self.pitch_radius * math.cos(self.pressure_angle))
         object.__setattr__(self, "outer_radius", self.pitch_radius + self.addendum)
+        # contact_ratio takes sqrt(r_o^2 - r_b^2): both squares finite, r_o > r_b
+        if not math.isfinite(self.outer_radius * self.outer_radius):
+            raise InvalidGeometry(f"outer radius {self.outer_radius} mm squares beyond float range")
+        if self.outer_radius <= self.base_radius:
+            raise InvalidGeometry(
+                f"outer radius {self.outer_radius} mm must exceed base radius {self.base_radius} mm"
+            )
 
     @property
     def pitch_diameter_mm(self) -> float:
@@ -191,12 +206,8 @@ def contact_ratio(g: GearDesign) -> float:
         m_c = N / (2 pi r_b) * (a / sin(alpha) + sqrt(r_o^2 - r_b^2) - r_b tan(alpha))
 
     with a the addendum.  Must exceed 1 for continuous meshing; values <= 1
-    are returned (the caller flags them), only impossible geometry raises.
+    are returned (the caller flags them); GearDesign refuses impossible geometry.
     """
-    if g.outer_radius <= g.base_radius:
-        raise InvalidGeometry(
-            f"outer radius {g.outer_radius} mm must exceed base radius {g.base_radius} mm"
-        )
     alpha = g.pressure_angle
     length_of_action = (
         g.addendum / math.sin(alpha)

@@ -13,8 +13,16 @@ lowered by a linear actuator.  Two relations govern the linkage:
 
 where ``a`` is the hinge-to-payload offset along the arm, ``b`` the
 hinge-to-actuator attachment distance and ``h`` the actuator base offset.
-The constraint is transcendental in ``gamma`` and is solved by bracketed
-bisection.
+The constraint has a closed form.  With phi = gamma + theta/2 and
+k = 2 b sin(theta/2) / h, the left side is -cos(phi + theta/2) and the right
+side k cos(phi), so
+
+      tan(phi) = (k + cos(theta/2)) / sin(theta/2)
+
+For theta in [0, 90 deg] and b >= 0 this has one root with gamma in
+[0, 180 deg), and it lies in [90 deg - theta, 90 deg], falling as theta
+rises.  ``gamma`` is smallest at theta = 90 deg, so a linkage whose
+sin(gamma) is far enough from zero there has a finite force everywhere.
 
 Note on units: the force relation is applied exactly as the linkage was
 sized, with ``(a + b)`` in metres and no moment-arm divisor, so its output
@@ -32,7 +40,6 @@ __all__ = [
     "SupportGeometry",
     "SupportLoad",
     "StructuralReport",
-    "NoRoot",
     "SingularGamma",
     "solve_gamma",
     "gamma_residual",
@@ -41,14 +48,8 @@ __all__ = [
     "check_structural",
 ]
 
-# Bisection bracket: gamma in (1 deg, 179 deg).  The residual changes sign
-# across this bracket for all geometries of interest.
-_GAMMA_LO = math.radians(1.0)
-_GAMMA_HI = math.radians(179.0)
-
-
-class NoRoot(ValueError):
-    """The angle-constraint residual has no sign change in the bracket."""
+# Smallest |sin(gamma)| the force relation divides by.
+_SIN_GAMMA_MIN = 1e-12
 
 
 class SingularGamma(ValueError):
@@ -62,6 +63,9 @@ class SupportGeometry:
     a: hinge to payload centre along the arm
     b: hinge to actuator attachment along the arm
     h: actuator base offset from the hinge
+
+    The actuator must not lie along the arm at full elevation, where gamma
+    is smallest: |sin(gamma)| there must reach the force relation's bound.
     """
 
     a: float = 0.335
@@ -71,6 +75,12 @@ class SupportGeometry:
     def __post_init__(self):
         if not (self.a >= 0 and self.b >= 0 and self.h > 0):
             raise ValueError(f"lengths must be positive (a={self.a}, b={self.b}, h={self.h})")
+        s = math.sin(solve_gamma(math.pi / 2, self))
+        if not (abs(s) >= _SIN_GAMMA_MIN):
+            raise ValueError(
+                f"actuator lies along the arm at 90 deg elevation: sin(gamma) = {s:.3g} "
+                f"is below {_SIN_GAMMA_MIN:g} (b={self.b}, h={self.h})"
+            )
 
 
 @dataclass(frozen=True)
@@ -98,40 +108,21 @@ def gamma_residual(gamma: float, theta: float, geom: SupportGeometry) -> float:
     return lhs - rhs
 
 
-def solve_gamma(theta: float, geom: SupportGeometry, tol: float = 1e-12) -> float:
+def solve_gamma(theta: float, geom: SupportGeometry) -> float:
     """Solve the angle constraint for gamma at a given arm elevation theta.
 
-    Bracketed bisection on gamma in (1 deg, 179 deg), iterated until the
-    bracket is narrower than ``tol`` radians.  The returned angle satisfies
-    the constraint to |residual| <= 1e-9 (much tighter in practice).
+    The closed form of the module docstring:
 
-    Raises NoRoot if the residual does not change sign across the bracket.
+        gamma = atan2(2 b sin(theta/2) / h + cos(theta/2), sin(theta/2)) - theta/2
+
+    the one root in [0, pi); pi/2 exactly at theta = 0.  Its residual is a
+    few ulps of the constraint's larger side: below 1e-15 * (1 + 2 b / h).
     """
     if not (0.0 <= theta <= math.pi / 2):
         raise ValueError(f"theta must lie in [0, pi/2] (got {theta!r})")
-    lo, hi = _GAMMA_LO, _GAMMA_HI
-    f_lo = gamma_residual(lo, theta, geom)
-    f_hi = gamma_residual(hi, theta, geom)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        raise NoRoot(
-            f"no sign change on gamma bracket [{math.degrees(lo):.1f} deg, "
-            f"{math.degrees(hi):.1f} deg] at theta={math.degrees(theta):.3f} deg "
-            f"(residuals {f_lo:.3e}, {f_hi:.3e})"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = gamma_residual(mid, theta, geom)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    half = theta / 2.0
+    s = math.sin(half)
+    return math.atan2(2.0 * geom.b * s / geom.h + math.cos(half), s) - half
 
 
 def actuator_force(
@@ -146,7 +137,7 @@ def actuator_force(
     figures; see the module docstring for the dimensional caveat.
     """
     s = math.sin(gamma)
-    if abs(s) < 1e-12:
+    if abs(s) < _SIN_GAMMA_MIN:
         raise SingularGamma(f"sin(gamma) ~ 0 at gamma={gamma!r}")
     return (geom.a + geom.b) * load.mass * load.gravity * math.cos(theta) / s
 
@@ -158,8 +149,7 @@ def force_profile(
 ) -> list[tuple[float, float, float]]:
     """Force curve over an elevation grid: (theta, gamma, force) per point.
 
-    The grid must be strictly increasing within [0, pi/2].  NoRoot from the
-    angle solve propagates, annotated with the offending theta.
+    The grid must be strictly increasing within [0, pi/2].
     """
     if len(theta_grid) == 0:
         raise ValueError("empty grid")
@@ -170,10 +160,7 @@ def force_profile(
         raise ValueError("theta grid must lie within [0, pi/2]")
     out = []
     for theta in theta_grid:
-        try:
-            gamma = solve_gamma(theta, geom)
-        except NoRoot as exc:
-            raise NoRoot(f"theta={math.degrees(theta):.3f} deg: {exc}") from exc
+        gamma = solve_gamma(theta, geom)
         out.append((theta, gamma, actuator_force(theta, gamma, geom, load)))
     return out
 
@@ -182,7 +169,6 @@ def force_profile(
 class StructuralReport:
     passed: bool
     margin: float          # limit / (load * safety_factor); inf when load = 0
-    unbounded: bool        # True when the applied load is zero
 
 
 def check_structural(peak_hinge_load: float, load: SupportLoad) -> StructuralReport:
@@ -194,10 +180,9 @@ def check_structural(peak_hinge_load: float, load: SupportLoad) -> StructuralRep
     if peak_hinge_load < 0:
         raise ValueError("peak_hinge_load must be >= 0")
     if peak_hinge_load == 0.0:
-        return StructuralReport(passed=True, margin=math.inf, unbounded=True)
+        return StructuralReport(passed=True, margin=math.inf)
     demand = peak_hinge_load * load.safety_factor
     return StructuralReport(
         passed=demand <= load.hinge_shear_limit,
         margin=load.hinge_shear_limit / demand,
-        unbounded=False,
     )

@@ -9,14 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stairclimber import cli, support
 from stairclimber.cli import main
 from stairclimber.control import _fmt
 from stairclimber.drivetrain import Pulley, TrackParams, torque_case
-from stairclimber.scenario import load_scenario
+from stairclimber.scenario import _LEAVES, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -246,6 +246,73 @@ def test_zero_inclination_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: staircase: inclination must lie in (0, 40 deg]")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "obj, prefix",
+    [
+        ({"robot": {"support": {"b_m": 0}}}, "robot.support: actuator lies along the arm"),
+        ({"robot": {"support": {"h_m": 1e300}}}, "robot.support: actuator lies along the arm"),
+        ({"robot": {"gear": {"pressure_angle_deg": 1e-300}}}, "robot.gear: no finite tooth count"),
+        ({"robot": {"gear": {"pressure_angle_deg": 1e-9}}}, "robot.gear: outer radius"),
+        ({"robot": {"gear": {"module_mm": 1e300}}}, "robot.gear: outer radius"),
+        ({"robot": {"pulley1_mass_kg": 1e300}}, "robot: P1's effective mass"),
+        ({"robot": {"per_track_mass_kg": 1e-300, "pulley1_radius_m": 1e-300, "pulley23_radius_m": 1e-300}},
+         "robot: the design-point P1 torque underflows"),
+    ],
+)
+def test_unusable_design_input_exits_1(tmp_path, capsys, obj, prefix):
+    scenario = write_scenario(tmp_path, obj)
+    assert main(["design", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {prefix}")
+
+
+@pytest.mark.parametrize(
+    "robot, reason",
+    [
+        # heavy P2/P3 pulleys back-solve p1_accel to a negative supported mass
+        ({"pulley23_mass_kg": 1e300}, "supported mass must be positive"),
+        # a heavy P1 outweighs the back-solved mass, though not the scenario's
+        ({"per_track_mass_kg": 500, "pulley1_mass_kg": 400}, "P1's effective mass"),
+    ],
+)
+def test_design_reports_an_invalid_back_solved_mass(tmp_path, robot, reason):
+    scenario = write_scenario(tmp_path, {"robot": robot})
+    assert main(["design", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 0
+    report = (tmp_path / "o" / "design_report.txt").read_text()
+    assert f"cross-check with M from p1_accel: skipped, {reason}" in report
+
+
+FUZZ_KEYS = sorted(key for key in _LEAVES if key.startswith(("robot.", "staircase.")))
+HOSTILE_VALUES = [0, -1, 1e-300, 1e300, -1e300, 1e-9, 1e9, 90, 179, "x", None]
+
+
+def nested(leaves):
+    obj = {}
+    for key, value in leaves.items():
+        *heads, leaf = key.split(".")
+        node = obj
+        for head in heads:
+            node = node.setdefault(head, {})
+        node[leaf] = value
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(HOSTILE_VALUES), min_size=1, max_size=3))
+@example({"robot.support.b_m": 0})
+@example({"robot.support.h_m": 1e300})
+@example({"robot.support.h_m": 1e9})
+@example({"robot.gear.pressure_angle_deg": 1e-300})
+@example({"robot.gear.pressure_angle_deg": 1e-9})
+@example({"robot.gear.module_mm": 1e300})
+@example({"robot.pulley1_mass_kg": 1e300})
+@example({"robot.pulley23_mass_kg": 1e300})
+def test_design_on_hostile_values_ends_in_an_exit_code(tmp_path_factory, leaves):
+    # every value ends in a result, a config error or a design failure: no traceback
+    tmp = tmp_path_factory.mktemp("fuzz")
+    scenario = write_scenario(tmp, nested(leaves))
+    assert main(["design", "--scenario", scenario, "--out", str(tmp / "o")]) in (0, 1, 2)
 
 
 def test_bad_sonar_log_exits_1(tmp_path, capsys):

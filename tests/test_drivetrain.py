@@ -67,6 +67,29 @@ def test_undercut_count_rejected():
         GearDesign(math.radians(20.0), 1.0, 4.0, 17)
 
 
+def test_tooth_count_must_be_finite():
+    # sin^2 of the angle underflows to 0
+    with pytest.raises(ValueError, match="no finite tooth count"):
+        min_pinion_teeth(math.radians(1e-300))
+
+
+@pytest.mark.parametrize(
+    "alpha_deg, module_mm, message",
+    [
+        (1e-9, 4.0, "must exceed base radius"),   # both radii round to 1.3e22 mm
+        (20.0, 1e300, "squares beyond float range"),
+    ],
+)
+def test_gear_refuses_radii_contact_ratio_cannot_use(alpha_deg, module_mm, message):
+    with pytest.raises(InvalidGeometry, match=message):
+        GearDesign(math.radians(alpha_deg), 1.0, module_mm)
+
+
+def test_p1_effective_mass_must_be_positive():
+    with pytest.raises(ValueError, match="P1's effective mass"):
+        TrackParams(m1=1e300)
+
+
 def test_torque_back_solve_round_trips_targets():
     cases = {
         "p1_accel": (Pulley.P1, ACCEL),

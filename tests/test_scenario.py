@@ -210,7 +210,8 @@ LEAVES = {
         lambda v: (v, v),
     ),
     ("robot", "support", "a_m"): (st.floats(0.0, 1.0), lambda sc: sc.support_geom.a, _same),
-    ("robot", "support", "b_m"): (st.floats(0.0, 1.0), lambda sc: sc.support_geom.b, _same),
+    # b = 0 puts the actuator along the arm at 90 deg elevation
+    ("robot", "support", "b_m"): (st.floats(0.001, 1.0), lambda sc: sc.support_geom.b, _same),
     ("robot", "support", "h_m"): (st.floats(0.1, 1.0), lambda sc: sc.support_geom.h, _same),
     ("robot", "support", "payload_mass_kg"): (
         st.floats(10.0, 200.0), lambda sc: sc.support_load.mass, _same),

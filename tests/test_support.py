@@ -3,7 +3,6 @@ import math
 import pytest
 
 from stairclimber.support import (
-    NoRoot,
     SingularGamma,
     SupportGeometry,
     SupportLoad,
@@ -48,11 +47,23 @@ def test_gamma_rejects_theta_outside_quarter_turn():
         solve_gamma(math.pi / 2 + 0.01, GEOM)
 
 
-def test_no_root_when_attachment_degenerates():
-    # actuator attachment at the hinge: the bracket holds no sign change
+def test_gamma_root_below_one_degree():
+    # actuator attachment near the hinge: the root lies below 1 deg, where
+    # no bracket on (1 deg, 179 deg) holds it
     geom = SupportGeometry(a=0.335, b=0.001, h=1.0)
-    with pytest.raises(NoRoot):
-        solve_gamma(math.radians(90.0), geom)
+    theta = math.radians(90.0)
+    gamma = solve_gamma(theta, geom)
+    assert gamma == pytest.approx(1.0e-3, rel=1e-3)
+    assert abs(gamma_residual(gamma, theta, geom)) <= 1e-15
+
+
+def test_geometry_refuses_actuator_along_the_arm():
+    # b = 0, or an h that makes b/h vanish: gamma ~ 0 at 90 deg elevation
+    for b, h in ((0.0, 0.6), (0.225, 1e300)):
+        with pytest.raises(ValueError, match="actuator lies along the arm"):
+            SupportGeometry(a=0.335, b=b, h=h)
+    gamma = solve_gamma(math.pi / 2, SupportGeometry(a=0.335, b=0.225, h=1e9))
+    assert math.sin(gamma) >= 1e-12
 
 
 def test_force_at_rest_is_full_weight_moment():
@@ -114,7 +125,7 @@ def test_load_validation():
 
 def test_structural_margin_at_design_point():
     rep = check_structural(659.232, LOAD)
-    assert rep.passed and not rep.unbounded
+    assert rep.passed and not math.isinf(rep.margin)
     assert rep.margin == pytest.approx(1130.0 / (659.232 * 1.25), rel=1e-12)
 
 
@@ -126,5 +137,4 @@ def test_structural_fails_past_limit():
 
 def test_structural_zero_load_is_unbounded():
     rep = check_structural(0.0, LOAD)
-    assert rep.passed and rep.unbounded
-    assert math.isinf(rep.margin)
+    assert rep.passed and math.isinf(rep.margin)
