@@ -13,8 +13,8 @@ event log therefore reproduces the same command log byte for byte, which is
 how scenario regression fixtures are checked.
 
 Keymap ('2'/'8'/'4'/'6' = reverse/forward/spin-left/spin-right, '5' stop,
-'A'/'B'/'C' toggle the EEG, voice and tracking modes, 'D' is
-stop-everything) follows hex-keypad layout; it and the voice lexicon are
+'A'/'B'/'C' toggle the EEG, voice and tracking modes, 'D' returns to keypad
+mode and stops) follows hex-keypad layout; it and the voice lexicon are
 plumbing conventions of this package, not device facts.
 """
 
@@ -47,10 +47,8 @@ __all__ = [
     "avoidance_policy",
     "mix_differential",
     "tracking_controller",
-    "event_to_dict",
     "event_from_dict",
     "read_event_log",
-    "write_event_log",
     "command_to_dict",
     "protocol_lines",
 ]
@@ -247,8 +245,17 @@ class ArbiterState:
     med_history: tuple[tuple[float, float], ...] = ()
 
 
-_MODE_KEYS = {"A": Mode.EEG, "B": Mode.VOICE, "C": Mode.TRACKING}
-_DRIVE_KEYS = {"8", "2", "4", "6", "5"}
+_MODE_KEYS = {"A": Mode.EEG, "B": Mode.VOICE, "C": Mode.TRACKING, "D": Mode.KEYPAD}
+
+# drive symbol -> (speed scale, turn scale); None stops the tracks
+_KEYPAD_DRIVE = {"8": (1.0, 0.0), "2": (-1.0, 0.0), "4": (0.0, -1.0), "6": (0.0, 1.0), "5": None}
+_VOICE_DRIVE = {
+    "FORWARD": (1.0, 0.0),
+    "BACK": (-1.0, 0.0),
+    "LEFT": (0.0, -1.0),
+    "RIGHT": (0.0, 1.0),
+    "STOP": None,
+}
 
 
 def tracking_controller(
@@ -306,7 +313,8 @@ def _switch_mode(
     state: ArbiterState, cfg: ArbiterConfig, t: float, target: Mode
 ) -> tuple[ArbiterState, DriveCommand]:
     # every mode change stops the tracks and freezes the seat: leaving EEG
-    # mode mid-raise holds position rather than continuing
+    # mode mid-raise holds position rather than continuing.  A mode key
+    # re-pressed, and 'D' from any mode, lands in keypad mode.
     entering = state.mode is not target
     new_mode = target if entering else Mode.KEYPAD
     state = replace(
@@ -318,45 +326,21 @@ def _switch_mode(
     return _emit(state, cfg, t, DriveCommand(0.0, 0.0, 0.0, new_mode))
 
 
-def _keypad_drive(
-    state: ArbiterState, cfg: ArbiterConfig, event: KeyPress
-) -> tuple[ArbiterState, DriveCommand | None]:
-    key = event.key
-    if key == "5":
-        return _emit(state, cfg, event.t, DriveCommand(0.0, 0.0, 0.0, Mode.KEYPAD))
-    v, omega = {
-        "8": (cfg.keypad_speed, 0.0),
-        "2": (-cfg.keypad_speed, 0.0),
-        "4": (0.0, -cfg.keypad_turn),
-        "6": (0.0, cfg.keypad_turn),
-    }[key]
-    left, right = mix_differential(v, omega)
-    return _emit(state, cfg, event.t, DriveCommand(left, right, 0.0, Mode.KEYPAD))
-
-
-_VOICE_DRIVE = {
-    "FORWARD": (1.0, 0.0),
-    "BACK": (-1.0, 0.0),
-    "LEFT": (0.0, -1.0),
-    "RIGHT": (0.0, 1.0),
-}
-
-
-def _voice_command(
-    state: ArbiterState, cfg: ArbiterConfig, event: VoiceCommand
-) -> tuple[ArbiterState, DriveCommand | None]:
-    sym = event.symbol
-    if sym == "STOP":
-        return _emit(state, cfg, event.t, DriveCommand(0.0, 0.0, 0.0, Mode.VOICE))
-    if sym in ("RAISE", "LOWER"):
-        rate = cfg.posture_rate if sym == "RAISE" else -cfg.posture_rate
-        return _emit(state, cfg, event.t, DriveCommand(0.0, 0.0, rate, Mode.VOICE))
-    if sym in _VOICE_DRIVE:
-        v_scale, w_scale = _VOICE_DRIVE[sym]
-        left, right = mix_differential(v_scale * cfg.voice_speed, w_scale * cfg.voice_turn)
-        return _emit(state, cfg, event.t, DriveCommand(left, right, 0.0, Mode.VOICE))
-    log.warning("ignoring unknown voice symbol %r", sym)
-    return state, None
+def _drive(
+    state: ArbiterState,
+    cfg: ArbiterConfig,
+    t: float,
+    scales: tuple[float, float] | None,
+    speed: float,
+    turn: float,
+    mode: Mode,
+) -> tuple[ArbiterState, DriveCommand]:
+    """Emit one drive-table entry, scaled by the mode's speed and turn efforts."""
+    if scales is None:
+        left, right = 0.0, 0.0
+    else:
+        left, right = mix_differential(scales[0] * speed, scales[1] * turn)
+    return _emit(state, cfg, t, DriveCommand(left, right, 0.0, mode))
 
 
 def arbiter_step(
@@ -371,16 +355,13 @@ def arbiter_step(
         cfg = ArbiterConfig()
 
     if isinstance(event, KeyPress):
-        if event.key == "D":
-            # stop-everything: back to the default mode, tracks halted
-            state = replace(state, mode=Mode.KEYPAD, posture=PostureState.HOLDING)
-            return _emit(state, cfg, event.t, DriveCommand(0.0, 0.0, 0.0, Mode.KEYPAD))
         if event.key in _MODE_KEYS:
             return _switch_mode(state, cfg, event.t, _MODE_KEYS[event.key])
-        if event.key in _DRIVE_KEYS:
+        if event.key in _KEYPAD_DRIVE:
             if state.mode is not Mode.KEYPAD:
                 return state, None
-            return _keypad_drive(state, cfg, event)
+            return _drive(state, cfg, event.t, _KEYPAD_DRIVE[event.key],
+                          cfg.keypad_speed, cfg.keypad_turn, Mode.KEYPAD)
         log.warning("ignoring unknown key %r", event.key)
         return state, None
 
@@ -408,7 +389,15 @@ def arbiter_step(
     if isinstance(event, VoiceCommand):
         if state.mode is not Mode.VOICE:
             return state, None
-        return _voice_command(state, cfg, event)
+        sym = event.symbol
+        if sym in _VOICE_DRIVE:
+            return _drive(state, cfg, event.t, _VOICE_DRIVE[sym],
+                          cfg.voice_speed, cfg.voice_turn, Mode.VOICE)
+        if sym in ("RAISE", "LOWER"):
+            rate = cfg.posture_rate if sym == "RAISE" else -cfg.posture_rate
+            return _emit(state, cfg, event.t, DriveCommand(0.0, 0.0, rate, Mode.VOICE))
+        log.warning("ignoring unknown voice symbol %r", sym)
+        return state, None
 
     if isinstance(event, TrackUpdate):
         if state.mode is not Mode.TRACKING:
@@ -436,42 +425,8 @@ def run_events(events, cfg: ArbiterConfig | None = None) -> list[tuple[float, Dr
     return out
 
 
-# event log serialization: JSON lines, one {t, type, payload} object each
-
-
-def event_to_dict(event: ControlEvent) -> dict:
-    if isinstance(event, KeyPress):
-        return {"t": event.t, "type": "key", "payload": {"key": event.key}}
-    if isinstance(event, VoiceCommand):
-        return {"t": event.t, "type": "voice", "payload": {"symbol": event.symbol}}
-    if isinstance(event, EegUpdate):
-        return {
-            "t": event.t,
-            "type": "eeg",
-            "payload": {
-                "attention": event.record.attention,
-                "meditation": event.record.meditation,
-            },
-        }
-    if isinstance(event, TouchTarget):
-        return {"t": event.t, "type": "touch", "payload": {"px": event.px, "py": event.py}}
-    if isinstance(event, SonarUpdate):
-        tr = event.triple
-        return {
-            "t": event.t,
-            "type": "sonar",
-            "payload": {
-                "d_left": tr.d_left,
-                "d_front": tr.d_front,
-                "d_right": tr.d_right,
-                "max_range": tr.max_range,
-                "threshold": tr.threshold,
-            },
-        }
-    if isinstance(event, TrackUpdate):
-        payload = {"lost": True} if event.bearing is None else {"bearing": event.bearing}
-        return {"t": event.t, "type": "track", "payload": payload}
-    raise TypeError(f"unknown event type: {type(event).__name__}")
+# event log reading: JSON lines, one {t, type, payload} object each; the
+# package reads logs and writes none
 
 
 def _finite(value) -> float:
@@ -542,12 +497,6 @@ def read_event_log(path) -> list[ControlEvent]:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return events
-
-
-def write_event_log(path, events) -> None:
-    with open(path, "w") as fh:
-        for event in events:
-            fh.write(json.dumps(event_to_dict(event)) + "\n")
 
 
 def _fmt(x: float) -> str:

@@ -184,7 +184,12 @@ class GearDesign:
                 f"{self.teeth} teeth undercut against a rack; need >= {n_min}"
             )
         object.__setattr__(self, "addendum", self.addendum_factor * self.module_mm)
-        object.__setattr__(self, "pitch_radius", self.module_mm * self.teeth / 2.0)
+        try:
+            pitch_radius = self.module_mm * self.teeth / 2.0
+        except OverflowError:  # an integer tooth count beyond float range
+            digits = round(self.teeth.bit_length() * math.log10(2.0))
+            raise InvalidGeometry(f"about 10^{digits} teeth overflow the pitch radius") from None
+        object.__setattr__(self, "pitch_radius", pitch_radius)
         object.__setattr__(self, "base_radius", self.pitch_radius * math.cos(self.pressure_angle))
         object.__setattr__(self, "outer_radius", self.pitch_radius + self.addendum)
         # contact_ratio takes sqrt(r_o^2 - r_b^2): both squares finite, r_o > r_b
@@ -249,6 +254,11 @@ class MotorSpec:
             raise ValueError(
                 f"nameplate inconsistent: torque*speed gives {mech:.1f} W "
                 f"vs rated {self.rated_power:.1f} W (>5% apart)"
+            )
+        if not math.isfinite(self.available_track_torque):
+            raise ValueError(
+                f"rated torque {self.rated_torque} N*m times reduction {self.reduction} "
+                "overflows float range"
             )
 
     @property

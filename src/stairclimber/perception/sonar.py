@@ -66,14 +66,6 @@ class RegionOccupancy:
             region = frozenset(region)
         return frozenset(region) in self.occupied
 
-    @property
-    def all_clear(self) -> bool:
-        return not self.occupied
-
-    @property
-    def all_blocked(self) -> bool:
-        return len(self.occupied) == len(REGIONS)
-
 
 def region_map(s: SonarTriple) -> RegionOccupancy:
     """Map one sensor triple onto the 7-cell occupancy set.

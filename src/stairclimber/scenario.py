@@ -211,6 +211,6 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond the str-conversion limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return build_scenario(obj, base_dir=path.parent, default_name=path.stem)

@@ -248,6 +248,12 @@ def test_zero_inclination_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# a consistent nameplate whose track torque (torque * reduction) overflows
+OVERFLOWING_MOTOR = {"robot": {"motor": {"torque_nm": 1e10, "speed_rpm": 3.0558e-7, "reduction": 1e300}}}
+# json writes the integer with all 401 digits; its pitch radius overflows a float
+OVERFLOWING_GEAR = {"robot": {"gear": {"teeth": 10**400}}}
+
+
 @pytest.mark.parametrize(
     "obj, prefix",
     [
@@ -259,12 +265,26 @@ def test_zero_inclination_exits_1(tmp_path, capsys):
         ({"robot": {"pulley1_mass_kg": 1e300}}, "robot: P1's effective mass"),
         ({"robot": {"per_track_mass_kg": 1e-300, "pulley1_radius_m": 1e-300, "pulley23_radius_m": 1e-300}},
          "robot: the design-point P1 torque underflows"),
+        (OVERFLOWING_MOTOR, "robot.motor: rated torque"),
+        (OVERFLOWING_GEAR, "robot.gear: about 10^400 teeth"),
     ],
 )
 def test_unusable_design_input_exits_1(tmp_path, capsys, obj, prefix):
     scenario = write_scenario(tmp_path, obj)
     assert main(["design", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {prefix}")
+
+
+@pytest.mark.parametrize("command", ["sim", "sweep", "report"])
+@pytest.mark.parametrize(
+    "obj, prefix",
+    [(OVERFLOWING_MOTOR, "robot.motor: rated torque"), (OVERFLOWING_GEAR, "robot.gear: about 10^400 teeth")],
+)
+def test_overflowing_drive_exits_1_on_every_command(tmp_path, capsys, command, obj, prefix):
+    scenario = write_scenario(tmp_path, obj)
+    assert main([command, "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {prefix}")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -308,6 +328,8 @@ def nested(leaves):
 @example({"robot.gear.module_mm": 1e300})
 @example({"robot.pulley1_mass_kg": 1e300})
 @example({"robot.pulley23_mass_kg": 1e300})
+@example({"robot.motor.torque_nm": 1e10, "robot.motor.speed_rpm": 3.0558e-7, "robot.motor.reduction": 1e300})
+@example({"robot.gear.teeth": 10**400})
 def test_design_on_hostile_values_ends_in_an_exit_code(tmp_path_factory, leaves):
     # every value ends in a result, a config error or a design failure: no traceback
     tmp = tmp_path_factory.mktemp("fuzz")

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -22,13 +23,11 @@ from stairclimber.control import (
     arbiter_step,
     command_to_dict,
     event_from_dict,
-    event_to_dict,
     mix_differential,
     protocol_lines,
     read_event_log,
     run_events,
     tracking_controller,
-    write_event_log,
 )
 from stairclimber.eeg import EegRecord, LoessConfig, PostureState, loess_smooth
 from stairclimber.perception import RegionOccupancy, SonarTriple, region_map
@@ -220,6 +219,19 @@ def test_stop_all_key_from_any_mode():
         state, cmd = arbiter_step(state, KeyPress(2.0, "D"), CFG)
         assert state.mode is Mode.KEYPAD
         assert cmd is not None and cmd.stopped
+    # mid-raise in EEG mode: the seat holds and the meditation history stays
+    state = ArbiterState()
+    state, _ = arbiter_step(state, KeyPress(1.0, "A"), CFG)
+    state, _ = arbiter_step(state, EegUpdate(2.0, EegRecord(0.0, 50, 95)), CFG)
+    assert state.posture is PostureState.RAISING
+    history = state.med_history
+    state, cmd = arbiter_step(state, KeyPress(3.0, "D"), CFG)
+    assert state.mode is Mode.KEYPAD and state.posture is PostureState.HOLDING
+    assert state.med_history == history == ((2.0, 95.0),)
+    assert cmd == DriveCommand(0.0, 0.0, 0.0, Mode.KEYPAD)
+    # 'D' in keypad mode stays there and stops
+    state, cmd = arbiter_step(ArbiterState(left=0.5, right=0.5), KeyPress(1.0, "D"), CFG)
+    assert state.mode is Mode.KEYPAD and cmd == DriveCommand(0.0, 0.0, 0.0, Mode.KEYPAD)
 
 
 def test_drive_keys_ignored_outside_keypad():
@@ -372,6 +384,36 @@ def test_voice_drive_and_posture():
     raise_cmd = cmds[2][1]
     assert raise_cmd.posture_rate == CFG.posture_rate and raise_cmd.stopped
     assert cmds[3][1].stopped
+
+
+# distinct speed and turn efforts per mode, and a slew budget that never binds
+DRIVE_CFG = ArbiterConfig(keypad_speed=0.7, keypad_turn=0.3, voice_speed=0.4, voice_turn=0.2,
+                          posture_rate=0.6, accel_cap=1e6)
+
+
+@pytest.mark.parametrize(
+    "mode, event, v, omega, posture",
+    [
+        (Mode.KEYPAD, KeyPress(1.0, "8"), 0.7, 0.0, 0.0),
+        (Mode.KEYPAD, KeyPress(1.0, "2"), -0.7, 0.0, 0.0),
+        (Mode.KEYPAD, KeyPress(1.0, "4"), 0.0, -0.3, 0.0),
+        (Mode.KEYPAD, KeyPress(1.0, "6"), 0.0, 0.3, 0.0),
+        (Mode.KEYPAD, KeyPress(1.0, "5"), 0.0, 0.0, 0.0),
+        (Mode.VOICE, VoiceCommand(1.0, "FORWARD"), 0.4, 0.0, 0.0),
+        (Mode.VOICE, VoiceCommand(1.0, "BACK"), -0.4, 0.0, 0.0),
+        (Mode.VOICE, VoiceCommand(1.0, "LEFT"), 0.0, -0.2, 0.0),
+        (Mode.VOICE, VoiceCommand(1.0, "RIGHT"), 0.0, 0.2, 0.0),
+        (Mode.VOICE, VoiceCommand(1.0, "STOP"), 0.0, 0.0, 0.0),
+        (Mode.VOICE, VoiceCommand(1.0, "RAISE"), 0.0, 0.0, 0.6),
+        (Mode.VOICE, VoiceCommand(1.0, "LOWER"), 0.0, 0.0, -0.6),
+    ],
+)
+def test_drive_tables_scale_speed_and_turn(mode, event, v, omega, posture):
+    # from rest the command reaches the drivers exactly: left = v + omega, right = v - omega
+    state = ArbiterState(mode=mode)
+    out, cmd = arbiter_step(state, event, DRIVE_CFG)
+    assert cmd == DriveCommand(v + omega, v - omega, posture, mode)
+    assert (out.left, out.right, out.last_t) == (v + omega, v - omega, 1.0)
 
 
 def test_voice_unknown_symbol_ignored():
@@ -534,31 +576,34 @@ def test_replay_is_deterministic():
         assert -1.0 <= cmd.right_effort <= 1.0
 
 
-def test_event_serialization_round_trip():
-    # the wire form re-stamps EEG record times with the event time, so the
-    # fixtures use matching timestamps
-    events = [
-        KeyPress(1.0, "8"),
-        VoiceCommand(2.0, "STOP"),
-        EegUpdate(3.0, EegRecord(3.0, 40, 60)),
-        TouchTarget(4.0, 12.5, 30.0),
-        SonarUpdate(5.0, SonarTriple(1.0, 2.0, 3.0)),
-        TrackUpdate(6.0, 0.25),
-        TrackUpdate(7.0, None),
-    ]
-    for event in events:
-        assert event_from_dict(event_to_dict(event)) == event
+# one literal line per payload form; EEG records take the event time
+EVENT_LINES = [
+    ('{"t": 1.0, "type": "key", "payload": {"key": "8"}}', KeyPress(1.0, "8")),
+    ('{"t": 2.0, "type": "voice", "payload": {"symbol": "STOP"}}', VoiceCommand(2.0, "STOP")),
+    ('{"t": 3.0, "type": "eeg", "payload": {"attention": 40, "meditation": 60}}',
+     EegUpdate(3.0, EegRecord(3.0, 40, 60))),
+    ('{"t": 4.0, "type": "touch", "payload": {"px": 12.5, "py": 30}}', TouchTarget(4.0, 12.5, 30.0)),
+    ('{"t": 5.0, "type": "sonar", "payload": {"d_left": 1.0, "d_front": 2.0, "d_right": 3.0}}',
+     SonarUpdate(5.0, SonarTriple(1.0, 2.0, 3.0))),
+    ('{"t": 6.0, "type": "track", "payload": {"bearing": 0.25}}', TrackUpdate(6.0, 0.25)),
+    ('{"t": 7.0, "type": "track", "payload": {"lost": true}}', TrackUpdate(7.0, None)),
+]
 
 
-def test_event_log_round_trip(tmp_path):
-    events = [
-        KeyPress(1.0, "A"),
-        EegUpdate(2.0, EegRecord(2.0, 40, 88)),
-        TrackUpdate(3.0, None),
-    ]
+def test_event_decoding_from_literal_lines():
+    for line, event in EVENT_LINES:
+        assert event_from_dict(json.loads(line)) == event
+    sonar = event_from_dict(json.loads(
+        '{"t": 0, "type": "sonar", "payload": {"d_left": 1, "d_front": 2, "d_right": 3,'
+        ' "max_range": 5, "threshold": 0.8}}'
+    ))
+    assert sonar == SonarUpdate(0.0, SonarTriple(1.0, 2.0, 3.0, max_range=5.0, threshold=0.8))
+
+
+def test_event_log_reads_literal_lines(tmp_path):
     path = tmp_path / "events.jsonl"
-    write_event_log(path, events)
-    assert read_event_log(path) == events
+    path.write_text("\n".join(line for line, _ in EVENT_LINES) + "\n\n")
+    assert read_event_log(path) == [event for _, event in EVENT_LINES]
 
 
 def test_event_log_reports_bad_lines(tmp_path):

@@ -74,9 +74,9 @@ def test_occupancy_queries():
     occ = region_map(triple({"L", "F"}))
     assert occ.is_occupied("LF") and occ.is_occupied({"F"}) and occ.is_occupied(frozenset("L"))
     assert not occ.is_occupied("R") and not occ.is_occupied("LFR")
-    assert not occ.all_clear and not occ.all_blocked
-    assert region_map(triple(set())).all_clear
-    assert region_map(triple({"L", "F", "R"})).all_blocked
+    assert occ.occupied == {frozenset("L"), frozenset("F"), frozenset("LF")}
+    assert region_map(triple(set())).occupied == frozenset()
+    assert region_map(triple({"L", "F", "R"})).occupied == set(REGIONS)
 
 
 def test_occupancy_rejects_unknown_cells():

@@ -144,6 +144,15 @@ def test_load_scenario_bad_json(tmp_path):
         load_scenario(path)
 
 
+def test_load_scenario_integer_beyond_the_str_conversion_limit(tmp_path):
+    # json refuses integer literals past sys.get_int_max_str_digits() with a
+    # plain ValueError, not a JSONDecodeError
+    path = tmp_path / "huge.json"
+    path.write_text('{"robot": {"gear": {"teeth": 1' + "0" * 5000 + "}}}")
+    with pytest.raises(ConfigError, match="invalid JSON: Exceeds the limit"):
+        load_scenario(path)
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_scenario(tmp_path / "absent.json")
