@@ -28,16 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from . import drivetrain, power, stairsim, support
-from .control import (
-    EegUpdate, SonarUpdate, _fmt, command_to_dict, protocol_lines, read_event_log, run_events,
-)
+from .control import _fmt, command_to_dict, protocol_lines, read_event_log, run_events
 from .perception import (
     LkParams,
     TrackedPoint,
     fb_track,
     pixel_to_bearing,
     random_texture,
-    read_sonar_log,
     render_texture,
 )
 from .scenario import ConfigError, Scenario, build_scenario, load_scenario
@@ -96,9 +93,14 @@ def _load(args) -> Scenario:
 def _design(sc: Scenario, out: Path) -> list[str]:
     """Write the force profile, torque table and design report; return the report lines."""
     design = replace(sc.track, theta=sc.track.theta_cap, accel=sc.track.accel_cap)
+    # the design point bounds every row of the torque table; every factor is
+    # positive, so only an underflow or an overflow fails here
+    for pulley in (drivetrain.Pulley.P1, drivetrain.Pulley.P3):
+        torque = drivetrain.torque_case(pulley, design)
+        if not 0 < torque < math.inf:
+            way = "underflows" if torque == 0 else "overflows"
+            raise ConfigError(f"robot: the design-point {pulley.name} torque {way} to {torque} N*m")
     required = drivetrain.torque_case(drivetrain.Pulley.P1, design)
-    if not required > 0:  # every factor is positive, so only an underflow gets here
-        raise ConfigError(f"robot: the design-point P1 torque underflows to {required} N*m")
     _make_out(out)
     theta_grid = np.linspace(0.0, math.pi / 2.0, 91)
     profile = support.force_profile(sc.support_geom, sc.support_load, theta_grid)
@@ -282,19 +284,14 @@ def _cmd_teleop(sc: Scenario, out: Path, args) -> int:
     if sc.event_log is None:
         raise ConfigError("teleop requires teleop.event_log in the scenario")
     try:
-        events = list(read_event_log(sc.event_log))
-        if sc.sonar_log is not None:
-            sonar = read_sonar_log(sc.sonar_log, sc.sonar_max_range, sc.sonar_threshold)
-            events.extend(SonarUpdate(t, triple) for t, triple in sonar)
+        events = read_event_log(sc.event_log)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    events.sort(key=lambda e: e.t)  # stable: ties keep file order, sonar last
-    eeg_t = [e.t for e in events if isinstance(e, EegUpdate)]
-    for a, b in zip(eeg_t, eeg_t[1:]):
-        if a == b:  # the smoother needs strictly increasing headset times
-            raise ConfigError(f"{sc.event_log}: two eeg events at t = {_fmt(a)} s")
-
-    commands = run_events(events, sc.arbiter)
+    events.sort(key=lambda e: e.t)  # stable: ties keep file order
+    try:
+        commands = run_events(events, sc.arbiter)
+    except ValueError as exc:
+        raise ConfigError(f"{sc.event_log}: {exc}") from exc
     _make_out(out)
     with open(out / "commands.jsonl", "w") as fh:
         for t, cmd in commands:
@@ -413,6 +410,8 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"--seed {args.seed}: must be >= 0")
         sc = _load(args)
         # each handler checks its own inputs before it makes the directory
         out = Path(args.out) if args.out else Path("runs") / sc.name

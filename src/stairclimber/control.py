@@ -410,15 +410,24 @@ def arbiter_step(
 def run_events(events, cfg: ArbiterConfig | None = None) -> list[tuple[float, DriveCommand]]:
     """Fold a whole event sequence from the initial state, collecting timestamped commands.
 
-    Raises ValueError when an event is earlier than the one before it.
+    The whole sequence is checked before any event is folded: a ValueError
+    is raised when an event is earlier than the one before it, or when two
+    headset samples share a time (the smoother needs strictly increasing
+    headset times).
     """
-    state = ArbiterState()
-    out: list[tuple[float, DriveCommand]] = []
-    last = -float("inf")
+    events = list(events)
+    last = last_eeg = -math.inf
     for i, event in enumerate(events):
         if event.t < last:
             raise ValueError(f"event {i} at t={event.t} is earlier than event {i - 1} at t={last}")
         last = event.t
+        if isinstance(event, EegUpdate):
+            if event.t == last_eeg:
+                raise ValueError(f"two eeg events at t = {_fmt(event.t)} s")
+            last_eeg = event.t
+    state = ArbiterState()
+    out: list[tuple[float, DriveCommand]] = []
+    for event in events:
         state, cmd = arbiter_step(state, event, cfg)
         if cmd is not None:
             out.append((event.t, cmd))
@@ -494,7 +503,7 @@ def read_event_log(path) -> list[ControlEvent]:
                 continue
             try:
                 events.append(event_from_dict(json.loads(line)))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return events
 

@@ -96,6 +96,8 @@ class TrackParams:
             )
         if not (self.gravity > 0):
             raise ValueError(f"gravity must be positive (got {self.gravity})")
+        if not math.isfinite(self.M * self.gravity):
+            raise ValueError(f"weight M * gravity overflows (M={self.M}, gravity={self.gravity})")
         if not (self.R > 0 and self.r > 0 and self.R >= self.r):
             raise ValueError(f"need R >= r > 0 (R={self.R}, r={self.r})")
         if not (0.0 <= self.theta <= self.theta_cap + 1e-12):

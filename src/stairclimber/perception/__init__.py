@@ -6,13 +6,7 @@ tracker state is passed in and out, so frame pairs can be processed in
 parallel.
 """
 
-from .sonar import (
-    REGIONS,
-    RegionOccupancy,
-    SonarTriple,
-    read_sonar_log,
-    region_map,
-)
+from .sonar import REGIONS, RegionOccupancy, SonarTriple, region_map
 from .frames import (
     DEFAULT_HFOV,
     CosineTexture,
@@ -30,7 +24,6 @@ __all__ = [
     "REGIONS",
     "RegionOccupancy",
     "SonarTriple",
-    "read_sonar_log",
     "region_map",
     "DEFAULT_HFOV",
     "CosineTexture",

@@ -9,12 +9,11 @@ nonempty subsets of {L, F, R} and occupancy is subset-wise.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
 
-__all__ = ["SonarTriple", "RegionOccupancy", "REGIONS", "region_map", "read_sonar_log"]
+__all__ = ["SonarTriple", "RegionOccupancy", "REGIONS", "region_map"]
 
 _SENSORS = ("L", "F", "R")
 
@@ -76,34 +75,3 @@ def region_map(s: SonarTriple) -> RegionOccupancy:
     blocked = s.blocked()
     return RegionOccupancy(frozenset(r for r in REGIONS if r <= blocked))
 
-
-def read_sonar_log(
-    path, max_range: float = SonarTriple.max_range, threshold: float = SonarTriple.threshold
-) -> list[tuple[float, SonarTriple]]:
-    """Read a replay CSV with header t,d_left,d_front,d_right."""
-    rows: list[tuple[float, SonarTriple]] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"t", "d_left", "d_front", "d_right"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise ValueError(f"expected columns {sorted(expected)} (got {reader.fieldnames})")
-        for row in reader:
-            try:
-                t = float(row["t"])
-                if not math.isfinite(t):
-                    raise ValueError(f"t must be finite (got {row['t']})")
-                rows.append(
-                    (
-                        t,
-                        SonarTriple(
-                            d_left=float(row["d_left"]),
-                            d_front=float(row["d_front"]),
-                            d_right=float(row["d_right"]),
-                            max_range=max_range,
-                            threshold=threshold,
-                        ),
-                    )
-                )
-            except (TypeError, ValueError) as exc:   # TypeError: a short row
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-    return rows

@@ -21,7 +21,6 @@ from pathlib import Path
 from .control import ArbiterConfig
 from .drivetrain import GearDesign, MotorSpec, TrackParams
 from .eeg import LoessConfig
-from .perception.sonar import SonarTriple
 from .stairsim import PlateRig, SimConfig, Staircase
 from .support import SupportGeometry, SupportLoad
 
@@ -44,9 +43,6 @@ class Scenario:
     sim: SimConfig
     arbiter: ArbiterConfig
     event_log: Path | None = None
-    sonar_log: Path | None = None
-    sonar_max_range: float = SonarTriple.max_range
-    sonar_threshold: float = SonarTriple.threshold
 
 
 # Value kinds: each checks one JSON value and converts it to its field's unit.
@@ -128,9 +124,6 @@ _LEAVES = {
     "sim.plate.stroke_m": (_number, "plate.stroke"),
     "sim.plate.tolerance_deg": (_degrees, "plate.tolerance"),
     "teleop.event_log": (_or_null(_path), "event_log"),
-    "teleop.sonar_log": (_or_null(_path), "sonar_log"),
-    "teleop.sonar_max_range_m": (_number, "sonar_max_range"),
-    "teleop.sonar_threshold_m": (_number, "sonar_threshold"),
     "teleop.arbiter.keypad_speed": (_number, "arbiter.keypad_speed"),
     "teleop.arbiter.keypad_turn": (_number, "arbiter.keypad_turn"),
     "teleop.arbiter.voice_speed": (_number, "arbiter.voice_speed"),
@@ -211,6 +204,6 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer beyond the str-conversion limit
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an oversized integer, deep nesting
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return build_scenario(obj, base_dir=path.parent, default_name=path.stem)

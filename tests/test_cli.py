@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -217,9 +219,32 @@ def test_missing_scenario_file_exits_1(tmp_path):
     assert main(["sim", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
 
 
-def test_unknown_scenario_key_exits_1(tmp_path):
+def test_unknown_scenario_key_exits_1(tmp_path, capsys):
     scenario = write_scenario(tmp_path, {"robot": {"mass": 97.0}})
     assert main(["design", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "config error: unknown config keys: robot.mass\n"
+    # the keys of the sonar CSV replay input, which is gone: sonar readings
+    # are event-log lines
+    events = str(SCENARIOS / "teleop_events.jsonl")
+    for key, value in [("sonar_log", "sonar.csv"), ("sonar_max_range_m", 4.0), ("sonar_threshold_m", 0.5)]:
+        scenario = write_scenario(tmp_path, {"teleop": {"event_log": events, key: value}})
+        assert main(["teleop", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"config error: unknown config keys: teleop.{key}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_deeply_nested_scenario_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["sim", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: invalid JSON: maximum recursion depth exceeded")
+
+
+def test_negative_seed_exits_1(tmp_path, capsys):
+    assert main(["report", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "config error: --seed -1: must be >= 0\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -252,6 +277,8 @@ def test_zero_inclination_exits_1(tmp_path, capsys):
 OVERFLOWING_MOTOR = {"robot": {"motor": {"torque_nm": 1e10, "speed_rpm": 3.0558e-7, "reduction": 1e300}}}
 # json writes the integer with all 401 digits; its pitch radius overflows a float
 OVERFLOWING_GEAR = {"robot": {"gear": {"teeth": 10**400}}}
+# a supported mass whose weight overflows float range
+OVERFLOWING_MASS = {"robot": {"per_track_mass_kg": 1e308}}
 
 
 @pytest.mark.parametrize(
@@ -267,6 +294,13 @@ OVERFLOWING_GEAR = {"robot": {"gear": {"teeth": 10**400}}}
          "robot: the design-point P1 torque underflows"),
         (OVERFLOWING_MOTOR, "robot.motor: rated torque"),
         (OVERFLOWING_GEAR, "robot.gear: about 10^400 teeth"),
+        (OVERFLOWING_MASS, "robot: weight M * gravity overflows"),
+        ({"robot": {"gravity_mps2": 1e308}}, "robot.support: weight mass * gravity overflows"),
+        ({"robot": {"support": {"payload_mass_kg": 1e308}}}, "robot.support: weight mass * gravity overflows"),
+        ({"robot": {"pulley1_radius_m": 1e306}}, "robot: the design-point P1 torque overflows to inf"),
+        # a light gravity keeps the weight finite; M + m1 still overflows
+        ({"robot": {"gravity_mps2": 1e-300, "per_track_mass_kg": 1e308, "pulley1_mass_kg": 1e308}},
+         "robot: the design-point P3 torque overflows to inf"),
     ],
 )
 def test_unusable_design_input_exits_1(tmp_path, capsys, obj, prefix):
@@ -278,7 +312,11 @@ def test_unusable_design_input_exits_1(tmp_path, capsys, obj, prefix):
 @pytest.mark.parametrize("command", ["sim", "sweep", "report"])
 @pytest.mark.parametrize(
     "obj, prefix",
-    [(OVERFLOWING_MOTOR, "robot.motor: rated torque"), (OVERFLOWING_GEAR, "robot.gear: about 10^400 teeth")],
+    [
+        (OVERFLOWING_MOTOR, "robot.motor: rated torque"),
+        (OVERFLOWING_GEAR, "robot.gear: about 10^400 teeth"),
+        (OVERFLOWING_MASS, "robot: weight M * gravity overflows"),
+    ],
 )
 def test_overflowing_drive_exits_1_on_every_command(tmp_path, capsys, command, obj, prefix):
     scenario = write_scenario(tmp_path, obj)
@@ -330,6 +368,9 @@ def nested(leaves):
 @example({"robot.pulley23_mass_kg": 1e300})
 @example({"robot.motor.torque_nm": 1e10, "robot.motor.speed_rpm": 3.0558e-7, "robot.motor.reduction": 1e300})
 @example({"robot.gear.teeth": 10**400})
+@example({"robot.per_track_mass_kg": 1e308})
+@example({"robot.gravity_mps2": 1e308})
+@example({"robot.pulley1_radius_m": 1e306})
 def test_design_on_hostile_values_ends_in_an_exit_code(tmp_path_factory, leaves):
     # every value ends in a result, a config error or a design failure: no traceback
     tmp = tmp_path_factory.mktemp("fuzz")
@@ -337,53 +378,30 @@ def test_design_on_hostile_values_ends_in_an_exit_code(tmp_path_factory, leaves)
     assert main(["design", "--scenario", scenario, "--out", str(tmp / "o")]) in (0, 1, 2)
 
 
-def test_bad_sonar_log_exits_1(tmp_path, capsys):
-    sonar = tmp_path / "sonar.csv"
-    sonar.write_text("t,d_left,d_front,d_right\n1.0,2.0,2.0,2.0\n2.0,0.0,2.0,2.0\n")
-    scenario = write_scenario(tmp_path, {
-        "teleop": {
-            "event_log": str(SCENARIOS / "teleop_events.jsonl"),
-            "sonar_log": "sonar.csv",
-        },
-    })
-    assert main(["teleop", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {sonar}:3: d_left must lie in (0, max_range]")
-
-
 @pytest.mark.parametrize(
-    "name, bad",
+    "bad",
     [
-        ("events.jsonl", '{"t": Infinity, "type": "key", "payload": {"key": "8"}}'),
-        ("events.jsonl", '{"t": NaN, "type": "key", "payload": {"key": "8"}}'),
-        ("events.jsonl", '{"t": 2, "type": "track", "payload": {"bearing": NaN}}'),
-        ("events.jsonl", '{"t": 2, "type": "track", "payload": {"bearing": -Infinity}}'),
-        ("events.jsonl", '{"t": 2, "type": "touch", "payload": {"px": NaN, "py": 3}}'),
-        ("events.jsonl", '{"t": 2, "type": "touch", "payload": {"px": 3, "py": Infinity}}'),
-        ("events.jsonl", '{"t": 2, "type": "eeg", "payload": {"attention": Infinity, "meditation": 50}}'),
-        ("events.jsonl", '{"t": 2, "type": "sonar", "payload": '
-                         '{"d_left": 1, "d_front": 1, "d_right": 1, "max_range": Infinity}}'),
-        ("sonar.csv", "nan,2.0,2.0,2.0"),
-        ("sonar.csv", "inf,2.0,2.0,2.0"),
+        '{"t": Infinity, "type": "key", "payload": {"key": "8"}}',
+        '{"t": NaN, "type": "key", "payload": {"key": "8"}}',
+        '{"t": 2, "type": "track", "payload": {"bearing": NaN}}',
+        '{"t": 2, "type": "track", "payload": {"bearing": -Infinity}}',
+        '{"t": 2, "type": "touch", "payload": {"px": NaN, "py": 3}}',
+        '{"t": 2, "type": "touch", "payload": {"px": 3, "py": Infinity}}',
+        '{"t": 2, "type": "eeg", "payload": {"attention": Infinity, "meditation": 50}}',
+        '{"t": 2, "type": "sonar", "payload": '
+        '{"d_left": 1, "d_front": 1, "d_right": 1, "max_range": Infinity}}',
     ],
     ids=["t-inf", "t-nan", "bearing-nan", "bearing-neg-inf", "px-nan", "py-inf",
-         "attention-inf", "sonar-max-range-inf", "sonar-csv-t-nan", "sonar-csv-t-inf"],
+         "attention-inf", "sonar-max-range-inf"],
 )
-def test_non_finite_teleop_input_exits_1(tmp_path, capsys, name, bad):
-    # json reads NaN and Infinity, and float() reads "nan" and "inf"; the bad
-    # line is the second of its file, after a valid key press or the header
-    files = {
-        "events.jsonl": ['{"t": 1, "type": "key", "payload": {"key": "8"}}'],
-        "sonar.csv": ["t,d_left,d_front,d_right"],
-    }
-    files[name].append(bad)
-    for file_name, lines in files.items():
-        (tmp_path / file_name).write_text("\n".join(lines) + "\n")
-    scenario = write_scenario(
-        tmp_path, {"teleop": {"event_log": "events.jsonl", "sonar_log": "sonar.csv"}}
-    )
+def test_non_finite_teleop_input_exits_1(tmp_path, capsys, bad):
+    # json reads NaN and Infinity; the bad line is the second of the log,
+    # after a valid key press
+    log = tmp_path / "events.jsonl"
+    log.write_text('{"t": 1, "type": "key", "payload": {"key": "8"}}\n' + bad + "\n")
+    scenario = write_scenario(tmp_path, {"teleop": {"event_log": "events.jsonl"}})
     assert main(["teleop", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith(f"config error: {tmp_path / name}:2: ")
+    assert capsys.readouterr().err.startswith(f"config error: {log}:2: ")
 
 
 @pytest.mark.parametrize(
@@ -440,6 +458,68 @@ def test_repeated_eeg_timestamp_exits_1(tmp_path, capsys):
     assert main(["teleop", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {log}: two eeg events at t = 9 s")
+
+
+# event-log lines for the teleop fuzz: each event type, at a few times so
+# that drawing a line twice repeats a headset time or steps back in time
+EVENT_LINES = [
+    '{"t": 1, "type": "key", "payload": {"key": "A"}}',
+    '{"t": 2, "type": "key", "payload": {"key": "B"}}',
+    '{"t": 1, "type": "key", "payload": {"key": "8"}}',
+    '{"t": 3, "type": "key", "payload": {"key": "?"}}',
+    '{"t": 2, "type": "voice", "payload": {"symbol": "FORWARD"}}',
+    '{"t": 1, "type": "eeg", "payload": {"attention": 50, "meditation": 1}}',
+    '{"t": 2, "type": "eeg", "payload": {"attention": 50, "meditation": 100}}',
+    '{"t": 3, "type": "eeg", "payload": {"attention": 50, "meditation": 1}}',
+    '{"t": 4, "type": "eeg", "payload": {"attention": 50, "meditation": 100}}',
+    '{"t": 1, "type": "touch", "payload": {"px": 3, "py": 4}}',
+    '{"t": 2, "type": "sonar", "payload": {"d_left": 1, "d_front": 0.3, "d_right": 2}}',
+    '{"t": 2, "type": "track", "payload": {"bearing": 0.1}}',
+    '{"t": 3, "type": "track", "payload": {"lost": true}}',
+]
+# lines that no replay may take: non-finite numbers, out-of-range values,
+# wrong JSON types, unknown types and non-JSON
+BAD_EVENT_LINES = [
+    '{"t": NaN, "type": "key", "payload": {"key": "8"}}',
+    '{"t": 1e400, "type": "key", "payload": {"key": "8"}}',
+    '{"t": 1, "type": "track", "payload": {"bearing": Infinity}}',
+    '{"t": 1, "type": "eeg", "payload": {"attention": 50, "meditation": 0}}',
+    '{"t": 1, "type": "eeg", "payload": {"attention": "x", "meditation": null}}',
+    '{"t": 1, "type": "sonar", "payload": {"d_left": 1, "d_front": 1, "d_right": 1, "max_range": 2, "threshold": 3}}',
+    '{"t": [1], "type": "key", "payload": {"key": "8"}}',
+    '{"t": 1, "type": "key", "payload": [1]}',
+    '{"t": 1, "type": 7, "payload": {}}',
+    '{"t": 1, "type": "laser", "payload": {}}',
+    "[1, 2]",
+    "null",
+    "not json",
+    '{"t": 1',
+]
+
+
+@st.composite
+def hostile_event_logs(draw):
+    # up to 7 event lines, and at most one bad line among them
+    lines = draw(st.lists(st.sampled_from(EVENT_LINES), max_size=7))
+    bad = draw(st.lists(st.sampled_from(BAD_EVENT_LINES), min_size=not lines, max_size=1))
+    at = draw(st.integers(0, len(lines)))
+    return lines[:at] + bad + lines[at:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_event_logs())
+@example(["[" * 100_000])
+def test_teleop_on_hostile_event_logs_ends_in_an_exit_code(tmp_path_factory, lines):
+    # every log ends in a replay or a config error: no traceback
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "events.jsonl").write_text("\n".join(lines) + "\n")
+    scenario = write_scenario(tmp, {"teleop": {"event_log": "events.jsonl"}})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["teleop", "--scenario", scenario, "--out", str(tmp / "o")])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or err.getvalue().startswith("config error: ")
 
 
 def test_default_out_dir(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 from itertools import combinations
 
@@ -542,6 +543,31 @@ def test_run_events_rejects_time_going_backwards():
     with pytest.raises(ValueError, match=r"event 3 at t=1\.5 is earlier than event 2 at t=2\.0"):
         run_events(events, CFG)
     assert len(run_events(events[:3], CFG)) == 3  # equal timestamps are allowed
+
+
+def _eeg(t: float) -> EegUpdate:
+    return EegUpdate(t, EegRecord(t, 50, 60))
+
+
+@pytest.mark.parametrize(
+    "events, t",
+    [
+        # in EEG mode, with too few samples in the window for the smoother to see it
+        ([KeyPress(0.0, "A"), KeyPress(0.5, "?"), _eeg(1.0), _eeg(1.0)], 1),
+        # in keypad mode, where the arbiter ignores headset samples
+        ([KeyPress(0.5, "?"), _eeg(1.0), _eeg(1.0), _eeg(1.0)], 1),
+        # in EEG mode, with three samples in the window
+        ([KeyPress(0.0, "A"), _eeg(1.0), _eeg(2.0), KeyPress(2.0, "?"), _eeg(2.0)], 2),
+    ],
+    ids=["eeg-mode", "keypad-mode", "after-a-sample"],
+)
+def test_run_events_rejects_two_eeg_events_at_one_time(caplog, events, t):
+    # the stream is checked before any event is folded, so the unknown key
+    # ahead of the duplicate logs nothing
+    with caplog.at_level(logging.WARNING, logger=control.__name__):
+        with pytest.raises(ValueError, match=f"^two eeg events at t = {t} s$"):
+            run_events(events, CFG)
+    assert caplog.records == []
 
 
 def test_replay_is_deterministic():

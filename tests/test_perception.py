@@ -1,5 +1,4 @@
 import math
-import re
 from itertools import combinations
 
 import numpy as np
@@ -26,7 +25,6 @@ from stairclimber.perception import (
     pixel_to_bearing,
     random_texture,
     read_pgm,
-    read_sonar_log,
     region_map,
     render_texture,
     select_corner,
@@ -93,30 +91,6 @@ def test_sonar_validation():
         SonarTriple(1.0, 1.0, 1.0, threshold=4.0)
     # boundary: exactly at threshold counts as blocked
     assert SonarTriple(0.5, 1.0, 1.0).blocked() == frozenset("L")
-
-
-def test_sonar_log_round_trip(tmp_path):
-    path = tmp_path / "sonar.csv"
-    path.write_text("t,d_left,d_front,d_right\n0.5,3.0,0.4,2.0\n1.5,1.0,1.0,0.5\n")
-    rows = read_sonar_log(path)
-    assert [t for t, _ in rows] == [0.5, 1.5]
-    assert rows[0][1].blocked() == frozenset("F")
-    assert rows[1][1].blocked() == frozenset("R")
-
-
-def test_sonar_log_rejects_wrong_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("t,left,front,right\n0,1,1,1\n")
-    with pytest.raises(ValueError):
-        read_sonar_log(path)
-
-
-@pytest.mark.parametrize("row", ["2.0,1.0", "2.0,1.0,x,1.0"])
-def test_sonar_log_bad_row_names_file_and_line(tmp_path, row):
-    path = tmp_path / "bad.csv"
-    path.write_text(f"t,d_left,d_front,d_right\n0,1,1,1\n{row}\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
-        read_sonar_log(path)
 
 
 def test_bearing_center_and_edges():

@@ -111,13 +111,11 @@ def test_teleop_section(tmp_path):
     obj = {
         "teleop": {
             "event_log": "events.jsonl",
-            "sonar_threshold_m": 0.6,
             "arbiter": {"cruise": 0.4, "kp_per_rad": 2.0},
         }
     }
     sc = build_scenario(obj, base_dir=tmp_path)
     assert sc.event_log == tmp_path / "events.jsonl"
-    assert sc.sonar_threshold == 0.6
     assert sc.arbiter.cruise == 0.4
     assert sc.arbiter.kp == 2.0
 
@@ -265,10 +263,6 @@ LEAVES = {
         st.floats(0.1, 10.0), lambda sc: sc.sim.plate.tolerance, math.radians),
     ("teleop", "event_log"): (
         st.text("abc", min_size=1, max_size=4), lambda sc: sc.event_log, lambda v: ROOT / v),
-    ("teleop", "sonar_log"): (
-        st.text("abc", min_size=1, max_size=4), lambda sc: sc.sonar_log, lambda v: ROOT / v),
-    ("teleop", "sonar_max_range_m"): (st.floats(1.0, 10.0), lambda sc: sc.sonar_max_range, _same),
-    ("teleop", "sonar_threshold_m"): (st.floats(0.1, 1.0), lambda sc: sc.sonar_threshold, _same),
     **{
         ("teleop", "arbiter", key): (st.floats(0.0, 1.0), getter, _same)
         for key, getter in [
