@@ -101,9 +101,42 @@ def _design(sc: Scenario, out: Path) -> list[str]:
             way = "underflows" if torque == 0 else "overflows"
             raise ConfigError(f"robot: the design-point {pulley.name} torque {way} to {torque} N*m")
     required = drivetrain.torque_case(drivetrain.Pulley.P1, design)
-    _make_out(out)
+    # one mass per sizing target: the three targets do not back-solve to a
+    # single consistent mass, so each is reported with its own
+    cases = {
+        "p1_accel": (drivetrain.Pulley.P1, design),
+        "p3_accel": (drivetrain.Pulley.P3, design),
+        "p3_static": (drivetrain.Pulley.P3, replace(design, accel=0.0)),
+    }
+    masses = {}
+    for target_name, target in drivetrain.SIZING_TARGETS.items():
+        pulley, params = cases[target_name]
+        mass = drivetrain.back_solve_mass(pulley, target, params)
+        if not math.isfinite(mass):
+            raise ConfigError(f"robot: the {target_name} target back-solves to M = {mass} kg")
+        masses[target_name] = (mass, pulley, params)
     theta_grid = np.linspace(0.0, math.pi / 2.0, 91)
     profile = support.force_profile(sc.support_geom, sc.support_load, theta_grid)
+    for theta, _, force in profile:
+        if not math.isfinite(force):
+            raise ConfigError(
+                f"robot.support: the actuator force overflows float range "
+                f"({force} N at {_fmt(math.degrees(theta))} deg)"
+            )
+    peak = max(f for _, _, f in profile)
+    structural = support.check_structural(peak, sc.support_load)
+    if not math.isfinite(structural.margin):
+        raise ConfigError(
+            f"robot.support: the hinge shear margin is {structural.margin} "
+            f"at a peak actuator load of {peak} N"
+        )
+    margin = drivetrain.motor_margin(sc.motor, required)
+    if not math.isfinite(margin.margin):
+        raise ConfigError(
+            f"robot.motor: the motor margin overflows to {margin.margin}: {margin.available} N*m "
+            f"available against {required} N*m required"
+        )
+    _make_out(out)
     _write_csv(
         out / "force_profile.csv",
         {"theta_deg": _NUM, "gamma_deg": _NUM, "force_n": _NUM},
@@ -144,20 +177,9 @@ def _design(sc: Scenario, out: Path) -> list[str]:
     ]
     lines += [f"driver {name}: {order}" for name, order in sorted(tension.items())]
 
-    # one mass per sizing target: the three targets do not back-solve to a
-    # single consistent mass, so each is reported with its own
     lines += ["", "[sizing targets: back-solved per-track mass]"]
-    cases = {
-        "p1_accel": (drivetrain.Pulley.P1, design),
-        "p3_accel": (drivetrain.Pulley.P3, design),
-        "p3_static": (drivetrain.Pulley.P3, replace(design, accel=0.0)),
-    }
-    masses = {}
     for target_name, target in drivetrain.SIZING_TARGETS.items():
-        pulley, params = cases[target_name]
-        mass = drivetrain.back_solve_mass(pulley, target, params)
-        masses[target_name] = (mass, pulley, params)
-        lines.append(f"{target_name}: {_fmt(target)} N*m -> M = {_fmt(mass)} kg")
+        lines.append(f"{target_name}: {_fmt(target)} N*m -> M = {_fmt(masses[target_name][0])} kg")
     m_vals = [m for m, _, _ in masses.values()]
     lines.append(
         "note: the three targets imply masses spanning "
@@ -177,7 +199,6 @@ def _design(sc: Scenario, out: Path) -> list[str]:
             + ", ".join(f"{name} = {_fmt(tq)} N*m" for name, tq in sorted(cross.items()))
         )
 
-    margin = drivetrain.motor_margin(sc.motor, required)
     lines += [
         "",
         "[motor]",
@@ -187,8 +208,6 @@ def _design(sc: Scenario, out: Path) -> list[str]:
         f"check = {'pass' if margin.passed else 'FAIL'}",
     ]
 
-    peak = max(f for _, _, f in profile)
-    structural = support.check_structural(peak, sc.support_load)
     lines += [
         "",
         "[support assembly]",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .eeg import _HYSTERESIS_HI, _HYSTERESIS_LO
@@ -117,10 +117,12 @@ class DriveCommand:
     mode: Mode = Mode.KEYPAD
 
     def __post_init__(self):
-        for name in ("left_effort", "right_effort", "posture_rate"):
-            v = getattr(self, name)
-            if not -1.0 <= v <= 1.0:
-                raise ValueError(f"{name} out of [-1, 1]: {v}")
+        if not (-1.0 <= self.left_effort <= 1.0 and -1.0 <= self.right_effort <= 1.0
+                and -1.0 <= self.posture_rate <= 1.0):
+            for name in ("left_effort", "right_effort", "posture_rate"):
+                v = getattr(self, name)
+                if not -1.0 <= v <= 1.0:
+                    raise ValueError(f"{name} out of [-1, 1]: {v}")
 
     @property
     def stopped(self) -> bool:
@@ -138,14 +140,17 @@ def mix_differential(v: float, omega: float) -> tuple[float, float]:
     return (_clamp(v + omega), _clamp(v - omega))
 
 
+# the field-of-view cells a command can head into
+_F, _FR, _FL, _R, _L = (frozenset(cell) for cell in ("F", "FR", "FL", "R", "L"))
+
 # avoidance candidates in preference order: straight, then the smaller turn,
 # right before left on equal magnitude; each maps to a field-of-view cell
 _CANDIDATES: tuple[tuple[frozenset[str], tuple[float, float]], ...] = (
-    (frozenset("F"), (1.0, 1.0)),
-    (frozenset("FR"), (1.0, 0.5)),
-    (frozenset("FL"), (0.5, 1.0)),
-    (frozenset("R"), (1.0, -1.0)),
-    (frozenset("L"), (-1.0, 1.0)),
+    (_F, (1.0, 1.0)),
+    (_FR, (1.0, 0.5)),
+    (_FL, (0.5, 1.0)),
+    (_R, (1.0, -1.0)),
+    (_L, (-1.0, 1.0)),
 )
 
 
@@ -161,10 +166,10 @@ def _heading_region(left: float, right: float) -> frozenset[str] | None:
     omega = (left - right) / 2.0
     if v > eps:
         if abs(omega) <= eps:
-            return frozenset("F")
-        return frozenset("FR") if omega > 0 else frozenset("FL")
+            return _F
+        return _FR if omega > 0 else _FL
     if abs(v) <= eps and abs(omega) > eps:
-        return frozenset("R") if omega > 0 else frozenset("L")
+        return _R if omega > 0 else _L
     return None
 
 
@@ -185,8 +190,8 @@ def avoidance_policy(occ: RegionOccupancy, desired: DriveCommand) -> DriveComman
     for region, (l_scale, r_scale) in _CANDIDATES:
         left, right = l_scale * speed, r_scale * speed
         if not occ.is_occupied(region) and _heading_region(left, right) == region:
-            return replace(desired, left_effort=left, right_effort=right)
-    return replace(desired, left_effort=0.0, right_effort=0.0)
+            return DriveCommand(left, right, desired.posture_rate, desired.mode)
+    return DriveCommand(0.0, 0.0, desired.posture_rate, desired.mode)
 
 
 @dataclass(frozen=True)
@@ -234,7 +239,10 @@ class ArbiterConfig:
 
 @dataclass(frozen=True)
 class ArbiterState:
-    """Everything the arbiter remembers between events."""
+    """Everything the arbiter remembers between events.
+
+    The arbiter builds each new state positionally, in this field order.
+    """
 
     mode: Mode = Mode.KEYPAD
     occupancy: RegionOccupancy = field(default_factory=lambda: RegionOccupancy(frozenset()))
@@ -305,7 +313,9 @@ def _emit(
         left = _clamp(left, cfg.effort_cap)
         right = _clamp(right, cfg.effort_cap)
     out = DriveCommand(left, right, _clamp(cmd.posture_rate), cmd.mode)
-    new_state = replace(state, left=left, right=right, last_t=t)
+    new_state = ArbiterState(
+        state.mode, state.occupancy, left, right, t, state.posture, state.med_history
+    )
     return new_state, out
 
 
@@ -317,11 +327,9 @@ def _switch_mode(
     # re-pressed, and 'D' from any mode, lands in keypad mode.
     entering = state.mode is not target
     new_mode = target if entering else Mode.KEYPAD
-    state = replace(
-        state,
-        mode=new_mode,
-        posture=PostureState.HOLDING,
-        med_history=() if new_mode is Mode.EEG else state.med_history,
+    state = ArbiterState(
+        new_mode, state.occupancy, state.left, state.right, state.last_t,
+        PostureState.HOLDING, () if new_mode is Mode.EEG else state.med_history,
     )
     return _emit(state, cfg, t, DriveCommand(0.0, 0.0, 0.0, new_mode))
 
@@ -367,7 +375,10 @@ def arbiter_step(
 
     if isinstance(event, SonarUpdate):
         # occupancy feeds the avoidance filter of later motion commands
-        return replace(state, occupancy=region_map(event.triple)), None
+        return ArbiterState(
+            state.mode, region_map(event.triple), state.left, state.right, state.last_t,
+            state.posture, state.med_history,
+        ), None
 
     if isinstance(event, TouchTarget):
         # target selection happens in perception; the arbiter has no use for it
@@ -383,7 +394,9 @@ def arbiter_step(
             smoothed, state.posture, cfg.hysteresis_lo, cfg.hysteresis_hi
         )
         rate = posture.seat_rate(cfg.posture_rate)
-        state = replace(state, med_history=history, posture=posture)
+        state = ArbiterState(
+            state.mode, state.occupancy, state.left, state.right, state.last_t, posture, history
+        )
         return _emit(state, cfg, event.t, DriveCommand(0.0, 0.0, rate, Mode.EEG))
 
     if isinstance(event, VoiceCommand):

@@ -201,6 +201,14 @@ class GearDesign:
             raise InvalidGeometry(
                 f"outer radius {self.outer_radius} mm must exceed base radius {self.base_radius} mm"
             )
+        # a module so small that the base radius or the radii's squares underflow
+        if not self.base_radius > 0:
+            raise InvalidGeometry(
+                f"base radius {self.base_radius} mm underflows (module {self.module_mm} mm)"
+            )
+        ratio = contact_ratio(self)
+        if not math.isfinite(ratio):
+            raise InvalidGeometry(f"contact ratio {ratio} is not finite (module {self.module_mm} mm)")
 
     @property
     def pitch_diameter_mm(self) -> float:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -301,12 +302,25 @@ OVERFLOWING_MASS = {"robot": {"per_track_mass_kg": 1e308}}
         # a light gravity keeps the weight finite; M + m1 still overflows
         ({"robot": {"gravity_mps2": 1e-300, "per_track_mass_kg": 1e308, "pulley1_mass_kg": 1e308}},
          "robot: the design-point P3 torque overflows to inf"),
+        # each of these used to write nan or inf into the artifacts and exit 0
+        ({"robot": {"support": {"b_m": 1e306}}}, "robot.support: the actuator force overflows float range"),
+        ({"robot": {"support": {"a_m": 1e307}}}, "robot.support: the actuator force overflows float range"),
+        ({"robot": {"support": {"b_m": 1e308}}}, "robot.support: the actuator force overflows float range (nan N"),
+        ({"robot": {"gear": {"module_mm": 1e-320}}}, "robot.gear: contact ratio -inf is not finite"),
+        ({"robot": {"gear": {"module_mm": 1e-320, "pressure_angle_deg": 90}}},
+         "robot.gear: base radius 0.0 mm underflows"),   # was a ZeroDivisionError traceback
+        ({"robot": {"gravity_mps2": 1e-320}}, "robot: the p3_static target back-solves to M = inf kg"),
+        ({"robot": {"gravity_mps2": 1e-9, "support": {"payload_mass_kg": 1e-300}}},
+         "robot.support: the hinge shear margin is inf"),
+        ({"robot": {"per_track_mass_kg": 1e-300, "motor": {"reduction": 1e300}}},
+         "robot.motor: the motor margin overflows to inf"),
     ],
 )
 def test_unusable_design_input_exits_1(tmp_path, capsys, obj, prefix):
     scenario = write_scenario(tmp_path, obj)
     assert main(["design", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {prefix}")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["sim", "sweep", "report"])
@@ -343,6 +357,8 @@ def test_design_reports_an_invalid_back_solved_mass(tmp_path, robot, reason):
 
 FUZZ_KEYS = sorted(key for key in _LEAVES if key.startswith(("robot.", "staircase.")))
 HOSTILE_VALUES = [0, -1, 1e-300, 1e300, -1e300, 1e-9, 1e9, 90, 179, "x", None]
+# a number the %.9g format wrote as nan or inf
+NON_FINITE = re.compile(r"(?<![a-z])-?(nan|inf)(?![a-z])")
 
 
 def nested(leaves):
@@ -372,10 +388,15 @@ def nested(leaves):
 @example({"robot.gravity_mps2": 1e308})
 @example({"robot.pulley1_radius_m": 1e306})
 def test_design_on_hostile_values_ends_in_an_exit_code(tmp_path_factory, leaves):
-    # every value ends in a result, a config error or a design failure: no traceback
+    # every value ends in a result, a config error or a design failure: no
+    # traceback, and no result that holds a nan or an infinity
     tmp = tmp_path_factory.mktemp("fuzz")
     scenario = write_scenario(tmp, nested(leaves))
-    assert main(["design", "--scenario", scenario, "--out", str(tmp / "o")]) in (0, 1, 2)
+    code = main(["design", "--scenario", scenario, "--out", str(tmp / "o")])
+    assert code in (0, 1, 2)
+    if code == 0:
+        for path in (tmp / "o").iterdir():
+            assert NON_FINITE.search(path.read_text()) is None, path.name
 
 
 @pytest.mark.parametrize(

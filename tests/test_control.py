@@ -332,13 +332,15 @@ def reference_smoothed_meditation(history, cfg):
 @st.composite
 def eeg_mode_runs(draw):
     """A mode key, then headset samples at uneven times, with mode re-entries."""
+    # windows past numpy's 128-element summation block, and runs long
+    # enough to fill them
     cfg = ArbiterConfig(
-        eeg_window=draw(st.integers(3, 20)),
+        eeg_window=draw(st.integers(3, 200)),
         loess=LoessConfig(span=draw(st.floats(0.05, 1.0))),
     )
     t = draw(st.sampled_from([0.0, 1e6]))
     events = [KeyPress(t, "A")]
-    for _ in range(draw(st.integers(1, 60))):
+    for _ in range(draw(st.integers(1, 250))):
         t += draw(st.floats(1e-3, 5.0))
         if draw(st.integers(0, 19)) == 0:
             events += [KeyPress(t, "A"), KeyPress(t, "A")]  # leave and re-enter: history clears

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stairclimber.control import ArbiterConfig
@@ -88,6 +88,51 @@ def test_corrupted_frames_drop_out_under_any_chunking(case):
         records += parser.feed(stream[a:b])
     assert records == EegStreamParser(dt=0.25).feed(clean)
     assert parser.checksum_failures >= n_bad_sums
+
+
+@st.composite
+def sync_heavy_streams(draw):
+    """Bytes rich in sync pairs, and the cuts that chunk them.
+
+    Among the frames are ones whose checksum is itself a sync byte
+    (attention + meditation = 168), so a frame can end in what looks like
+    the first byte of the next sync pair.  The cuts are arbitrary, or one
+    after every byte.
+    """
+    pieces = draw(st.lists(st.one_of(
+        st.integers(0, 168).map(lambda att: encode_frame(att, 168 - att)),
+        st.tuples(st.integers(0, 255), st.integers(0, 255)).map(lambda p: encode_frame(*p)),
+        st.lists(st.sampled_from([SYNC, SYNC, 2, 0, 168]), max_size=4).map(bytes),
+    ), max_size=30))
+    stream = b"".join(pieces)
+    cuts = draw(st.one_of(
+        st.just(list(range(1, len(stream)))),
+        st.lists(st.integers(0, len(stream)), max_size=12).map(sorted),
+    ))
+    return stream, cuts
+
+
+# a frame that ends in a sync byte, then a frame, fed one byte at a time: the
+# first frame's checksum is consumed and must not start the next sync pair
+@example((encode_frame(68, 100) + encode_frame(1, 2), list(range(1, 12))))
+@settings(max_examples=300, deadline=None)
+@given(sync_heavy_streams())
+def test_records_and_failure_counts_do_not_depend_on_chunking(case):
+    stream, cuts = case
+    whole = EegStreamParser(dt=0.25)
+    want = whole.feed(stream)
+    parser = EegStreamParser(dt=0.25)
+    records = []
+    for a, b in zip([0, *cuts], [*cuts, len(stream)]):
+        records += parser.feed(stream[a:b])
+    assert records == want
+    assert parser.checksum_failures == whole.checksum_failures
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+def test_parser_refuses_a_bad_dt(dt):
+    with pytest.raises(ValueError, match=r"dt must be finite and > 0 \(got "):
+        EegStreamParser(dt=dt)
 
 
 def test_byte_at_a_time_feed():
@@ -228,13 +273,23 @@ def test_loess_input_validation():
 
 @st.composite
 def loess_cases(draw):
-    n = draw(st.integers(3, 40))
-    # uneven steps from a millisecond to minutes, at times up to a day and more
-    steps = draw(st.lists(st.floats(1e-3, 300.0), min_size=n, max_size=n))
-    offset = draw(st.sampled_from([0.0, 1.0, 1e6, 1.5e8]))
+    # past 128 points numpy sums in blocks, which loess_last must follow
+    n = draw(st.integers(3, 300))
     values = draw(st.lists(st.floats(1.0, 100.0), min_size=n, max_size=n))
-    span = draw(st.floats(1e-3, 1.0))
-    t = offset + np.cumsum(steps)
+    span = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
+    if draw(st.booleans()):
+        # uneven steps from a millisecond to minutes, at times up to a day
+        # and more, either side of zero
+        steps = draw(st.lists(st.floats(1e-3, 300.0), min_size=n, max_size=n))
+        offset = draw(st.sampled_from([0.0, 1.0, 1e6, 1.5e8, -1.0, -1e6, -1.5e8]))
+        t = offset + np.cumsum(steps)
+    else:
+        # times just above zero, then a few whole seconds: x0 - t rounds to
+        # the same distance for every tiny time, so the weights tie
+        k = draw(st.integers(1, n))
+        tiny = draw(st.lists(st.floats(1e-20, 1e-17), min_size=n - k, max_size=n - k))
+        whole = draw(st.lists(st.floats(1.0, 10.0), min_size=k, max_size=k))
+        t = np.cumsum(tiny + whole)
     return [(float(a), float(b)) for a, b in zip(t, values)], LoessConfig(span=span)
 
 
@@ -245,6 +300,24 @@ def test_loess_last_equals_the_last_smoothed_value(case):
     want = loess_smooth(series, cfg)[-1][1]
     assert loess_last(series, cfg) == want
     assert loess_last(tuple(series), cfg) == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "first, rest",
+    [
+        (-1.7e308, [4e307] * 19),                    # its residual overflows
+        (math.inf, [50.0 + i % 7 for i in range(19)]),
+        (math.nan, [50.0 + i % 7 for i in range(19)]),
+        (3e200, [1e200 * (1 + i % 3) for i in range(19)]),  # finite, past 1e150
+    ],
+)
+def test_loess_last_equals_loess_smooth_beyond_the_scalar_range(first, rest):
+    # the first point has weight zero; numpy multiplies that zero by its value
+    # and its residual, which gives nan when either is not finite
+    series = [(0.0, first)] + [(float(i + 1), v) for i, v in enumerate(rest)]
+    want, got = loess_smooth(series)[-1][1], loess_last(series)
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 @pytest.mark.parametrize(
