@@ -25,25 +25,15 @@ from dataclasses import replace
 from itertools import starmap
 from pathlib import Path
 
-import numpy as np
-
 from . import drivetrain, power, stairsim, support
 from .control import _fmt, command_to_dict, protocol_lines, read_event_log, run_events
-from .perception import (
-    LkParams,
-    TrackedPoint,
-    fb_track,
-    pixel_to_bearing,
-    random_texture,
-    render_texture,
-)
 from .scenario import ConfigError, Scenario, build_scenario, load_scenario
 
 __all__ = ["main"]
 
 
 # cell templates of _write_csv's columns
-_NUM = "{:.9g}"   # a float or np.float64, as %.9g (an int from 1e9 up would not print as str)
+_NUM = "{:.9g}"   # a float, as %.9g (an int from 1e9 up would not print as str)
 _TEXT = "{}"      # a string with no comma, quote or line break
 
 
@@ -59,6 +49,19 @@ def _write_csv(path: Path, columns: dict[str, str], rows) -> None:
     line = ",".join(columns.values()) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n" + "".join(starmap(line.format, rows)))
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) as a list, bit for bit, without importing numpy.
+
+    numpy computes arange(num) * step + start and sets the last point to
+    stop; when step underflows to zero it scales by (stop - start) instead.
+    """
+    div = num - 1
+    step = (stop - start) / div
+    if step == 0:
+        return [i / div * (stop - start) + start for i in range(div)] + [stop]
+    return [i * step + start for i in range(div)] + [stop]
 
 
 def _make_out(out: Path) -> None:
@@ -115,7 +118,7 @@ def _design(sc: Scenario, out: Path) -> list[str]:
         if not math.isfinite(mass):
             raise ConfigError(f"robot: the {target_name} target back-solves to M = {mass} kg")
         masses[target_name] = (mass, pulley, params)
-    theta_grid = np.linspace(0.0, math.pi / 2.0, 91)
+    theta_grid = _linspace(0.0, math.pi / 2.0, 91)
     profile = support.force_profile(sc.support_geom, sc.support_load, theta_grid)
     for theta, _, force in profile:
         if not math.isfinite(force):
@@ -143,8 +146,8 @@ def _design(sc: Scenario, out: Path) -> list[str]:
         [(math.degrees(t), math.degrees(g), f) for t, g, f in profile],
     )
     rows = []
-    for theta in np.linspace(0.0, sc.track.theta_cap, 41):
-        p = replace(sc.track, theta=float(theta), accel=sc.track.accel_cap)
+    for theta in _linspace(0.0, sc.track.theta_cap, 41):
+        p = replace(sc.track, theta=theta, accel=sc.track.accel_cap)
         rows.append(
             (
                 math.degrees(theta),
@@ -336,6 +339,18 @@ def _cmd_teleop(sc: Scenario, out: Path, args) -> int:
 
 
 def _tracking_check_lines(seed: int) -> list[str]:
+    # numpy and the tracker load here, so design, sim and sweep never import them
+    import numpy as np
+
+    from .perception import (
+        LkParams,
+        TrackedPoint,
+        fb_track,
+        pixel_to_bearing,
+        random_texture,
+        render_texture,
+    )
+
     rng = np.random.default_rng(seed)
     tex = random_texture(rng)
     shift = (float(rng.uniform(-2.5, 2.5)), float(rng.uniform(-2.5, 2.5)))

@@ -35,8 +35,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 __all__ = [
     "EegRecord",
     "EegStreamParser",
@@ -184,6 +182,8 @@ def loess_last(series, cfg: LoessConfig | None = None) -> float:
     non-finite one) takes the numpy path: there a zero weight times an
     overflowed difference gives nan, which skipping the point would hide.
     """
+    import numpy as np
+
     t, y, q = _checked_series(series, cfg)
     n = len(t)
     x0 = float(t[-1])
@@ -240,6 +240,8 @@ def _np_sum(tail: list[float], s: int, lo: int, hi: int) -> float:
 
 def _checked_series(series, cfg: LoessConfig | None) -> tuple[np.ndarray, np.ndarray, int]:
     """The t and value columns of a checked series, and its window size."""
+    import numpy as np
+
     if cfg is None:
         cfg = LoessConfig()
     arr = np.asarray(series, dtype=float)
@@ -256,6 +258,8 @@ def _checked_series(series, cfg: LoessConfig | None) -> tuple[np.ndarray, np.nda
 
 def _fit_at(t: np.ndarray, y: np.ndarray, q: int, i: int) -> float:
     # weighted line through the q nearest neighbours of point i, at t[i]
+    import numpy as np
+
     d = np.abs(t - t[i])
     h = np.partition(d, q - 1)[q - 1]
     if h == 0.0:

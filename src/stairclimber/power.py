@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "BatteryBank",
     "PowerConfig",
@@ -93,6 +91,8 @@ def _window_starts(t: np.ndarray) -> np.ndarray:
     start then steps back while the sample before it passes that test, and
     on while it fails.
     """
+    import numpy as np
+
     lo = np.searchsorted(t, t - 1.0)
     while (back := (lo > 0) & (t - t[lo - 1] <= 1.0)).any():
         lo -= back
@@ -108,6 +108,8 @@ def check_driver(times, currents, cfg: PowerConfig | None = None) -> DriverRepor
     1 s (on a profile shorter than that, to the whole profile).
     Timestamps must be strictly increasing.
     """
+    import numpy as np
+
     if cfg is None:
         cfg = PowerConfig()
     t = np.asarray(times, dtype=float)

@@ -27,6 +27,8 @@ DATA = Path(__file__).resolve().parent / "data"
 BASELINE = str(SCENARIOS / "baseline40.json")
 FLAT = str(SCENARIOS / "flat_ground.json")
 REPLAY = str(SCENARIOS / "teleop_replay.json")
+# the environment of a fresh interpreter that imports this checkout's package
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def read_csv(path):
@@ -567,15 +569,61 @@ def test_bad_dt_override_exits_1(tmp_path, capsys, dt):
 def test_step_budget_exits_1_quickly(tmp_path, scenario_obj, extra, prefix):
     # a subprocess with a timeout, so a missing budget fails instead of hanging
     scenario = write_scenario(tmp_path, scenario_obj)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "stairclimber.cli", "sim", "--scenario", scenario,
          "--out", str(tmp_path / "o"), *extra],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=SRC_ENV, timeout=60,
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"config error: {prefix}: duration/dt = ")
     assert "exceeds the budget of 1000000 steps" in proc.stderr
+
+
+# the modules a subcommand loads only when it needs them
+LAZY_MODULES = ("numpy", "stairclimber.perception.frames", "stairclimber.perception.corners",
+                "stairclimber.perception.flow")
+
+
+@pytest.mark.parametrize(
+    "command, scenario, loaded",
+    [
+        ("design", BASELINE, set()),
+        ("sim", BASELINE, set()),
+        ("sweep", BASELINE, set()),
+        ("teleop", REPLAY, {"numpy"}),  # the arbiter's LOESS fit; no tracking
+        ("report", BASELINE, set(LAZY_MODULES)),  # the tracking self-check
+    ],
+    ids=["design", "sim", "sweep", "teleop", "report"],
+)
+def test_command_imports_only_what_it_runs(tmp_path, command, scenario, loaded):
+    # a fresh interpreter, so no module this test process has loaded counts
+    argv = [command, "--scenario", scenario, "--out", str(tmp_path / "o")]
+    code = (
+        "import json, sys\n"
+        "from stairclimber.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert exit_code == 0
+    assert set(LAZY_MODULES) & set(modules) == loaded
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False),
+       st.integers(2, 200))
+@example(0.0, math.pi / 2.0, 91)   # the force profile grid
+@example(0.0, 0.6981317007977318, 41)   # a torque table grid
+@example(1.25, 1.25, 7)   # start == stop: numpy's step == 0 branch
+@example(0.0, 5e-324, 4)   # a step that underflows to zero, the same branch
+def test_linspace_matches_numpy_bit_for_bit(a, b, num):
+    start, stop = min(a, b), max(a, b)
+    with np.errstate(all="ignore"):   # a span beyond float range makes inf and nan in both
+        want = np.linspace(start, stop, num).tolist()
+    assert list(map(float.hex, cli._linspace(start, stop, num))) == list(map(float.hex, want))
 
 
 def ref_write_csv(path, header, rows):
@@ -647,7 +695,7 @@ def test_cli_csv_files_match_csv_module(tmp_path, csv_calls, obj, events):
 
 
 def test_csv_writer_matches_csv_module_on_numpy_floats(tmp_path):
-    # force_profile returns its grid points as np.float64
+    # force_profile echoes its grid points, which a library caller may pass as np.float64
     sc = load_scenario(BASELINE)
     rows = support.force_profile(sc.support_geom, sc.support_load, np.linspace(0.0, math.pi / 2.0, 91))
     assert type(rows[1][0]) is np.float64

@@ -30,7 +30,8 @@ from stairclimber.perception import (
     select_corner,
     write_pgm,
 )
-from stairclimber.perception import corners, flow
+from stairclimber import perception
+from stairclimber.perception import corners, flow, frames, sonar
 
 CLEAR, NEAR = 3.0, 0.3
 
@@ -803,3 +804,30 @@ def test_lk_damping_keeps_a_drifting_240px_pair_under_the_iteration_cap(lk_itera
     got = fb_track(a, b, TrackedPoint(120.0, 120.0))
     assert math.hypot(got.x - 120.0 - shift[0], got.y - 120.0 - shift[1]) <= 0.1
     assert lk_iterations and max(lk_iterations) < LkParams().max_iters
+
+
+def test_package_names_are_their_home_modules_objects():
+    homes = {name: module for module in (sonar, frames, corners, flow) for name in module.__all__}
+    assert set(perception.__all__) <= set(homes)
+    for name in perception.__all__:
+        assert getattr(perception, name) is getattr(homes[name], name)
+
+
+def test_star_import_and_dir_list_every_package_name():
+    namespace = {}
+    exec("from stairclimber.perception import *", namespace)
+    assert set(perception.__all__) <= set(namespace)
+    assert set(perception.__all__) <= set(dir(perception))
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'track_everything'"):
+        perception.track_everything
+
+
+@pytest.mark.parametrize("name", sorted(set(perception.__all__) - set(sonar.__all__)))
+def test_lazy_name_is_stored_on_first_access(monkeypatch, name):
+    # drop the cached binding, so the next access goes through the module __getattr__
+    monkeypatch.delitem(vars(perception), name)
+    value = getattr(perception, name)
+    assert vars(perception)[name] is value
