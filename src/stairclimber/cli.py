@@ -95,7 +95,7 @@ def _load(args) -> Scenario:
 
 def _design(sc: Scenario, out: Path) -> list[str]:
     """Write the force profile, torque table and design report; return the report lines."""
-    design = replace(sc.track, theta=sc.track.theta_cap, accel=sc.track.accel_cap)
+    design = replace(sc.track, theta=drivetrain.MAX_INCLINATION, accel=drivetrain.DESIGN_ACCEL)
     # the design point bounds every row of the torque table; every factor is
     # positive, so only an underflow or an overflow fails here
     for pulley in (drivetrain.Pulley.P1, drivetrain.Pulley.P3):
@@ -146,8 +146,8 @@ def _design(sc: Scenario, out: Path) -> list[str]:
         [(math.degrees(t), math.degrees(g), f) for t, g, f in profile],
     )
     rows = []
-    for theta in _linspace(0.0, sc.track.theta_cap, 41):
-        p = replace(sc.track, theta=theta, accel=sc.track.accel_cap)
+    for theta in _linspace(0.0, drivetrain.MAX_INCLINATION, 41):
+        p = replace(design, theta=theta)
         rows.append(
             (
                 math.degrees(theta),

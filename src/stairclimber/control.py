@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .drivetrain import DESIGN_ACCEL
 from .eeg import _HYSTERESIS_HI, _HYSTERESIS_LO
 from .eeg import EegRecord, LoessConfig, PostureState, loess_last, posture_transition
 from .perception.sonar import RegionOccupancy, SonarTriple, region_map
@@ -205,7 +206,7 @@ class ArbiterConfig:
     cruise: float = 0.5          # tracking-mode forward effort
     kp: float = 1.5              # tracking steering gain, per rad of bearing
     posture_rate: float = 1.0    # seat rate magnitude
-    accel_cap: float = 0.5       # m/s^2, from the drive sizing
+    accel_cap: float = DESIGN_ACCEL  # m/s^2, from the drive sizing
     speed_scale: float = 3.0     # m/s of ground speed at effort 1.0
     effort_cap: float = 1.0      # active speed cap, as an effort bound
     eeg_window: int = 15         # trailing samples kept for smoothing
@@ -266,17 +267,13 @@ _VOICE_DRIVE = {
 }
 
 
-def tracking_controller(
-    bearing: float | None, cfg: ArbiterConfig | None = None
-) -> DriveCommand:
+def tracking_controller(bearing: float | None, cfg: ArbiterConfig = ArbiterConfig()) -> DriveCommand:
     """Steer proportionally onto a target bearing; stop when it is lost.
 
     The steering law turns the heading toward the target: turn rate
     -kp * bearing, positive counterclockwise.  A lost target stops the
     robot and leaves it waiting for a new one.
     """
-    if cfg is None:
-        cfg = ArbiterConfig()
     if bearing is None:
         return DriveCommand(0.0, 0.0, 0.0, Mode.TRACKING)
     omega = -cfg.kp * bearing
@@ -352,16 +349,13 @@ def _drive(
 
 
 def arbiter_step(
-    state: ArbiterState, event: ControlEvent, cfg: ArbiterConfig | None = None
+    state: ArbiterState, event: ControlEvent, cfg: ArbiterConfig = ArbiterConfig()
 ) -> tuple[ArbiterState, DriveCommand | None]:
     """Process one event; returns the new state and at most one command.
 
     Pure: same (state, event, cfg) always gives the same result.  Unknown
     keys and voice symbols are ignored with a logged diagnostic.
     """
-    if cfg is None:
-        cfg = ArbiterConfig()
-
     if isinstance(event, KeyPress):
         if event.key in _MODE_KEYS:
             return _switch_mode(state, cfg, event.t, _MODE_KEYS[event.key])
@@ -420,7 +414,7 @@ def arbiter_step(
     raise TypeError(f"unknown event type: {type(event).__name__}")
 
 
-def run_events(events, cfg: ArbiterConfig | None = None) -> list[tuple[float, DriveCommand]]:
+def run_events(events, cfg: ArbiterConfig = ArbiterConfig()) -> list[tuple[float, DriveCommand]]:
     """Fold a whole event sequence from the initial state, collecting timestamped commands.
 
     The whole sequence is checked before any event is folded: a ValueError
@@ -451,9 +445,30 @@ def run_events(events, cfg: ArbiterConfig | None = None) -> list[tuple[float, Dr
 # package reads logs and writes none
 
 
+def _expect(kind, what: str):
+    """A converter that passes a value of one JSON type and refuses any other;
+    a bool is no number, as in JSON."""
+    def convert(value):
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return value
+    return convert
+
+
+_string = _expect(str, "a string")
+_integer = _expect(int, "an integer")
+_bool = _expect(bool, "true or false")
+_object = _expect(dict, "an object")
+_json_number = _expect((int, float), "a number")
+
+
+def _number(value) -> float:
+    return float(_json_number(value))   # an integer beyond float range overflows
+
+
 def _finite(value) -> float:
     # json reads NaN and Infinity; no event time, pixel or bearing may be either
-    x = float(value)
+    x = _number(value)
     if not math.isfinite(x):
         raise ValueError(f"not a finite number: {value!r}")
     return x
@@ -466,14 +481,8 @@ def _field(obj: dict, key: str, convert=None, where: str = ""):
         raise ValueError(f"missing field {where + key!r}")
     try:
         return obj[key] if convert is None else convert(obj[key])
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"field {where + key!r}: {exc}") from exc
-
-
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected an object, got {value!r}")
-    return value
 
 
 def event_from_dict(obj: dict) -> ControlEvent:
@@ -487,11 +496,11 @@ def event_from_dict(obj: dict) -> ControlEvent:
         return _field(payload, key, convert, "payload.")
 
     if kind == "key":
-        return KeyPress(t, get("key", str))
+        return KeyPress(t, get("key", _string))
     if kind == "voice":
-        return VoiceCommand(t, get("symbol", str))
+        return VoiceCommand(t, get("symbol", _string))
     if kind == "eeg":
-        return EegUpdate(t, EegRecord(t, get("attention", int), get("meditation", int)))
+        return EegUpdate(t, EegRecord(t, get("attention", _integer), get("meditation", _integer)))
     if kind == "touch":
         return TouchTarget(t, get("px", _finite), get("py", _finite))
     if kind == "sonar":
@@ -499,9 +508,9 @@ def event_from_dict(obj: dict) -> ControlEvent:
         # checks name the field they refuse
         fields = ("d_left", "d_front", "d_right")
         fields += tuple(k for k in ("max_range", "threshold") if k in payload)
-        return SonarUpdate(t, SonarTriple(**{k: get(k, float) for k in fields}))
+        return SonarUpdate(t, SonarTriple(**{k: get(k, _number) for k in fields}))
     if kind == "track":
-        if payload.get("lost"):
+        if "lost" in payload and get("lost", _bool):
             return TrackUpdate(t, None)
         return TrackUpdate(t, get("bearing", _finite))
     raise ValueError(f"unknown event type: {kind!r}")

@@ -14,9 +14,11 @@ the pulleys (no-interference tooth count, contact ratio), the qualitative
 belt tension ordering per driver choice, and the motor torque margin through
 the chain reduction.
 
-Sizing targets: the drivetrain was sized around three torque anchors on a
-40 deg stair - 35.8 N*m driving P1 at a = 0.5 m/s^2, 25 N*m driving P3 at
-the same acceleration, and 22 N*m driving P3 at constant speed.  The three
+The design point is a MAX_INCLINATION (40 deg) stair at DESIGN_ACCEL
+(0.5 m/s^2); TrackParams, the staircase model and the teleop arbiter's
+default take their caps from it.  The drivetrain was sized around three
+torque anchors there - 35.8 N*m driving P1, 25 N*m driving P3, and 22 N*m
+driving P3 at constant speed (SIZING_TARGETS).  The three
 anchors back-solve to slightly different supported masses (the sizing used
 rounded figures); ``back_solve_mass`` recovers the mass implied by each so
 reports can show the spread explicitly.
@@ -43,10 +45,15 @@ __all__ = [
     "tension_order",
     "motor_margin",
     "SIZING_TARGETS",
+    "MAX_INCLINATION",
+    "DESIGN_ACCEL",
 ]
 
-# Torque anchors the drivetrain was sized against (40 deg stair, P3 drive
-# radius 36 mm, P1 radius 50 mm, a = 0.5 m/s^2 for the accelerating cases).
+MAX_INCLINATION = math.radians(40.0)   # rad
+DESIGN_ACCEL = 0.5                     # m/s^2
+
+# Torque anchors the drivetrain was sized against at the design point (P3
+# drive radius 36 mm, P1 radius 50 mm; p3_static at constant speed).
 SIZING_TARGETS = {
     "p1_accel": 35.8,   # N*m, powering P1 while accelerating
     "p3_accel": 25.0,   # N*m, powering P3 while accelerating
@@ -78,11 +85,9 @@ class TrackParams:
     m: float = 0.0            # kg, mass of each of P2/P3
     R: float = 0.05           # m, radius of P1
     r: float = 0.036          # m, radius of P2/P3
-    theta: float = math.radians(40.0)  # rad, stair inclination
+    theta: float = MAX_INCLINATION  # rad, stair inclination
     accel: float = 0.0        # m/s^2, commanded acceleration
     gravity: float = 9.81
-    theta_cap: float = math.radians(40.0)  # configurable hard cap
-    accel_cap: float = 0.5    # m/s^2, design acceleration limit
 
     def __post_init__(self):
         if not (self.M > 0):
@@ -98,15 +103,17 @@ class TrackParams:
             raise ValueError(f"gravity must be positive (got {self.gravity})")
         if not math.isfinite(self.M * self.gravity):
             raise ValueError(f"weight M * gravity overflows (M={self.M}, gravity={self.gravity})")
+        if not math.isfinite(self.M + self.m1):
+            raise ValueError(f"inertia M + m1 overflows (M={self.M}, m1={self.m1})")
         if not (self.R > 0 and self.r > 0 and self.R >= self.r):
             raise ValueError(f"need R >= r > 0 (R={self.R}, r={self.r})")
-        if not (0.0 <= self.theta <= self.theta_cap + 1e-12):
+        if not (0.0 <= self.theta <= MAX_INCLINATION + 1e-12):
             raise ValueError(
                 f"stair angle {math.degrees(self.theta):.2f} deg exceeds cap "
-                f"{math.degrees(self.theta_cap):.2f} deg"
+                f"{math.degrees(MAX_INCLINATION):.2f} deg"
             )
-        if not (abs(self.accel) <= self.accel_cap + 1e-12):
-            raise ValueError(f"|accel| exceeds {self.accel_cap} m/s^2 (got {self.accel})")
+        if not (abs(self.accel) <= DESIGN_ACCEL + 1e-12):
+            raise ValueError(f"|accel| exceeds {DESIGN_ACCEL} m/s^2 (got {self.accel})")
 
 
 def torque_case(case: Pulley, p: TrackParams) -> float:

@@ -153,7 +153,7 @@ class LoessConfig:
 
 def loess_smooth(
     series: list[tuple[float, float]] | np.ndarray,
-    cfg: LoessConfig | None = None,
+    cfg: LoessConfig = LoessConfig(),
 ) -> list[tuple[float, float]]:
     """Smooth a (t, value) series with locally weighted linear regression.
 
@@ -167,7 +167,7 @@ def loess_smooth(
     return [(float(t[i]), float(_fit_at(t, y, q, i))) for i in range(len(t))]
 
 
-def loess_last(series, cfg: LoessConfig | None = None) -> float:
+def loess_last(series, cfg: LoessConfig = LoessConfig()) -> float:
     """The fit at the last point of a series only: one local fit, not one per point.
 
     Equals loess_smooth(series, cfg)[-1][1] bit for bit, with the same
@@ -238,12 +238,10 @@ def _np_sum(tail: list[float], s: int, lo: int, hi: int) -> float:
     return res
 
 
-def _checked_series(series, cfg: LoessConfig | None) -> tuple[np.ndarray, np.ndarray, int]:
+def _checked_series(series, cfg: LoessConfig) -> tuple[np.ndarray, np.ndarray, int]:
     """The t and value columns of a checked series, and its window size."""
     import numpy as np
 
-    if cfg is None:
-        cfg = LoessConfig()
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("series must be a sequence of (t, value) pairs")

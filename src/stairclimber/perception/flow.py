@@ -240,7 +240,7 @@ def lk_track(
     prev: Frame,
     next_frame: Frame,
     point: tuple[float, float],
-    params: LkParams | None = None,
+    params: LkParams = LkParams(),
 ) -> tuple[float, float] | None:
     """Track one point from prev to next_frame; None when the track fails.
 
@@ -248,8 +248,6 @@ def lk_track(
     seeds the next finer level.  Each level differentiates only the pixel
     block under the window and samples it with separable bilinear taps.
     """
-    if params is None:
-        params = LkParams()
     pyr_prev = _pyramid(prev.pixels, params)
     pyr_next = _pyramid(next_frame.pixels, params)
     return _track(pyr_prev, pyr_next, point, params)
@@ -259,7 +257,7 @@ def fb_track(
     prev: Frame,
     next_frame: Frame,
     point: TrackedPoint,
-    params: LkParams | None = None,
+    params: LkParams = LkParams(),
 ) -> TrackedPoint:
     """Advance a tracked point by one frame with a forward-backward gate.
 
@@ -269,8 +267,6 @@ def fb_track(
     its last known position.  Both directions share the two frames'
     pyramids, built once per call.
     """
-    if params is None:
-        params = LkParams()
     if point.lost:
         return point
     pyr_prev = _pyramid(prev.pixels, params)

@@ -67,10 +67,8 @@ class PowerConfig:
             raise ValueError("need 0 < avg limit <= peak limit")
 
 
-def motor_current(torque: float, cfg: PowerConfig | None = None) -> float:
+def motor_current(torque: float, cfg: PowerConfig = PowerConfig()) -> float:
     """Current drawn for a shaft torque, I = torque / k_t."""
-    if cfg is None:
-        cfg = PowerConfig()
     if torque < 0:
         raise ValueError(f"torque must be >= 0 (got {torque})")
     return torque / cfg.k_t
@@ -101,7 +99,7 @@ def _window_starts(t: np.ndarray) -> np.ndarray:
     return lo
 
 
-def check_driver(times, currents, cfg: PowerConfig | None = None) -> DriverReport:
+def check_driver(times, currents, cfg: PowerConfig = PowerConfig()) -> DriverReport:
     """Check a current profile against the driver's average and peak limits.
 
     The average limit applies to every sample window spanning at most
@@ -110,8 +108,6 @@ def check_driver(times, currents, cfg: PowerConfig | None = None) -> DriverRepor
     """
     import numpy as np
 
-    if cfg is None:
-        cfg = PowerConfig()
     t = np.asarray(times, dtype=float)
     i = np.asarray(currents, dtype=float)
     if t.ndim != 1 or t.shape != i.shape or t.size == 0:
@@ -136,10 +132,8 @@ def check_driver(times, currents, cfg: PowerConfig | None = None) -> DriverRepor
     return DriverReport(passed, max_avg, peak)
 
 
-def runtime_estimate(avg_current: float, cfg: PowerConfig | None = None, bank: str = "drive") -> float:
+def runtime_estimate(avg_current: float, cfg: PowerConfig = PowerConfig(), bank: str = "drive") -> float:
     """Hours of operation at a constant average draw, ideal battery."""
-    if cfg is None:
-        cfg = PowerConfig()
     if avg_current <= 0:
         raise ValueError(f"avg_current must be > 0 (got {avg_current})")
     banks = {"drive": cfg.drive_bank, "actuator": cfg.actuator_bank}

@@ -108,7 +108,7 @@ _LEAVES = {
     "robot.motor.torque_nm": (_number, "motor.rated_torque"),
     "robot.motor.speed_rpm": (_number, "motor.rated_speed"),
     "robot.motor.reduction": (_number, "motor.reduction"),
-    "staircase.inclination_deg": (_degrees, "stairs.inclination", "track.theta"),
+    "staircase.inclination_deg": (_degrees, "stairs.inclination"),
     "staircase.step_rise_m": (_number, "stairs.step_rise"),
     "staircase.ramp_length_m": (_number, "stairs.ramp_length"),
     "staircase.approach_length_m": (_number, "stairs.approach_length"),
@@ -148,7 +148,7 @@ _SECTIONS = (
     ("support_load", "robot.support", SupportLoad, ()),
     ("gear", "robot.gear", GearDesign, ()),
     ("motor", "robot.motor", MotorSpec, ()),
-    ("stairs", "staircase", Staircase.from_angle, ()),
+    ("stairs", "staircase", Staircase, ()),
     ("track", "robot", TrackParams, ()),
     ("plate", "sim.plate", PlateRig, ()),
     ("sim", "sim", SimConfig, ("track", "motor", "plate")),

@@ -54,8 +54,10 @@ same order, so no result changes; the kernels still report the
 Coulomb-reversal ``Fall`` that ``step`` gives on baseline40 at 23 and
 25 N*m.
 
-Defaults for track length, plate rig and run-out length are installation
-parameters, not derived from hardware measurements; override per scenario.
+A staircase is no steeper than the drivetrain's design stair,
+``MAX_INCLINATION`` (40 deg).  Defaults for track length, plate rig and
+run-out length are installation parameters, not derived from hardware
+measurements; override per scenario.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from enum import Enum
 from itertools import accumulate, compress, islice, repeat
 from operator import attrgetter, is_, mul
 
-from .drivetrain import MotorSpec, TrackParams, min_static_torque
+from .drivetrain import MAX_INCLINATION, MotorSpec, TrackParams, min_static_torque
 
 __all__ = [
     "Phase",
@@ -91,7 +93,6 @@ _FALL_TOL = 1e-6          # m/s of backward velocity tolerated before a Fall
 # steps one run may take: a climb stores every step, and the longest real
 # runs take tens of thousands, so more than this is a units mistake
 _MAX_STEPS = 1_000_000
-_MAX_INCLINATION = math.radians(40.0)
 # relative margin on the thrust before the climb kernel skips capped steps on
 # a ramp: 32 ulps of 1.0, where rounding the pitch, sin, cos, the products
 # and the sum moves grade plus roll by at most about 5
@@ -110,43 +111,24 @@ class Unclimbable(RuntimeError):
     """Even the motor-limit torque cannot complete the climb."""
 
 
-def _check_inclination(inclination: float) -> None:
-    if not (0.0 < inclination <= _MAX_INCLINATION + 1e-12):  # NaN fails too
-        raise ValueError(f"inclination must lie in (0, {math.degrees(_MAX_INCLINATION):.0f} deg] "
-                         f"(got {math.degrees(inclination):.2f} deg)")
-
-
 @dataclass(frozen=True)
 class Staircase:
-    """Stair geometry.  ramp_length runs along the slope; zero means no stairs."""
+    """Stair geometry.  ramp_length runs along the slope; zero means no stairs.
+    The dynamics read the slope alone: step_rise is checked, never read."""
 
-    inclination: float        # rad
-    step_rise: float          # m
-    step_run: float           # m
-    ramp_length: float        # m along the slope
-    approach_length: float    # m of flat ground before the first nose
+    inclination: float = MAX_INCLINATION  # rad
+    step_rise: float = 0.17               # m
+    ramp_length: float = 0.55             # m along the slope
+    approach_length: float = 0.0          # m of flat ground before the first nose
 
     def __post_init__(self):
-        _check_inclination(self.inclination)
-        if not (self.step_rise > 0 and self.step_run > 0):
-            raise ValueError("step rise and run must be positive")
-        if abs(self.inclination - math.atan2(self.step_rise, self.step_run)) > 1e-9:
-            raise ValueError("inclination must equal atan(rise/run) within 1e-9")
+        if not (0.0 < self.inclination <= MAX_INCLINATION + 1e-12):  # NaN fails too
+            raise ValueError(f"inclination must lie in (0, {math.degrees(MAX_INCLINATION):.0f} deg] "
+                             f"(got {math.degrees(self.inclination):.2f} deg)")
+        if not (self.step_rise > 0):
+            raise ValueError("step rise must be positive")
         if not (self.ramp_length >= 0 and self.approach_length >= 0):
             raise ValueError("lengths must be >= 0")
-
-    @classmethod
-    def from_angle(
-        cls,
-        inclination: float = math.radians(40.0),
-        step_rise: float = 0.17,
-        ramp_length: float = 0.55,
-        approach_length: float = 0.0,
-    ) -> "Staircase":
-        """Build a staircase from its angle, deriving the step run."""
-        _check_inclination(inclination)  # before tan(0) can divide by zero
-        run = step_rise / math.tan(inclination)
-        return cls(inclination, step_rise, run, ramp_length, approach_length)
 
 
 @dataclass(frozen=True)

@@ -282,6 +282,14 @@ OVERFLOWING_MOTOR = {"robot": {"motor": {"torque_nm": 1e10, "speed_rpm": 3.0558e
 OVERFLOWING_GEAR = {"robot": {"gear": {"teeth": 10**400}}}
 # a supported mass whose weight overflows float range
 OVERFLOWING_MASS = {"robot": {"per_track_mass_kg": 1e308}}
+# a finite weight whose inertia M + m1 overflows: an infinite thrust over it
+# used to run the climb on nan
+OVERFLOWING_INERTIA = {
+    "robot": {"per_track_mass_kg": 1e308, "pulley1_mass_kg": 1e308, "gravity_mps2": 1.0,
+              "motor": {"torque_nm": 1e10, "speed_rpm": 3.0558e-7, "reduction": 1e298}},
+    "staircase": {"ramp_length_m": 0},
+    "sim": {"dt_s": 0.01},
+}
 
 
 @pytest.mark.parametrize(
@@ -301,8 +309,8 @@ OVERFLOWING_MASS = {"robot": {"per_track_mass_kg": 1e308}}
         ({"robot": {"gravity_mps2": 1e308}}, "robot.support: weight mass * gravity overflows"),
         ({"robot": {"support": {"payload_mass_kg": 1e308}}}, "robot.support: weight mass * gravity overflows"),
         ({"robot": {"pulley1_radius_m": 1e306}}, "robot: the design-point P1 torque overflows to inf"),
-        # a light gravity keeps the weight finite; M + m1 still overflows
-        ({"robot": {"gravity_mps2": 1e-300, "per_track_mass_kg": 1e308, "pulley1_mass_kg": 1e308}},
+        # a finite weight and inertia; (M + m1) a + M g sin(theta) still overflows
+        ({"robot": {"per_track_mass_kg": 1e308, "pulley1_mass_kg": 5e307, "gravity_mps2": 1.79}},
          "robot: the design-point P3 torque overflows to inf"),
         # each of these used to write nan or inf into the artifacts and exit 0
         ({"robot": {"support": {"b_m": 1e306}}}, "robot.support: the actuator force overflows float range"),
@@ -316,6 +324,9 @@ OVERFLOWING_MASS = {"robot": {"per_track_mass_kg": 1e308}}
          "robot.support: the hinge shear margin is inf"),
         ({"robot": {"per_track_mass_kg": 1e-300, "motor": {"reduction": 1e300}}},
          "robot.motor: the motor margin overflows to inf"),
+        # a light gravity keeps the weight finite; M + m1 still overflows
+        ({"robot": {"gravity_mps2": 1e-300, "per_track_mass_kg": 1e308, "pulley1_mass_kg": 1e308}},
+         "robot: inertia M + m1 overflows"),
     ],
 )
 def test_unusable_design_input_exits_1(tmp_path, capsys, obj, prefix):
@@ -332,6 +343,7 @@ def test_unusable_design_input_exits_1(tmp_path, capsys, obj, prefix):
         (OVERFLOWING_MOTOR, "robot.motor: rated torque"),
         (OVERFLOWING_GEAR, "robot.gear: about 10^400 teeth"),
         (OVERFLOWING_MASS, "robot: weight M * gravity overflows"),
+        (OVERFLOWING_INERTIA, "robot: inertia M + m1 overflows"),
     ],
 )
 def test_overflowing_drive_exits_1_on_every_command(tmp_path, capsys, command, obj, prefix):
@@ -435,8 +447,18 @@ def test_non_finite_teleop_input_exits_1(tmp_path, capsys, bad):
         ("payload.px", '{"t": 2, "type": "touch", "payload": {"px": "left", "py": 3}}'),
         ("payload.py", '{"t": 2, "type": "touch", "payload": {"px": 3}}'),
         ("payload.key", '{"t": 2, "type": "key", "payload": {}}'),
+        # each of these wrong JSON types used to be converted and replayed
+        ("payload.lost", '{"t": 2, "type": "track", "payload": {"lost": "no"}}'),
+        ("t", '{"t": true, "type": "voice", "payload": {"symbol": null}}'),
+        ("payload.symbol", '{"t": 2, "type": "voice", "payload": {"symbol": null}}'),
+        ("payload.attention", '{"t": 2, "type": "eeg", "payload": {"attention": 3.9, "meditation": 50}}'),
+        ("payload.meditation", '{"t": 2, "type": "eeg", "payload": {"attention": 50, "meditation": true}}'),
+        ("payload.d_front", '{"t": 2, "type": "sonar", "payload": {"d_left": 1, "d_front": true, "d_right": 2}}'),
+        ("payload.max_range", '{"t": 2, "type": "sonar", "payload": {"d_left": 1, "d_front": 1, "d_right": 1, "max_range": "4"}}'),
+        ("payload.key", '{"t": 2, "type": "key", "payload": {"key": 8}}'),
     ],
-    ids=["t", "bearing", "px", "py", "key"],
+    ids=["t", "bearing", "px", "py", "key", "lost-string", "t-bool", "symbol-null", "attention-float",
+         "meditation-bool", "d_front-bool", "max_range-string", "key-int"],
 )
 def test_bad_event_field_is_named(tmp_path, capsys, field, bad):
     log = tmp_path / "events.jsonl"
@@ -513,6 +535,11 @@ BAD_EVENT_LINES = [
     '{"t": 1, "type": "key", "payload": [1]}',
     '{"t": 1, "type": 7, "payload": {}}',
     '{"t": 1, "type": "laser", "payload": {}}',
+    '{"t": 1, "type": "track", "payload": {"lost": "no"}}',
+    '{"t": true, "type": "voice", "payload": {"symbol": null}}',
+    '{"t": 1, "type": "eeg", "payload": {"attention": 3.9, "meditation": 50}}',
+    '{"t": 1, "type": "sonar", "payload": {"d_left": 1, "d_front": true, "d_right": 2}}',
+    '{"t": 1, "type": "key", "payload": {"key": 8}}',
     "[1, 2]",
     "null",
     "not json",

@@ -156,8 +156,6 @@ def test_track_params_validation():
         TrackParams(M=97.0, theta=math.radians(50.0))  # above the 40 deg cap
     with pytest.raises(ValueError):
         TrackParams(M=97.0, accel=0.6)  # above the 0.5 m/s^2 cap
-    # lifting the cap admits steeper stairs
-    TrackParams(M=97.0, theta=math.radians(50.0), theta_cap=math.radians(50.0))
 
 
 def test_tension_order():

@@ -51,7 +51,7 @@ def test_overrides_apply():
         }
     )
     assert sc.track.M == 80.0
-    assert sc.track.theta == pytest.approx(math.radians(30.0))
+    assert sc.stairs.inclination == pytest.approx(math.radians(30.0))
     assert sc.gear.teeth == 9
     assert sc.motor.available_track_torque == pytest.approx(66.0)
     assert sc.sim.dt == 0.002
@@ -61,7 +61,7 @@ def test_overrides_apply():
 
 def test_stair_angle_feeds_track_theta():
     sc = build_scenario({"staircase": {"inclination_deg": 25.0}})
-    assert sc.track.theta == pytest.approx(math.radians(25.0))
+    assert sc.stairs.inclination == pytest.approx(math.radians(25.0))
 
 
 def test_unknown_top_level_key():
@@ -177,7 +177,7 @@ def test_empty_scenario_takes_every_default_from_the_dataclasses():
         track=TrackParams(),
         gear=GearDesign(),
         motor=MotorSpec(),
-        stairs=Staircase.from_angle(),
+        stairs=Staircase(),
         sim=SimConfig(TrackParams(), MotorSpec()),
         arbiter=ArbiterConfig(),
     )
@@ -241,8 +241,8 @@ LEAVES = {
     ("robot", "motor", "reduction"): (st.floats(0.5, 5.0), lambda sc: sc.motor.reduction, _same),
     ("staircase", "inclination_deg"): (
         st.floats(5.0, 40.0),
-        lambda sc: (sc.stairs.inclination, sc.track.theta),
-        lambda v: (math.radians(v), math.radians(v)),
+        lambda sc: sc.stairs.inclination,
+        math.radians,
     ),
     ("staircase", "step_rise_m"): (st.floats(0.1, 0.25), lambda sc: sc.stairs.step_rise, _same),
     ("staircase", "ramp_length_m"): (st.floats(0.0, 3.0), lambda sc: sc.stairs.ramp_length, _same),

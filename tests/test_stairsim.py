@@ -17,11 +17,9 @@ from stairclimber.stairsim import (
     SweepProbe,
     Unclimbable,
     _CRUISE_MARGIN,
-    _FALL_TOL,
     _MAX_STEPS,
     _advance,
     _climb,
-    _speed_cap,
     _zone_bounds,
     initial_state,
     min_torque_sweep,
@@ -37,34 +35,26 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 TRACK = TrackParams(M=97.0, R=0.05, r=0.036, theta=math.radians(40.0), accel=0.5)
 MOTOR = MotorSpec()
-STAIRS = Staircase.from_angle(math.radians(40.0), 0.17, ramp_length=0.55, approach_length=0.3)
+STAIRS = Staircase(math.radians(40.0), 0.17, ramp_length=0.55, approach_length=0.3)
 CFG = SimConfig(TRACK, MOTOR, track_length=0.15, level_run=0.0)
 
 
 def flat_course(approach: float = 10.0) -> Staircase:
-    return Staircase.from_angle(math.radians(40.0), 0.17, ramp_length=0.0, approach_length=approach)
-
-
-def test_staircase_from_angle_round_trip():
-    s = Staircase.from_angle(math.radians(35.0), 0.17, 1.0)
-    assert math.atan2(s.step_rise, s.step_run) == pytest.approx(math.radians(35.0), abs=1e-12)
+    return Staircase(math.radians(40.0), 0.17, ramp_length=0.0, approach_length=approach)
 
 
 def test_staircase_validation():
     with pytest.raises(ValueError):
-        Staircase(math.radians(40.0), 0.17, 0.30, 1.0, 0.0)  # angle != atan(rise/run)
+        Staircase(math.radians(50.0), 0.17, 1.0)  # above the 40 deg cap
     with pytest.raises(ValueError):
-        Staircase.from_angle(math.radians(50.0), 0.17, 1.0)  # above the 45 deg cap
-    with pytest.raises(ValueError):
-        Staircase.from_angle(math.radians(40.0), 0.17, -1.0)
+        Staircase(math.radians(40.0), 0.17, -1.0)
 
 
 @pytest.mark.parametrize("inclination", [0.0, -0.0, -0.3, math.nan, math.inf])
 def test_from_angle_refuses_bad_inclination_before_dividing(inclination):
-    # the step run divides by tan(inclination), and tan(0) is 0: a bad angle
-    # must be a ValueError naming the inclination, not a ZeroDivisionError
+    # a bad angle must be a ValueError naming the inclination
     with pytest.raises(ValueError, match="inclination must lie in"):
-        Staircase.from_angle(inclination, 0.17, 1.0)
+        Staircase(inclination, 0.17, 1.0)
 
 
 def test_phase_layout_along_path():
@@ -300,7 +290,7 @@ NAN_BUILDERS = {
     "kind, name",
     [("SimConfig", n) for n in
      ("ground_cap", "stair_cap", "track_length", "level_run", "rolling_resist_coeff")]
-    + [("Staircase", n) for n in ("step_rise", "step_run", "ramp_length", "approach_length")]
+    + [("Staircase", n) for n in ("step_rise", "ramp_length", "approach_length")]
     + [("PlateRig", n) for n in ("lever_arm", "max_rate", "stroke", "tolerance")],
 )
 def test_nan_fields_are_refused(kind, name):
@@ -313,35 +303,10 @@ def test_nan_fields_are_refused(kind, name):
 
 
 def plain_verdict(cfg, stairs, tau):
-    """``(completed, fall, final speed)`` of ``step``'s dynamics taken one
-    step at a time, with no shortcuts, on scalars; the state's zone comes
-    from ``phase_at`` and ``pitch_at``."""
-    p = cfg.track
-    mg, cmg = p.M * p.gravity, cfg.rolling_resist_coeff * p.M * p.gravity
-    inertia, dt, thrust = p.M + p.m1, cfg.dt, tau / p.r
-    goal = path_end(stairs, cfg)
-    s = v = 0.0
-    pitch, cap = pitch_at(s, stairs, cfg), _speed_cap(phase_at(s, stairs, cfg), cfg)
-    completed = s >= goal
-    for _ in range(int(round(cfg.duration / dt))):
-        grade, roll = mg * math.sin(pitch), cmg * math.cos(pitch)
-        if v > 0.0:
-            net = thrust - grade - roll
-        else:
-            net0 = thrust - grade
-            net = 0.0 if abs(net0) <= roll else net0 - math.copysign(roll, net0)
-        v = v + net / inertia * dt
-        if v < 0.0:
-            if pitch > 0.0 and v < -_FALL_TOL:
-                return completed, True, 0.0
-            v = 0.0
-        v = min(v, cap)
-        s = s + v * dt
-        pitch, cap = pitch_at(s, stairs, cfg), _speed_cap(phase_at(s, stairs, cfg), cfg)
-        v = min(v, cap)
-        if s >= goal:
-            return True, False, v
-    return completed, False, v
+    """``(completed, fall, final speed)`` of ``step`` folded over the run,
+    one step at a time, with no shortcuts."""
+    states, _, _, completed, fall = reference_run_climb(cfg, stairs, tau)
+    return completed, fall, states[-1].v
 
 
 def static_torque(cfg, stairs):
@@ -352,7 +317,7 @@ def static_torque(cfg, stairs):
 def climb_cases(draw):
     """Short random climbs: zero-length ramps and approaches included."""
     inclination = math.radians(draw(st.floats(5.0, 40.0)))
-    stairs = Staircase.from_angle(
+    stairs = Staircase(
         inclination,
         draw(st.floats(0.10, 0.20)),
         ramp_length=draw(st.one_of(st.just(0.0), st.floats(0.01, 0.3))),
@@ -538,7 +503,7 @@ def long_climbs(draw):
     ground caps reach the cap on the approach and on the run-out."""
     inclination = math.radians(draw(st.floats(5.0, 40.0)))
     long_flats = draw(st.booleans())
-    stairs = Staircase.from_angle(
+    stairs = Staircase(
         inclination,
         draw(st.floats(0.10, 0.20)),
         ramp_length=draw(st.floats(0.3, 1.5)),
@@ -602,7 +567,7 @@ def balance_climb():
     # one ulp of speed a step
     cfg = SimConfig(replace(TRACK, M=20.0), MOTOR, dt=5e-3, duration=20.0, rolling_resist_coeff=0.13,
                     ground_cap=0.5, stair_cap=0.02, track_length=0.15, level_run=0.1)
-    stairs = Staircase.from_angle(math.radians(27.0), 0.17, 0.6, 0.2)
+    stairs = Staircase(math.radians(27.0), 0.17, 0.6, 0.2)
     _, _, grade, roll = forces_at_inc(cfg, stairs)
     return cfg, stairs, cfg.track.r * (grade + roll)
 
@@ -610,7 +575,7 @@ def balance_climb():
 def peak_climb():
     # tan(inc) * c_rr = 1.68: grade plus roll peaks at 26.6 deg on the ramps
     cfg = SimConfig(TRACK, MOTOR, duration=30.0, rolling_resist_coeff=2.0, track_length=0.15, level_run=0.1)
-    stairs = Staircase.from_angle(math.radians(40.0), 0.17, 0.6, 0.2)
+    stairs = Staircase(math.radians(40.0), 0.17, 0.6, 0.2)
     mg, cmg, grade, roll = forces_at_inc(cfg, stairs)
     return cfg, stairs, TRACK.r * 0.5 * (grade + roll + math.hypot(mg, cmg))
 
@@ -621,7 +586,7 @@ def engage_cruise_probe():
     # stair cap, then slows and falls before the ramp's top
     cfg = SimConfig(replace(TRACK, M=133.522918), MOTOR, duration=15.791, rolling_resist_coeff=0.165699,
                     track_length=0.15, level_run=0.241352)
-    stairs = Staircase.from_angle(math.radians(16.111435), 0.162191, 0.340147, 0.409707)
+    stairs = Staircase(math.radians(16.111435), 0.162191, 0.340147, 0.409707)
     return cfg, stairs, 13.085801380612908
 
 
@@ -850,7 +815,7 @@ def saturates_twice():
     rig = PlateRig(lever_arm=0.15, max_rate=0.198, stroke=0.051, tolerance=math.radians(5.3))
     cfg = SimConfig(replace(TRACK, M=28.2), MOTOR, dt=5e-3, duration=1.3, rolling_resist_coeff=0.025,
                     ground_cap=2.8, stair_cap=0.22, track_length=0.071, level_run=0.043, plate=rig)
-    return cfg, Staircase.from_angle(math.radians(33.99), 0.17, 0.145, 0.231)
+    return cfg, Staircase(math.radians(33.99), 0.17, 0.145, 0.231)
 
 
 def nose_landing():
@@ -859,7 +824,7 @@ def nose_landing():
     # 2016 * 2**-20, which is the engage nose: that row takes the stair cap
     track = TrackParams(M=64.0, R=0.05, r=2.0**-5, theta=math.radians(30.0))
     cfg = SimConfig(track, MOTOR, dt=2.0**-10, duration=1.0, stair_cap=0.05, track_length=0.15, level_run=0.0)
-    return cfg, Staircase.from_angle(math.radians(30.0), 0.17, 0.3, 2016 * 2.0**-20)
+    return cfg, Staircase(math.radians(30.0), 0.17, 0.3, 2016 * 2.0**-20)
 
 
 @pytest.mark.parametrize(
@@ -892,7 +857,7 @@ def nose_landing():
          and tr.v[63] == 0.05 < tr.v[62]),
         # up to the ground cap on the approach and on the run-out
         ("speeds up on the flats", replace(CFG, duration=15.0, ground_cap=0.4, level_run=1.0),
-         Staircase.from_angle(math.radians(30.0), 0.17, 0.3, 1.0), 40.0,
+         Staircase(math.radians(30.0), 0.17, 0.3, 1.0), 40.0,
          lambda tr: tr.completed and tr.max_speed(Phase.APPROACH) == tr.max_speed(Phase.LEVEL) == 0.4),
     ],
 )
@@ -971,7 +936,7 @@ def ramp_and_flat_climbs(draw):
     kind = draw(st.sampled_from(["engage", "crest", "peak", "ease"]))
     peak = kind == "peak"
     inclination = math.radians(draw(st.floats(25.0 if peak else 5.0, 40.0)))
-    stairs = Staircase.from_angle(
+    stairs = Staircase(
         inclination,
         draw(st.floats(0.10, 0.20)),
         ramp_length=draw(st.floats(0.1, 0.6)),
@@ -1060,7 +1025,7 @@ def settled_climbs(draw):
     stair_cap = draw(st.floats(0.1, 0.3))
     # the distance the actuator may still slew over at the cap once the pitch is full
     settle = stair_cap * min(inclination * lever, rig.stroke) / rig.max_rate
-    stairs = Staircase.from_angle(
+    stairs = Staircase(
         inclination,
         draw(st.floats(0.10, 0.20)),
         ramp_length=2.0 + settle + draw(st.floats(0.0, 1.0)),
