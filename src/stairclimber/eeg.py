@@ -69,10 +69,12 @@ class EegRecord:
     meditation: int  # 1..100
 
     def __post_init__(self):
-        for name in ("attention", "meditation"):
-            v = getattr(self, name)
-            if not 1 <= v <= 100:
-                raise ValueError(f"{name} must lie in [1, 100] (got {v})")
+        # both fields in one chain; the loop only names the one out of range
+        if not 1 <= self.attention <= 100 >= self.meditation >= 1:
+            for name in ("attention", "meditation"):
+                v = getattr(self, name)
+                if not 1 <= v <= 100:
+                    raise ValueError(f"{name} must lie in [1, 100] (got {v})")
 
 
 # a wire byte's value clamped into the headset scale [1, 100]

@@ -37,22 +37,29 @@ Two implementations share the arithmetic of one step, in the same order:
   Given lists, it also records each state's ``s`` and ``v``.  It skips
   every stretch whose force does not change: a constant pitch (approach,
   climb zone, run-out) in a tight loop, a fixed speed (a cruise at a cap,
-  also part-way up or down the ramps) in closed form, and a static-friction
-  stall.
+  also part-way up or down the ramps) in closed form, a slowdown that stops
+  inside its zone in closed form (when not recording), and a
+  static-friction stall.
 
 ``run_climb`` records a trajectory with ``_climb`` and then levels the plate
 in a second pass over the positions: plate levelling never feeds back into
 the dynamics, so each row's phase, pitch, actuator and plate follow from its
-position and the row before.  Tests hold ``run_climb`` equal to ``step``
-folded over a run, and ``_climb``'s verdict equal to plain stepping.
+position and the row before.  The pass goes zone by zone and takes the rows
+where the actuator slews at its rate limit as whole stretches, built with
+``accumulate`` and comprehensions; a row that moves the actuator by less
+than the limit goes through a scalar step, and a settled row repeats the
+one before.
+Tests hold ``run_climb`` equal to ``step`` folded over a run, and
+``_climb``'s verdict equal to plain stepping.
 
-The fixed-speed stretches share one closed form, ``_advance``: IEEE-754
-addition of a fixed ``c`` adds the same number of ulps while the sum stays
-in one binade, so it counts the steps before a bound without taking them.
-Every shortcut does the float operations of the steps it replaces, in the
-same order, so no result changes; the kernels still report the
-Coulomb-reversal ``Fall`` that ``step`` gives on baseline40 at 23 and
-25 N*m.
+The fixed-speed stretches and the stops share one closed form,
+``_advance``: IEEE-754 addition of a fixed ``c`` of either sign adds the
+same number of ulps while the sum stays in one binade, so it counts the
+steps before a bound without taking them.  Every shortcut does the float
+operations of the steps it replaces, in the same order, wherever a later
+step or a recorded row reads them, so no result changes; the kernels still
+report the Coulomb-reversal ``Fall`` that ``step`` gives on baseline40 at
+23 and 25 N*m.
 
 A staircase is no steeper than the drivetrain's design stair,
 ``MAX_INCLINATION`` (40 deg).  Defaults for track length, plate rig and
@@ -69,7 +76,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate, compress, islice, repeat
-from operator import attrgetter, is_, mul
+from operator import attrgetter, ge, indexOf, is_, le, mul
 
 from .drivetrain import MAX_INCLINATION, MotorSpec, TrackParams, min_static_torque
 
@@ -372,10 +379,29 @@ def run_climb(cfg: SimConfig, stairs: Staircase, torque: float) -> Trajectory:
     never feeds back into the dynamics, so a second pass derives each row's
     phase, pitch, actuator extension, plate angle and saturation from its
     position alone, with the arithmetic of ``step`` in the same order.
-    Where the pitch is constant (approach, climb zone, flat run-out) and a
-    row left the actuator where it was, every later row in that zone
-    repeats it; ``s`` never decreases and only ends in NaN, so
-    ``bisect_left`` finds where the zone ends.
+    ``s`` never decreases (the torque is finite, so it is never NaN), so
+    ``bisect_left`` finds each zone's rows, and the pass takes them zone by
+    zone: the ramps' pitches by a comprehension, then three kinds of row.
+
+    - Slewing.  Where the actuator moves by the rate limit ``max_move``
+      (or ``-max_move``), the extensions are ``accumulate`` of that move
+      and the plates a comprehension.  A stretch holds while every row's
+      target stays a full move away.  At a constant target the gap shrinks
+      row by row, so ``bisect_left`` finds where the stretch ends.  On a
+      ramp the reach moves ahead by at least ``gain*v*dt`` a row, less a
+      few ulps of the stroke and of ``s`` for rounding; where that beats the
+      move at the stretch's slowest speed (with a relative margin of
+      2**-40), the gap only widens, so every row slews.  Otherwise a
+      comprehension computes the gaps, ``min`` (or ``max``) tests them all
+      and ``indexOf`` finds the first that fails.  A ramp stretch tries 256
+      rows, twice as many after a try it filled and 16 after one it did
+      not, so a run of short stretches stays cheap.  Stretches are taken
+      only where the zone's reach stays within the stroke, so no row in them
+      saturates.
+    - Tracking, saturating, or any row of a zone whose reach passes the
+      stroke: the scalar step of ``step``.
+    - Settled.  Where the pitch is constant and a row left the actuator
+      where it was, every later row in that zone repeats it.
     """
     if callable(torque):
         raise TypeError("torque must be a constant number; fold step over the run "
@@ -386,65 +412,102 @@ def run_climb(cfg: SimConfig, stairs: Staircase, torque: float) -> Trajectory:
     ss, vs = [0.0], [0.0]
     completed, fall, _ = _climb(cfg, stairs, tau, ss, vs)
     n = len(ss)
-    ts = list(accumulate(repeat(cfg.dt, n - 1), initial=0.0))
+    ts = tuple(accumulate(repeat(cfg.dt, n - 1), initial=0.0))
 
     rig = cfg.plate
     engage, climb, crest, end = _zone_bounds(stairs, cfg)
-    flat = stairs.ramp_length <= 0
     inc = stairs.inclination
     ramp_in = climb - engage
     ramp_out = end - crest
     lever, stroke, tolerance = rig.lever_arm, rig.stroke, rig.tolerance
     stroke_tol = stroke + 1e-12
-    max_move = rig.max_rate * cfg.dt
+    dt = cfg.dt
+    max_move = rig.max_rate * dt
     min_move = -max_move
-    approach, engaging, climbing, cresting, level = Phase
 
     phases, plates, exts = [phase_at(0.0, stairs, cfg)], [0.0], [0.0]
     events: list[tuple[float, str]] = []
     ext = 0.0
     saturated = False
     j = 1
-    while j < n:
-        s = ss[j]
-        # phase_at(s) and pitch_at(s); bound ends a zone of constant pitch
-        if s < engage:
-            phase, pitch, bound = approach, 0.0, engage
-        elif s < climb:
-            phase, pitch, bound = engaging, inc * (s - engage) / ramp_in, None
-        elif s < crest:
-            phase, pitch, bound = climbing, inc, crest
-        elif s < end:
-            phase, pitch, bound = cresting, inc * (1.0 - (s - crest) / ramp_out), None
+    for phase, bound in zip(Phase, (engage, climb, crest, end, math.inf)):
+        # rows a to b - 1 lie in this zone: phase_at(s) is phase there
+        a, b = j, bisect_left(ss, bound, j)
+        if a == b:
+            continue
+        phases += repeat(phase, b - a)
+        ramp = phase is Phase.ENGAGE or phase is Phase.CREST
+        # pitch_at(s), and the reach of the actuator toward it
+        if phase is Phase.ENGAGE:
+            pitches = [inc * (s - engage) / ramp_in for s in ss[a:b]]
+            gain = inc * lever / ramp_in              # the reach's rise per metre of path
+        elif phase is Phase.CREST:
+            pitches = [inc * (1.0 - (s - crest) / ramp_out) for s in ss[a:b]]
+            gain = -inc * lever / ramp_out
         else:
-            # flat past the end, NaN at a NaN position on stairs (whose delta
-            # is NaN, so it fills nothing)
-            phase, bound = level, math.inf
-            pitch = 0.0 if s >= end or flat else inc * (1.0 - (s - crest) / ramp_out)
-
-        # plate levelling: track the chassis pitch within rate and stroke limits
-        reach = pitch * lever
-        target = stroke if stroke < reach else reach          # min(reach, stroke)
-        delta = target - ext
-        move = delta if delta < max_move else max_move        # min(max_move, delta)
-        ext = ext + (move if move > min_move else min_move)   # max(-max_move, move)
-        plate = pitch - ext / lever
-        if reach > stroke_tol and abs(plate) > tolerance:
-            if not saturated:                 # report saturation once per onset
-                events.append((ts[j], "ActuatorSaturation"))
-            saturated = True
-        else:
-            saturated = False
-        phases.append(phase)
-        plates.append(plate)
-        exts.append(ext)
-        j += 1
-        if delta == 0.0 and bound is not None:
-            # every later row in the zone repeats this one
-            k = bisect_left(ss, bound, j)
-            for col, x in ((phases, phase), (plates, plate), (exts, ext)):
-                col += repeat(x, k - j)
-            j = k
+            pitches = [inc if phase is Phase.CLIMB else 0.0] * (b - a)
+        # the pitch is monotone in s, so its ends bound the zone's reach; within
+        # the stroke each row's target is its reach and no row saturates
+        stretches = max(pitches[0], pitches[-1]) * lever <= stroke
+        span = 256                        # rows a ramp stretch tries first
+        while j < b:
+            r = j - a
+            pitch = pitches[r]
+            # plate levelling: track the chassis pitch within rate and stroke limits
+            reach = pitch * lever
+            target = stroke if stroke < reach else reach          # min(reach, stroke)
+            delta = target - ext
+            if stretches and not min_move < delta < max_move:
+                # the actuator slews at its rate limit while each row's target
+                # stays a full move away
+                move, past, least = (max_move, ge, min) if delta > 0.0 else (min_move, le, max)
+                if ramp:
+                    # try span rows: twice as many after a stretch that
+                    # filled its try, 16 after one that did not, so a run of
+                    # short stretches wastes little
+                    tries = min(b - j, span)
+                    before = list(accumulate(repeat(move, tries), initial=ext))
+                    # where the reach runs ahead of the actuator even at the
+                    # slowest speed, no gap needs checking
+                    slowest = min(vs[j + 1:j + tries], default=math.inf)
+                    ahead = gain if move > 0.0 else -gain
+                    if ahead * (slowest * dt * (1.0 - 2.0**-40) - ss[j + tries - 1] * 2.0**-40) \
+                            >= max_move + stroke * 2.0**-40:
+                        k = tries
+                    else:
+                        gaps = [p * lever - e for p, e in zip(pitches[r:r + tries], before)]
+                        k = tries if past(least(gaps), move) else indexOf(map(past, gaps, repeat(move)), False)
+                    span = 2 * span if k == tries else 16
+                    moved = before[1:k + 1]
+                    plates += [p - e / lever for p, e in zip(pitches[r:r + k], moved)]
+                else:
+                    # a fixed target: the gap shrinks every row, so the rows
+                    # that slew are a prefix of about as many as it is moves
+                    tries = min(b - j, int(delta / move) + 2)
+                    before = list(accumulate(repeat(move, tries), initial=ext))
+                    k = bisect_left(before, True, 0, tries, key=lambda e: not past(target - e, move))
+                    moved = before[1:k + 1]
+                    plates += [pitch - e / lever for e in moved]
+                exts += moved
+                ext, saturated, j = moved[-1], False, j + k
+                continue
+            move = delta if delta < max_move else max_move        # min(max_move, delta)
+            ext = ext + (move if move > min_move else min_move)   # max(-max_move, move)
+            plate = pitch - ext / lever
+            if reach > stroke_tol and abs(plate) > tolerance:
+                if not saturated:                 # report saturation once per onset
+                    events.append((ts[j], "ActuatorSaturation"))
+                saturated = True
+            else:
+                saturated = False
+            plates.append(plate)
+            exts.append(ext)
+            j += 1
+            if delta == 0.0 and not ramp:
+                # at a constant pitch every later row in the zone repeats this one
+                plates += repeat(plate, b - j)
+                exts += repeat(ext, b - j)
+                j = b
     if fall:
         # the falling step ends where the one before it did, so it moves the
         # actuator toward the same target and starts no saturation
@@ -458,7 +521,7 @@ def run_climb(cfg: SimConfig, stairs: Staircase, torque: float) -> Trajectory:
         plate_angle=tuple(plates),
         actuator_ext=tuple(exts),
         track_torque=(0.0, *repeat(tau, n - 1)),
-        t=tuple(ts),
+        t=ts,
         events=tuple(events),
         peak_torque=mag if mag > 0.0 else 0.0,   # max(0.0, abs(tau)), NaN gives 0.0
         completed=completed,
@@ -469,34 +532,42 @@ def run_climb(cfg: SimConfig, stairs: Staircase, torque: float) -> Trajectory:
 def _advance(s: float, c: float, bound: float, steps: int) -> tuple[int, float]:
     """``(k, s_k)``: ``s = s + c`` taken k times, as a closed form in ulps.
 
-    k is at most ``steps``, and every one of the k sums stays below
-    ``bound`` and inside the binade of ``s`` (``0 < s``, ``c >= 0``).  In
-    that binade every float is an integer multiple M of one ulp u, and
-    ``s + c`` is the exact ``M + c/u`` rounded to an integer, so while the
-    sum stays in the binade each step adds the same ``round(c/u)`` ulps.
-    k is 0 when a step would leave the binade or reach ``bound``, and on a
-    rounding tie, whose direction depends on M; the caller then takes one
-    ordinary step.
+    The stride ``c`` may have either sign.  k is at most ``steps``, and
+    every one of the k sums stays inside the binade of ``s`` (``0 < s``) and
+    on the near side of ``bound``: below it for ``c >= 0``, above it for
+    ``c < 0``.  In that binade every float is an integer multiple M of one
+    ulp u, and ``s + c`` is the exact ``M + c/u`` rounded to an integer, so
+    while the exact sum stays in the binade each step adds the same
+    ``round(c/u)`` ulps.  (An exact sum just below the binade rounds to the
+    finer grid there, so a falling stride counts its room from the exact
+    sum.)  k is 0 when a step would leave the binade or pass ``bound``, and
+    on a rounding tie, whose direction depends on M; the caller then takes
+    one ordinary step.
     """
-    if not (steps > 0 and sys.float_info.min <= s < bound):
+    up = c >= 0.0
+    if not (steps > 0 and sys.float_info.min <= s and (s < bound if up else bound < s)):
         return 0, s
     e = math.frexp(s)[1]                  # s in [2**(e-1), 2**e), u = 2**(e-53)
     top = 1 << 53                         # 2**e in ulps
     q = math.ldexp(c, 53 - e)             # c/u, exact
-    if not q < top or q - math.floor(q) == 0.5:
+    # a tie (floor(q) + 0.5 is exact for |q| < 2**52, and a larger q has no room)
+    if not abs(q) < top or math.floor(q) + 0.5 == q:
         return 0, s
     d = round(q)                          # ulps added per step
     m = int(math.ldexp(s, 53 - e))        # s/u, in [2**52, 2**53)
-    # step j (from m + j*d) stays in the binade while m + j*d + q < top
-    room = top - 1 - math.floor(q) - m
+    # step j (from m + j*d) stays in the binade while 2**52 <= m + j*d + q < top
+    room = top - 1 - math.floor(q) - m if up else m + math.floor(q) - (top >> 1)
     if room < 0:
         return 0, s
     k = steps
     if d:
-        k = min(k, room // d + 1)
-        if bound <= math.ldexp(1.0, e):
+        k = min(k, room // abs(d) + 1)
+        if up and bound <= math.ldexp(1.0, e):
             # sums below bound: m + k*d <= ceil(bound/u) - 1
             k = min(k, (math.ceil(math.ldexp(bound, 53 - e)) - 1 - m) // d)
+        elif not up and bound >= math.ldexp(1.0, e - 1):
+            # sums above bound: m + k*d >= floor(bound/u) + 1
+            k = min(k, (m - math.floor(math.ldexp(bound, 53 - e)) - 1) // -d)
     return k, math.ldexp(m + k * d, e - 53)
 
 
@@ -574,6 +645,18 @@ def _climb(
       next step would take ``v`` to <= 0 (or NaN) or past the cap, or ``s``
       out of the zone or to the goal, or to the horizon; the ordinary loop
       takes that step.
+    - A stop.  Without recording, a constant-pitch stretch that slows
+      (``acc < 0``) is decided without stepping it.  ``_advance`` with the
+      negative stride ``acc`` gives its exact speeds a binade at a time, up
+      to the step that would take ``v`` to <= 0, or to the horizon, and
+      their sum bounds the distance they cover; a margin covers rounding
+      ``v*dt`` and ``s + v*dt``.  If that bound stays below the stretch's
+      end, the robot stays in the zone, and nothing later reads more of
+      ``s`` than its zone: the last speed is kept, ``s`` keeps its value
+      from before the stretch, and the ordinary loop takes the step to the
+      stop (a ``Fall`` on the slope past ``_FALL_TOL``, else rest, which
+      the stall below or plain steps carry to the horizon).  Otherwise the
+      tight loop runs.
     - A fixed speed.  Where ``min(v + acc, cap) == v`` in those zones (at
       the cap with a net force >= 0, whose floats are the very ones each
       step uses, so no margin is needed), each step only adds ``v*dt`` to
@@ -601,7 +684,6 @@ def _climb(
     p = cfg.track
     zones = engage, climb, crest, end = _zone_bounds(stairs, cfg)
     goal = end + cfg.level_run            # path_end
-    flat = stairs.ramp_length <= 0
     inc = stairs.inclination
     ramp_in = climb - engage
     ramp_out = end - crest
@@ -665,10 +747,7 @@ def _climb(
                 grade, roll = mg * sin(pitch), cmg * cos(pitch)
                 acc, top = None, end if crest_from <= s else s
             else:
-                cap = ground
-                # flat past the end, NaN at a NaN position on stairs
-                pitch = 0.0 if s >= end or flat else inc * (1.0 - (s - crest) / ramp_out)
-                grade, roll = mg * sin(pitch), cmg * cos(pitch)
+                cap, pitch, grade, roll = ground, 0.0, grade_flat, roll_flat
                 acc, top = flat_acc, goal
             # re-clamp so the stored row respects its own phase's cap
             if cap < v:
@@ -688,6 +767,26 @@ def _climb(
         else:
             break                         # the horizon
         if acc is not None and min(v + acc, cap) != v:
+            if acc < 0.0 and not rec:
+                # slowing: the speeds to the stop, or to the horizon, by
+                # _advance a binade at a time, and a bound on their sum
+                n, w, run = i, v, 0.0
+                while n < steps:
+                    k, w_k = _advance(w, acc, 0.0, steps - n)
+                    run += k * (w + w_k) * 0.5    # >= the sum of the k speeds
+                    n, w = n + k, w_k
+                    if n == steps:
+                        break
+                    x = w + acc
+                    if not x > 0.0:           # the step to the stop
+                        break
+                    n, w, run = n + 1, x, run + x
+                # the margins cover rounding run's sums, each w*dt, and each
+                # s + w*dt (by at most 2**-53*top while s stays below top)
+                if s + run * dt * (1.0 + 2.0**-30) + (n - i + 1) * top * 2.0**-50 < top:
+                    # s stays in the zone, which is all the later steps read
+                    v, i = w, n
+                    continue
             # a constant force: a step is v + acc, then s + v*dt
             v0, s0 = v, s
             for n in range(i, steps):

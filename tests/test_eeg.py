@@ -177,10 +177,17 @@ def test_scale_values_clamped_to_band():
 
 
 def test_record_validation():
-    with pytest.raises(ValueError):
-        EegRecord(0.0, 0, 50)
-    with pytest.raises(ValueError):
-        EegRecord(0.0, 50, 101)
+    # a field out of range, or NaN, is refused by its own name
+    for attention, meditation, bad in [
+        (0, 50, "attention"), (101, 50, "attention"), (math.nan, 50, "attention"),
+        (50, 0, "meditation"), (50, 101, "meditation"), (50, math.nan, "meditation"),
+        (0, 101, "attention"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{bad} must lie in \\[1, 100\\]"):
+            EegRecord(0.0, attention, meditation)
+    # both ends of the scale are in it
+    for attention, meditation in [(1, 1), (1, 100), (100, 1), (100, 100)]:
+        assert EegRecord(0.0, attention, meditation).meditation == meditation
 
 
 def test_loess_reproduces_affine_data():

@@ -597,6 +597,87 @@ def baseline40_half_static():
     return sc.sim, sc.stairs, 0.5 * static_torque(sc.sim, sc.stairs)
 
 
+def slowdown_climb():
+    # a thrust 0.1% short of grade plus roll at inc: the robot enters the
+    # climb zone at the stair cap and slows to a stop 0.17 m in, where the
+    # step past rest reverses it (a Coulomb-reversal Fall)
+    cfg = replace(CFG, duration=20.0, rolling_resist_coeff=0.13, stair_cap=0.05)
+    stairs = Staircase(math.radians(40.0), 0.17, ramp_length=1.0, approach_length=0.3)
+    _, _, grade, roll = forces_at_inc(cfg, stairs)
+    return cfg, stairs, cfg.track.r * (grade + roll) * (1.0 - 1e-3)
+
+
+def stop_short_of_crest():
+    # the slowdown above, with the crest 1 nm past where it stops: far inside
+    # the stop bound's slack, so the kernel steps the slowdown
+    cfg, stairs, tau = slowdown_climb()
+    ss = [0.0]
+    _climb(cfg, stairs, tau, ss, [0.0])
+    climb = _zone_bounds(stairs, cfg)[1]
+    return cfg, replace(stairs, ramp_length=ss[-1] + 1e-9 - climb), tau
+
+
+def slowdown_past_crest():
+    # the slowdown above, with the crest 1 mm before where it would stop: it
+    # reaches the crest ramp still moving, where the pitch falls and it
+    # speeds up again
+    cfg, stairs, tau = slowdown_climb()
+    ss = [0.0]
+    _climb(cfg, stairs, tau, ss, [0.0])
+    climb = _zone_bounds(stairs, cfg)[1]
+    return cfg, replace(stairs, ramp_length=ss[-1] - 1e-3 - climb), tau
+
+
+def horizon_mid_slowdown():
+    # the slowdown above, with the horizon half-way through it
+    cfg, stairs, tau = slowdown_climb()
+    ss, vs = [0.0], [0.0]
+    _climb(cfg, stairs, tau, ss, vs)
+    climb = _zone_bounds(stairs, cfg)[1]
+    slowing = [i for i in range(1, len(vs)) if ss[i] >= climb and 0.0 < vs[i] < vs[i - 1]]
+    return replace(cfg, duration=slowing[len(slowing) // 2] * cfg.dt), stairs, tau
+
+
+def creep_below_fall_tolerance():
+    # no rolling resistance and a thrust just short of the grade: the speed
+    # falls by 8e-7 m/s a step, so the step past rest ends above -_FALL_TOL
+    # and no Fall comes; from rest every step rounds back to rest, and the
+    # net force is not 0, so no stall either
+    cfg = SimConfig(TRACK, MOTOR, dt=5e-3, duration=80.0, stair_cap=0.01, track_length=0.15, level_run=0.1)
+    stairs = Staircase(math.radians(40.0), 0.17, ramp_length=1.0, approach_length=0.0)
+    _, _, grade, _ = forces_at_inc(cfg, stairs)
+    inertia = cfg.track.M + cfg.track.m1
+    return cfg, stairs, cfg.track.r * (grade - 8e-7 * inertia / cfg.dt)
+
+
+def tied_slowdown():
+    # binary mass, pulley radius and step, and no rolling resistance: the
+    # climb zone's speed change is exactly an odd number of half ulps of the
+    # stair cap's binade, so every step of the slowdown there is a rounding tie
+    track = TrackParams(M=64.0, R=0.05, r=2.0**-5, theta=math.radians(30.0))
+    cfg = SimConfig(track, MOTOR, dt=2.0**-10, duration=30.0, stair_cap=0.05, track_length=0.15, level_run=0.0)
+    stairs = Staircase(math.radians(30.0), 0.17, 0.4, 0.0)
+    _, _, grade, _ = forces_at_inc(cfg, stairs)
+    half_ulp = 2.0**-58                 # of speeds in [2**-5, 2**-4), where the stair cap lies
+    odd = 2 * round(4e-6 / half_ulp / 2) + 1
+    # net force thrust - grade, then / 64 and * 2**-10: every step exact
+    return cfg, stairs, (grade - odd * half_ulp * 2.0**16) * track.r
+
+
+def plain_verdicts(cfg, stairs, tau, durations):
+    """``plain_verdict`` at each horizon in ``durations``, from one fold of
+    ``step`` over the longest: a run cut at n steps is the first n steps of
+    the long one, and ends as it does if that ended by step n."""
+    states, _, _, completed, fall = reference_run_climb(replace(cfg, duration=max(durations)), stairs, tau)
+    ended = len(states) - 1
+    verdicts = []
+    for duration in durations:
+        n = int(round(duration / cfg.dt))
+        # an initial state at the goal ends the run on its first step
+        verdicts.append((completed, fall, states[-1].v) if ended <= n else (False, False, states[n].v))
+    return verdicts
+
+
 @settings(max_examples=150, deadline=None)
 @given(long_climbs())
 @example(balance_climb())
@@ -608,6 +689,12 @@ def baseline40_half_static():
 @example((CFG, STAIRS, 7.833221149600235))
 @example(engage_cruise_probe())
 @example(baseline40_half_static())
+@example(slowdown_climb())
+@example(stop_short_of_crest())
+@example(slowdown_past_crest())
+@example(horizon_mid_slowdown())
+@example(creep_below_fall_tolerance())
+@example(tied_slowdown())
 def test_climb_verdict_matches_run_climb_on_long_climbs(climb):
     # long capped stretches, where the kernel skips cruising and stalled
     # steps; a run that ends early is also cut one step before its end, so
@@ -621,18 +708,120 @@ def test_climb_verdict_matches_run_climb_on_long_climbs(climb):
     durations = [cfg.duration]
     if ended < round(cfg.duration / cfg.dt):
         durations += [ended * cfg.dt] + ([(ended - 1) * cfg.dt] if ended > 1 else [])
-    for duration in durations:
+    for duration, want in zip(durations, plain_verdicts(cfg, stairs, tau, durations)):
         cut = replace(cfg, duration=duration)
-        assert repr(_climb(cut, stairs, tau)) == repr(plain_verdict(cut, stairs, tau))
+        assert repr(_climb(cut, stairs, tau)) == repr(want)
+
+
+# --- each shortcut of _climb fires: no output shows a shortcut turned off ---
+
+
+@pytest.fixture
+def kernel_log(monkeypatch):
+    """Logs each ``_advance`` call of the kernel as ``(s, c, bound, k)``, and
+    counts the steps it takes one at a time (each loop runs over ``range``)."""
+    import builtins
+
+    import stairclimber.stairsim as stairsim
+
+    calls, stepped = [], [0]
+    advance = stairsim._advance
+
+    def logged_advance(s, c, bound, steps):
+        k, s_k = advance(s, c, bound, steps)
+        calls.append((s, c, bound, k))
+        return k, s_k
+
+    def counted_range(*args):
+        for i in builtins.range(*args):
+            stepped[0] += 1
+            yield i
+
+    monkeypatch.setattr(stairsim, "_advance", logged_advance)
+    monkeypatch.setattr(stairsim, "range", counted_range, raising=False)
+    return calls, stepped
+
+
+def advanced(calls, lo, hi, sign):
+    """Steps ``_advance`` skipped from ``lo <= s < hi`` with a stride of ``sign``."""
+    return sum(k for s, c, _, k in calls if lo <= s < hi and math.copysign(1.0, c) == sign)
+
+
+def test_engage_ramp_cruise_fires_below_its_bound(kernel_log):
+    calls, _ = kernel_log
+    cfg, stairs, tau = engage_cruise_probe()
+    engage, climb, _, _ = _zone_bounds(stairs, cfg)
+    assert _climb(cfg, stairs, tau)[1]
+    # part of the way up the engage ramp, to a bound short of its top
+    assert advanced(calls, engage, climb, 1.0) > 500
+    assert any(engage <= s and bound < climb and k for s, _, bound, k in calls)
+
+
+def test_crest_ramp_cruise_fires_from_its_bound(kernel_log):
+    # grade plus roll peaks at 22.8 deg, and the thrust falls 0.02% short of
+    # the peak: the robot slows a little through it on both ramps
+    calls, _ = kernel_log
+    inc = math.radians(40.0)
+    cfg = SimConfig(TRACK, MOTOR, dt=5e-3, duration=30.0, rolling_resist_coeff=2.0 / math.tan(inc),
+                    ground_cap=0.5, stair_cap=0.1, track_length=0.25, level_run=0.3)
+    stairs = Staircase(inc, 0.17, 0.4, 0.5)
+    mg, cmg, _, _ = forces_at_inc(cfg, stairs)
+    tau = cfg.track.r * math.hypot(mg, cmg) * (1.0 - 2e-4)
+    _, _, crest, end = _zone_bounds(stairs, cfg)
+    assert repr(_climb(cfg, stairs, tau)) == repr(plain_verdict(cfg, stairs, tau)) == repr((True, False, 0.5))
+    # from a bound part of the way down the crest ramp, to its end
+    assert advanced(calls, crest, end, 1.0) > 200
+    assert all(crest + 0.1 < s for s, c, _, k in calls if crest <= s < end and k)
+
+
+def test_cap_cruise_fires_in_the_climb_zone(kernel_log):
+    calls, stepped = kernel_log
+    _, climb, crest, _ = _zone_bounds(STAIRS, CFG)
+    assert _climb(CFG, STAIRS, 30.0) == (True, False, 0.1)
+    assert advanced(calls, climb, crest, 1.0) > 5000
+    assert stepped[0] < 1000
+
+
+def test_stall_fires_from_rest(kernel_log):
+    # no thrust on the flat: the first step leaves the robot at rest, and so
+    # does every later one, without taking them
+    _, stepped = kernel_log
+    cfg = replace(CFG, duration=10.0, rolling_resist_coeff=0.1)
+    assert _climb(cfg, flat_course(), 0.0) == (False, False, 0.0)
+    assert stepped[0] == 1
+
+
+def test_stop_fires_on_a_slowdown_that_stops_in_its_zone(kernel_log):
+    calls, stepped = kernel_log
+    cfg, stairs, tau = slowdown_climb()
+    assert repr(_climb(cfg, stairs, tau)) == repr(plain_verdict(cfg, stairs, tau))
+    # about 6,850 slowing steps, counted by the falling stride
+    assert advanced(calls, 0.0, math.inf, -1.0) > 6000
+    assert stepped[0] < 1000
+
+
+def test_stop_falls_back_to_stepping_within_its_slack(kernel_log):
+    # stopping 1 nm short of the crest, the bound cannot rule the crest out,
+    # so the slowdown is stepped after all
+    calls, stepped = kernel_log
+    cfg, stairs, tau = stop_short_of_crest()
+    assert repr(_climb(cfg, stairs, tau)) == repr(plain_verdict(cfg, stairs, tau))
+    assert advanced(calls, 0.0, math.inf, -1.0) > 6000
+    assert stepped[0] > 6000
 
 
 # --- _advance, the closed form of s = s + c, against the plain loop ---
 
 
+def near(c, bound):
+    """The test a sum must pass: below ``bound`` for ``c >= 0``, above it for ``c < 0``."""
+    return (lambda x: x < bound) if c >= 0.0 else (lambda x: x > bound)
+
+
 def plain_advance(s, c, bound, steps):
-    """``s = s + c`` one step at a time while steps remain and the sum stays below bound."""
-    k = 0
-    while k < steps and s + c < bound:
+    """``s = s + c`` one step at a time while steps remain and the sum stays on the near side of bound."""
+    k, keep = 0, near(c, bound)
+    while k < steps and keep(s + c):
         s = s + c
         k += 1
     return k, s
@@ -645,12 +834,13 @@ def driven_advance(s, c, bound, steps):
     ``(k, s)`` and the number of ordinary steps taken.
     """
     taken = ordinary = 0
+    keep = near(c, bound)
     while True:
         k, s_k = _advance(s, c, bound, steps - taken)
         assert 0 <= k <= steps - taken
         assert repr((k, s_k)) == repr(plain_advance(s, c, bound, k))
         s, taken = s_k, taken + k
-        if taken == steps or not s + c < bound:
+        if taken == steps or not keep(s + c):
             return (taken, s), ordinary
         s, taken, ordinary = s + c, taken + 1, ordinary + 1
 
@@ -677,6 +867,25 @@ ULP1 = 2.0**-52                     # one ulp of [1, 2)
         ("an ulp and a bit", 1.0, ULP1 * (1.0 + 2.0**-20), 2.0, 1000, 0),
         ("a step wider than the binade", 1.0, 1.5, 10.0, 5, 3),
         ("subnormal start", 5e-324, 5e-324, 1e-320, 100, 100),
+        # a falling stride: the sums stay above bound
+        ("falling tie, rounds to even", 1.5, -1.5 * ULP1, 0.0, 300, 300),
+        ("falling tie at half an ulp", 1.5 + ULP1, -0.5 * ULP1, 0.0, 300, 300),
+        ("falling binade crossings", 2.4, -1e-4, 0.0, 30_000, 16),
+        ("falling to the stop", 0.1, -3.7e-6, 0.0, 100_000, 20),
+        ("falling bound inside the binade", 1.9, -0.1, 1.45, 100, 1),
+        ("falling bound on the stride's grid", 1.875, -0.125, 1.5, 100, 1),
+        ("falling bound at the binade bottom", 1.5, -0.125, 1.0, 100, 1),
+        ("falling bound already reached", 1.0, -0.1, 1.0, 100, 0),
+        ("falling bound passed", 1.0, -0.1, 1.5, 100, 0),
+        ("falling, zero steps", 0.5, -1e-3, 0.0, 0, 0),
+        # from the binade's bottom even a tiny fall rounds onto the finer grid below
+        ("falling from a power of two", 1.0, -1e-30, 0.0, 100, 100),
+        ("falling far below an ulp", 1.5, -1e-30, 0.0, 100_000, 0),
+        ("falling just below half an ulp", 1.5, -math.nextafter(0.5 * ULP1, 0.0), 0.0, 1000, 0),
+        ("falling just above half an ulp", 1.5, -math.nextafter(0.5 * ULP1, 1.0), 0.0, 1000, 0),
+        ("falling a step wider than the binade", 1.9, -1.5, -10.0, 5, 5),
+        ("falling into the subnormals", 1e-306, -1e-307, 0.0, 100, 100),
+        ("falling subnormal start", 1e-320, -5e-324, 0.0, 100, 100),
     ],
 )
 def test_advance_matches_the_plain_loop(name, s, c, bound, steps, max_ordinary):
@@ -689,12 +898,13 @@ def test_advance_matches_the_plain_loop(name, s, c, bound, steps, max_ordinary):
 @given(
     st.floats(1e-3, 10.0),
     st.floats(-60.0, -3.0),
+    st.sampled_from([1.0, -1.0]),
     st.floats(0.0, 2.0),
     st.integers(0, 3000),
 )
-def test_advance_matches_the_plain_loop_on_random_strides(s, c_exp, span, steps):
-    c = s * 2.0**c_exp
-    bound = s + span
+def test_advance_matches_the_plain_loop_on_random_strides(s, c_exp, sign, span, steps):
+    c = sign * s * 2.0**c_exp
+    bound = s + sign * span
     got, _ = driven_advance(s, c, bound, steps)
     assert repr(got) == repr(plain_advance(s, c, bound, steps))
 
@@ -864,6 +1074,67 @@ def nose_landing():
 def test_run_climb_matches_reference_on_cases(name, cfg, stairs, torque, check):
     traj = assert_matches_reference(cfg, stairs, torque)
     assert check(traj), name
+
+
+def test_plate_pass_takes_slewing_rows_as_stretches(monkeypatch):
+    # a stretch accumulates the rate limit's move over its rows; the
+    # actuator slews up the engage ramp, on into the climb zone and down
+    # the crest ramp here.  The ramps move the reach at 0.14 m/s against the
+    # actuator's 0.05 m/s, so no ramp stretch needs its gaps: a ramp stretch
+    # zips its pitches with its extensions once, for the plates, and with
+    # one more extension (the one before it) only to check the gaps
+    import builtins
+    import itertools
+
+    import stairclimber.stairsim as stairsim
+
+    summed, zipped = [], []
+
+    def logged_accumulate(iterable, *args, **kwargs):
+        items = list(iterable)
+        summed.append(items)
+        return itertools.accumulate(items, *args, **kwargs)
+
+    def logged_zip(*iterables):
+        zipped.append(iterables)
+        return builtins.zip(*iterables)
+
+    monkeypatch.setattr(stairsim, "accumulate", logged_accumulate)
+    monkeypatch.setattr(stairsim, "zip", logged_zip, raising=False)
+    assert_matches_reference(CFG, STAIRS, 30.0)
+    max_move = CFG.plate.max_rate * CFG.dt
+    slewed = [items for items in summed if items and abs(items[0]) == max_move]
+    assert {items[0] for items in slewed} == {max_move, -max_move}
+    assert sum(map(len, slewed)) > 2500
+    ramps = [tuple(map(len, pair)) for pair in zipped if len(pair) == 2 and isinstance(pair[0], list)]
+    assert ramps and all(n == m for n, m in ramps)
+
+
+@st.composite
+def rate_matched_climbs(draw):
+    """``(cfg, stairs, tau)``: a plate rig whose slew rate matches the rate
+    at which the ramps move the reach at the stair cap, to within a few
+    ulps or a relative 1e-15 to 1e-9 either way, so that the plate pass's
+    stretch test sits on its edge; a torque that climbs at the cap."""
+    inclination = math.radians(draw(st.floats(5.0, 40.0)))
+    lever = draw(st.floats(0.1, 0.5))
+    stair_cap, track_length = draw(st.floats(0.1, 0.3)), draw(st.floats(0.05, 0.3))
+    rate = inclination * lever / track_length * stair_cap
+    rate *= 1.0 + draw(st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9]))
+    rig = PlateRig(lever_arm=lever, max_rate=ulps(rate, draw(st.integers(-3, 3))),
+                   stroke=1.5 * inclination * lever, tolerance=0.05)
+    cfg = SimConfig(replace(TRACK, M=draw(st.floats(20.0, 120.0))), MOTOR, dt=draw(st.sampled_from([5e-3, 1e-2])),
+                    duration=30.0, ground_cap=1.0, stair_cap=stair_cap, track_length=track_length,
+                    level_run=0.2, plate=rig)
+    stairs = Staircase(inclination, 0.17, ramp_length=draw(st.floats(0.1, 1.0)), approach_length=0.2)
+    return cfg, stairs, 1.5 * static_torque(cfg, stairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rate_matched_climbs())
+def test_run_climb_matches_reference_where_the_actuator_keeps_pace_with_the_ramp(climb):
+    traj = assert_matches_reference(*climb)
+    assert traj.completed
 
 
 @pytest.mark.parametrize("name", ["baseline40", "flat_ground"])
