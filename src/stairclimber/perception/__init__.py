@@ -1,9 +1,12 @@
 """Sensor-side algorithms: sonar occupancy regions, synthetic frames,
 corner detection and forward-backward point tracking.
 
-Everything here is pure per call; frames are immutable once constructed and
-tracker state is passed in and out, so frame pairs can be processed in
-parallel.
+Every result here depends only on the call's arguments; frames are immutable
+once constructed and tracker state is passed in and out, so frame pairs can
+be processed in parallel.  A frame caches what the tracker derives from it
+alone (its pyramids and its last template set-ups), so a frame tracked again
+does not repeat that work.  Two threads that fill one frame's cache at once
+compute the same values twice, and either copy is kept.
 
 The sonar names load with the package, because control imports them and
 they need no numpy.  The names from frames, corners and flow, which import

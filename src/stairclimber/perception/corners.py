@@ -52,10 +52,13 @@ def _gradients(px: np.ndarray) -> np.ndarray:
 
 def _box3(a: np.ndarray) -> np.ndarray:
     """Sum over the 3x3 neighbourhood, zero-padded at the borders."""
-    p = np.pad(a, 1)
-    c = np.cumsum(np.cumsum(p, axis=0), axis=1)
-    c = np.pad(c, ((1, 0), (1, 0)))
     h, w = a.shape
+    p = np.zeros((h + 2, w + 2))
+    p[1:-1, 1:-1] = a
+    # summed-area table of the padded input, behind a zero row and column
+    c = np.zeros((h + 3, w + 3))
+    np.cumsum(p, axis=0, out=p)
+    np.cumsum(p, axis=1, out=c[1:, 1:])
     return c[3 : 3 + h, 3 : 3 + w] - c[3 : 3 + h, :w] - c[:h, 3 : 3 + w] + c[:h, :w]
 
 
@@ -79,13 +82,14 @@ def detect_corners(frame: Frame, max_count: int | None = None) -> list[Corner]:
     """
     resp = min_eig_response(frame)
     floor = max(_ABS_FLOOR, DEFAULT_QUALITY * float(resp.max(initial=0.0)))
-    p = np.pad(resp, 1, constant_values=-np.inf)
+    h, w = resp.shape
+    p = np.full((h + 2, w + 2), -np.inf)
+    p[1:-1, 1:-1] = resp
     is_peak = resp > floor
     for dy in (-1, 0, 1):
         for dx in (-1, 0, 1):
             if dy == 0 and dx == 0:
                 continue
-            h, w = resp.shape
             neighbor = p[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
             is_peak &= resp > neighbor
     ys, xs = np.nonzero(is_peak)

@@ -1,15 +1,17 @@
 """Grayscale frames, PGM fixture I/O, synthetic textures and bearing math.
 
 Frames carry float64 intensities in [0, 1] and are frozen after
-construction.  The synthetic texture is a band-limited sum of cosine waves,
-rendered under any subpixel shift: an exact ground truth for tracking tests.
+construction, so what a reader derives from a frame's pixels alone can be
+kept with the frame.  The synthetic texture is a band-limited sum of cosine
+waves, rendered under any subpixel shift: an exact ground truth for
+tracking tests.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,12 +29,22 @@ __all__ = [
 # horizontal field of view of the onboard camera stand-in
 DEFAULT_HFOV = math.radians(53.5)
 
+# a PGM header token, or a comment from '#' to the end of its line
+_PGM_TOKEN = re.compile(rb"\s*(#[^\n]*\n|\S+)")
+
 
 @dataclass(frozen=True)
 class Frame:
-    """One grayscale image: float64 intensities in [0, 1], row-major."""
+    """One grayscale image: float64 intensities in [0, 1], row-major.
+
+    The pixels are a read-only array that no other array views.  _derived
+    holds what readers compute from the pixels alone (the tracker's
+    pyramids), filled on first use; it is no part of the frame's value, so
+    equality and repr ignore it.
+    """
 
     pixels: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=float)
@@ -47,6 +59,8 @@ class Frame:
                 raise ValueError("pixels must be finite")
             raise ValueError("intensities must lie in [0, 1]")
         px = np.ascontiguousarray(px)
+        if px.base is not None:
+            px = px.copy()  # a view: its owner could still change the pixels
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
 
@@ -68,7 +82,7 @@ def read_pgm(path) -> Frame:
     tokens: list[bytes] = []
     pos = 0
     while len(tokens) < 4:
-        m = re.compile(rb"\s*(#[^\n]*\n|\S+)").match(data, pos)
+        m = _PGM_TOKEN.match(data, pos)
         if m is None:
             raise ValueError("truncated header")
         pos = m.end()
@@ -88,7 +102,8 @@ def read_pgm(path) -> Frame:
     if have < width * height:
         raise ValueError(f"raster holds {have} bytes, fewer than width*height = {width * height}")
     raster = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos + 1)
-    return Frame(raster.reshape(height, width).astype(float) / 255.0)
+    # uint8 / 255.0 is computed in float64, as astype(float) / 255.0 is
+    return Frame(raster.reshape(height, width) / 255.0)
 
 
 def write_pgm(path, frame: Frame) -> None:

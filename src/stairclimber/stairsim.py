@@ -38,8 +38,8 @@ Two implementations share the arithmetic of one step, in the same order:
   every stretch whose force does not change: a constant pitch (approach,
   climb zone, run-out) in a tight loop, a fixed speed (a cruise at a cap,
   also part-way up or down the ramps) in closed form, a slowdown that stops
-  inside its zone in closed form (when not recording), and a
-  static-friction stall.
+  inside its zone in closed form (when not recording), and a stall at
+  rest.
 
 ``run_climb`` records a trajectory with ``_climb`` and then levels the plate
 in a second pass over the positions: plate levelling never feeds back into
@@ -655,8 +655,8 @@ def _climb(
       ``s`` than its zone: the last speed is kept, ``s`` keeps its value
       from before the stretch, and the ordinary loop takes the step to the
       stop (a ``Fall`` on the slope past ``_FALL_TOL``, else rest, which
-      the stall below or plain steps carry to the horizon).  Otherwise the
-      tight loop runs.
+      the stall below carries to the horizon).  Otherwise the tight loop
+      runs.
     - A fixed speed.  Where ``min(v + acc, cap) == v`` in those zones (at
       the cap with a net force >= 0, whose floats are the very ones each
       step uses, so no margin is needed), each step only adds ``v*dt`` to
@@ -671,10 +671,12 @@ def _climb(
       ``_advance`` moves ``s`` in closed form to the last step before the
       stretch's end, or to the horizon, one binade at a time; at a binade
       edge or on a rounding tie the loop takes one ordinary step.
-    - A static-friction stall.  A step from ``v == 0`` with a net force of
-      0 leaves ``s`` and ``v`` as they were, so every later step repeats it
-      and the run ends stalled at the horizon.  The test is on the state
-      itself, so a NaN speed never takes it.
+    - A stall.  At ``v == 0`` the next step starts from rest at the same
+      pitch.  If it ends at rest without a ``Fall`` (static friction holds,
+      or a backward push is clamped to rest: on the flat, or within
+      ``_FALL_TOL`` on a slope), it leaves ``s`` and ``v`` as they were, so
+      every later step repeats it and the run ends stalled at the horizon.
+      The test is on the state itself, so a NaN speed never takes it.
 
     Steps the model gets wrong are kept as they are: a Coulomb-resistance
     reversal of a slow forward speed still ends in ``Fall`` (baseline40 at
@@ -757,11 +759,17 @@ def _climb(
                 vs.append(v)
             if s >= goal:
                 return True, False, v
-            if v == 0.0 and net == 0.0:   # stalled: every later step repeats this one
-                if rec:
-                    ss += repeat(s, steps - i)
-                    vs += repeat(v, steps - i)
-                return completed, False, v
+            if v == 0.0:
+                # the next step, from rest at this pitch: if it ends at rest
+                # without a Fall, it leaves s and v as they are, and so does
+                # every later one
+                net0 = thrust - grade
+                w = v + (0.0 if abs(net0) <= roll else net0 - copysign(roll, net0)) / inertia * dt
+                if w <= 0.0 and not (pitch > 0.0 and w < -_FALL_TOL):
+                    if rec:
+                        ss += repeat(s, steps - i)
+                        vs += repeat(v, steps - i)
+                    return completed, False, v
             if s < top and (v > 0.0 if acc is not None else v == cap):
                 break
         else:

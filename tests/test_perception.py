@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -687,6 +689,17 @@ def tap_coords(draw, size, hw):
     return draw(st.floats(hw + 1.0, size - 2.0 - hw)), False
 
 
+def sample_at(src, block, taps):
+    """The window of src, a C-contiguous level or a stack of them, at the
+    taps, as the tracker samples it."""
+    if taps[0] is not None:
+        return flow._bilinear(src[..., block[0], block[1]], taps)
+    n = taps[1].shape[-1]
+    out = np.empty((*src.shape[:-2], n, n))
+    flow._neighbours(src, block[0].start, block[1].start, taps, out, np.empty((2, 2, *out.shape)))
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 5, 15, 21]), st.data())
 def test_stacked_sampling_matches_plane_by_plane(seed, window, data):
@@ -696,9 +709,9 @@ def test_stacked_sampling_matches_plane_by_plane(seed, window, data):
     block, taps = flow._taps(x, y, np.arange(-hw, hw + 1, dtype=float))
     if x_skips or y_skips:
         assert taps[0] is not None
-    stack = flow._gradients(px)[:, block[0], block[1]]
-    planes = [flow._bilinear(g, taps) for g in stack]
-    got = flow._bilinear(stack, taps)
+    grads = flow._gradients(px)
+    planes = [sample_at(g, block, taps) for g in grads]
+    got = sample_at(grads, block, taps)
     assert got.shape == (3, window, window)
     for g, want in zip(got, planes):
         assert np.array_equal(g, want)
@@ -707,6 +720,28 @@ def test_stacked_sampling_matches_plane_by_plane(seed, window, data):
     w = np.ascontiguousarray(got)
     assert w.sum(axis=(1, 2)).tolist() == [float(g.sum()) for g in planes]
     assert (w[0] * w).sum(axis=(1, 2)).tolist() == [float((planes[0] * g).sum()) for g in planes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 5, 15, 21]), st.data())
+def test_sampling_matches_the_tap_by_tap_form_to_the_bit(seed, window, data):
+    # Frame admits -0.0, and a sum of four -0.0 is -0.0 only when it starts
+    # from the first term (or from -0.0), not from 0.0
+    rng = np.random.default_rng(seed)
+    px = rng.random((150, 160))
+    px[rng.random(px.shape) < 0.3] = -0.0
+    px[40:110, 50:120] = -0.0
+    hw = window // 2
+    (x, _), (y, _) = data.draw(tap_coords(160, hw)), data.draw(tap_coords(150, hw))
+    offs = np.arange(-hw, hw + 1, dtype=float)
+    xs, ys = ref_patch_grid(x, y, hw)
+    got = np.full((window, window), np.nan)
+    flow._sample(px, x, y, offs, got, np.empty((2, 2, window, window)))
+    assert got.tobytes() == ref_bilinear(px, xs, ys).tobytes()
+    # the set-up samples the level and its gradients as one stack
+    stack = flow._setup(px, x, y, offs)[2]
+    want = [ref_bilinear(plane, xs, ys) for plane in (px, *ref_gradients(px))]
+    assert stack.tobytes() == np.stack(want).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -763,22 +798,22 @@ def test_fb_track_follows_a_small_shift_on_a_weak_coarse_level():
 @pytest.fixture
 def lk_iterations(monkeypatch):
     """Gauss-Newton iterations of each LK level solve while the test runs."""
-    taps, level = flow._taps, flow._lk_level
+    sample, level = flow._sample, flow._lk_level
     calls, solves = [0], []
 
-    def counting_taps(*args):
+    def counting_sample(*args):
         calls[0] += 1
-        return taps(*args)
+        return sample(*args)
 
     def counting_level(*args):
         start = calls[0]
         try:
             return level(*args)
         finally:
-            # one call samples the template; each iteration samples once more
-            solves.append(calls[0] - start - 1)
+            # each iteration samples the next frame once
+            solves.append(calls[0] - start)
 
-    monkeypatch.setattr(flow, "_taps", counting_taps)
+    monkeypatch.setattr(flow, "_sample", counting_sample)
     monkeypatch.setattr(flow, "_lk_level", counting_level)
     return solves
 
@@ -804,6 +839,133 @@ def test_lk_damping_keeps_a_drifting_240px_pair_under_the_iteration_cap(lk_itera
     got = fb_track(a, b, TrackedPoint(120.0, 120.0))
     assert math.hypot(got.x - 120.0 - shift[0], got.y - 120.0 - shift[1]) <= 0.1
     assert lk_iterations and max(lk_iterations) < LkParams().max_iters
+
+
+# --- frames keep their pyramids and last set-ups: chains reuse them ---
+
+
+def drifting_frames(seed, count, size=120):
+    """A texture drifting by about a pixel a frame, as a chain of frames."""
+    rng = np.random.default_rng(seed)
+    tex = random_texture(rng)
+    shifts = np.cumsum(rng.uniform(-1.2, 1.2, size=(count, 2)), axis=0)
+    return [render_texture(tex, size, size, tuple(d)) for d in shifts]
+
+
+def chain(frames, point, params):
+    """fb_track along the frames, each result fed into the next call; a lost
+    point starts again from where it was lost.  Returns every result."""
+    got, pt = [], TrackedPoint(*point)
+    for a, b in zip(frames, frames[1:]):
+        new = fb_track(a, b, pt, params)
+        got.append(new)
+        pt = TrackedPoint(*new.position)
+    return got
+
+
+def ref_chain(frames, point, params):
+    want, pt = [], point
+    for a, b in zip(frames, frames[1:]):
+        new = ref_fb_track(a, b, pt, params)
+        want.append(new)
+        pt = new.position
+    return want
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_chained_tracking_matches_the_reference_at_every_frame(seed):
+    frames = drifting_frames(seed, 12)
+    params = LkParams()
+    got = chain(frames, (60.0, 60.0), params)
+    assert got == ref_chain(frames, (60.0, 60.0), params)
+    assert sum(not p.lost for p in got) >= 8
+    # tracked again, the frames' caches are full: the same results
+    assert chain(frames, (60.0, 60.0), params) == got
+
+
+def test_interleaved_params_each_match_the_reference():
+    # the caches of one frame hold a pyramid per (window, levels); a solve
+    # that takes a cached set-up still tests it against its own min_eig
+    frames = drifting_frames(5, 6)
+    kinds = [LkParams(), LkParams(window=7), LkParams(levels=2), LkParams(min_eig=1.0),
+             LkParams(window=21, levels=1), LkParams(min_eig=1e-3)]
+    point = (60.0, 60.0)
+    for a, b in zip(frames, frames[1:]):
+        for params in kinds + kinds[::-1]:
+            got = fb_track(a, b, TrackedPoint(*point), params)
+            assert got == ref_fb_track(a, b, point, params)
+            assert lk_track(a, b, point, params) == ref_lk_track(a, b, point, params)
+        # min_eig = 1.0 fails every window, cached or not
+        assert fb_track(a, b, TrackedPoint(*point), LkParams(min_eig=1.0)).lost
+        point = fb_track(a, b, TrackedPoint(*point)).position
+
+
+def test_a_set_up_is_reused_only_at_its_exact_point():
+    a, b = drifting_frames(7, 2)
+    params = LkParams()
+    for point in [(60.0, 60.0), (60.0, 60.5), (60.5, 60.5), (60.5, 60.0), (60.0, 60.0)]:
+        assert lk_track(a, b, point, params) == ref_lk_track(a, b, point, params)
+
+
+def test_a_chain_builds_one_pyramid_per_frame_and_reuses_each_backward_set_up(monkeypatch):
+    pyramid, setup = flow._pyramid, flow._setup
+    built, set_up = [], []
+    monkeypatch.setattr(flow, "_pyramid", lambda px, p: built.append(px) or pyramid(px, p))
+    monkeypatch.setattr(flow, "_setup", lambda *args: set_up.append(args) or setup(*args))
+    k = 10
+    frames = drifting_frames(3, k)
+    got = chain(frames, (60.0, 60.0), LkParams())
+    assert not any(p.lost for p in got)
+    assert len(built) == k
+    assert all(any(px is f.pixels for px in built) for f in frames)
+    # three levels on a 120 px frame: the first call sets up both solves,
+    # and each later call only its backward solve
+    depth = len(pyramid(frames[0].pixels, LkParams()))
+    assert depth == 3
+    assert len(set_up) == depth * k
+
+
+def test_threads_sharing_frames_get_the_sequential_results():
+    # more threads than cores, switching often, fill and read the same
+    # frames' caches, from different points: each must see the results of
+    # tracking alone
+    frames = drifting_frames(9, 6, size=96)
+    points = [(40.0, 40.0), (48.0, 52.0), (56.0, 44.0)]
+    want = [chain(drifting_frames(9, 6, size=96), p, LkParams()) for p in points]
+    got = {}
+
+    def work(i):
+        got[i] = [chain(frames, points[i % 3], LkParams()) for _ in range(4)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {i: [want[i % 3]] * 4 for i in range(6)}
+
+
+def test_tracking_leaves_frame_equality_and_repr_as_they_were():
+    a, b = drifting_frames(3, 2)
+    twin = Frame(a.pixels)
+    before = (repr(a), repr(b), a == twin, twin == a)
+    fb_track(a, b, TrackedPoint(60.0, 60.0))
+    lk_track(b, a, (60.0, 60.0), LkParams(window=7))
+    assert (repr(a), repr(b), a == twin, twin == a) == before
+    assert before[2] and repr(a) == repr(twin)
+
+
+def test_frame_copies_a_view_so_its_owner_cannot_change_the_pixels():
+    owner = np.random.default_rng(2).random(400)
+    frame = Frame(owner.reshape(20, 20))
+    owner[0] = 2.0
+    assert frame.pixels[0, 0] < 1.0
 
 
 def test_package_names_are_their_home_modules_objects():

@@ -641,8 +641,8 @@ def horizon_mid_slowdown():
 def creep_below_fall_tolerance():
     # no rolling resistance and a thrust just short of the grade: the speed
     # falls by 8e-7 m/s a step, so the step past rest ends above -_FALL_TOL
-    # and no Fall comes; from rest every step rounds back to rest, and the
-    # net force is not 0, so no stall either
+    # and no Fall comes; from rest every step rounds back to rest with a net
+    # force that is not 0, which the stall must still take
     cfg = SimConfig(TRACK, MOTOR, dt=5e-3, duration=80.0, stair_cap=0.01, track_length=0.15, level_run=0.1)
     stairs = Staircase(math.radians(40.0), 0.17, ramp_length=1.0, approach_length=0.0)
     _, _, grade, _ = forces_at_inc(cfg, stairs)
@@ -789,6 +789,38 @@ def test_stall_fires_from_rest(kernel_log):
     cfg = replace(CFG, duration=10.0, rolling_resist_coeff=0.1)
     assert _climb(cfg, flat_course(), 0.0) == (False, False, 0.0)
     assert stepped[0] == 1
+
+
+def negative_torque_on_the_flat():
+    # a backward push on the flat: every step from rest clamps the speed back
+    # to 0, with a net force that is not 0
+    cfg = SimConfig(TRACK, MOTOR, duration=600.0, track_length=0.15, level_run=0.0)
+    return cfg, flat_course(), -5.0
+
+
+@pytest.mark.parametrize("case, most_stepped", [
+    # 600,000 rest steps, 0.3 s, without the stall
+    (negative_torque_on_the_flat, 1),
+    # the robot stops 500 steps short of the horizon, which the stall skips;
+    # the ramp and the slowdown before it take 16 steps
+    (creep_below_fall_tolerance, 16),
+])
+def test_stall_fires_where_each_step_from_rest_rounds_back_to_rest(kernel_log, case, most_stepped):
+    # every rest row after the first is skipped, so the run's cost is
+    # bounded by the steps it takes, and the rows and the verdict are those
+    # of step folded over the run
+    _, stepped = kernel_log
+    cfg, stairs, tau = case()
+    assert _climb(cfg, stairs, tau) == (False, False, 0.0)
+    assert stepped[0] <= most_stepped
+    # the negative torque on the flat is folded over its first 2,000 steps:
+    # 600,000 calls of step take seconds
+    cut = replace(cfg, duration=min(cfg.duration, 2.0))
+    ss, vs = [0.0], [0.0]
+    verdict = _climb(cut, stairs, tau, ss, vs)
+    states, _, _, completed, fall = reference_run_climb(cut, stairs, tau)
+    assert repr(verdict) == repr((completed, fall, states[-1].v))
+    assert repr((ss, vs)) == repr(([st.s for st in states], [st.v for st in states]))
 
 
 def test_stop_fires_on_a_slowdown_that_stops_in_its_zone(kernel_log):
