@@ -445,12 +445,15 @@ def run_events(events, cfg: ArbiterConfig = ArbiterConfig()) -> list[tuple[float
 # package reads logs and writes none
 
 
+# JSON value kinds, which the scenario loader reads its values through too.
+# Each takes one parsed value and returns it, or raises a ValueError whose
+# "expected ... (got ...)" message its caller puts after the field path.
 def _expect(kind, what: str):
-    """A converter that passes a value of one JSON type and refuses any other;
-    a bool is no number, as in JSON."""
+    """A value kind that passes one JSON type and refuses any other; a bool
+    is no number, as in JSON."""
     def convert(value):
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            raise TypeError(f"expected {what}, got {value!r}")
+            raise ValueError(f"expected {what} (got {value!r})")
         return value
     return convert
 
@@ -459,40 +462,57 @@ _string = _expect(str, "a string")
 _integer = _expect(int, "an integer")
 _bool = _expect(bool, "true or false")
 _object = _expect(dict, "an object")
-_json_number = _expect((int, float), "a number")
-
-
-def _number(value) -> float:
-    return float(_json_number(value))   # an integer beyond float range overflows
+_json_number = _expect((int, float), "a finite number")
 
 
 def _finite(value) -> float:
-    # json reads NaN and Infinity; no event time, pixel or bearing may be either
-    x = _number(value)
-    if not math.isfinite(x):
-        raise ValueError(f"not a finite number: {value!r}")
-    return x
+    # json reads NaN, Infinity and integers beyond float range; no design
+    # value, event time, range, pixel or bearing may be any of them
+    try:
+        number = float(_json_number(value))
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number (got {value!r})")
+    return number
 
 
-def _field(obj: dict, key: str, convert=None, where: str = ""):
-    """obj[key], through convert; a missing or bad value raises a ValueError
-    that names the key."""
+def _field(obj: dict, key: str, convert, where: str = ""):
+    """obj[key] through a value kind; a missing or bad value raises a
+    ValueError that names the key."""
     if key not in obj:
         raise ValueError(f"missing field {where + key!r}")
     try:
-        return obj[key] if convert is None else convert(obj[key])
-    except (TypeError, ValueError, OverflowError) as exc:
+        return convert(obj[key])
+    except ValueError as exc:
         raise ValueError(f"field {where + key!r}: {exc}") from exc
 
 
-def event_from_dict(obj: dict) -> ControlEvent:
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected an event object, got {obj!r}")
-    t = _field(obj, "t", _finite)
-    kind = _field(obj, "type")
-    payload = _field(obj, "payload", _object)
+# the payload keys each event type reads; any other key is refused, so a
+# misspelled optional key cannot pass for an absent one
+_PAYLOAD_KEYS = {
+    "key": {"key"},
+    "voice": {"symbol"},
+    "eeg": {"attention", "meditation"},
+    "touch": {"px", "py"},
+    "sonar": {"d_left", "d_front", "d_right", "max_range", "threshold"},
+    "track": {"bearing", "lost"},
+}
 
-    def get(key, convert=None):
+
+def event_from_dict(obj: dict) -> ControlEvent:
+    _object(obj)
+    t = _field(obj, "t", _finite)
+    kind = _field(obj, "type", _string)
+    payload = _field(obj, "payload", _object)
+    if kind not in _PAYLOAD_KEYS:
+        raise ValueError(f"unknown event type: {kind!r}")
+    unknown = [key for key in obj if key not in ("t", "type", "payload")]
+    unknown += ["payload." + key for key in payload if key not in _PAYLOAD_KEYS[kind]]
+    if unknown:
+        raise ValueError(f"field {unknown[0]!r}: not read by a {kind} event")
+
+    def get(key, convert):
         return _field(payload, key, convert, "payload.")
 
     if kind == "key":
@@ -508,12 +528,10 @@ def event_from_dict(obj: dict) -> ControlEvent:
         # checks name the field they refuse
         fields = ("d_left", "d_front", "d_right")
         fields += tuple(k for k in ("max_range", "threshold") if k in payload)
-        return SonarUpdate(t, SonarTriple(**{k: get(k, _number) for k in fields}))
-    if kind == "track":
-        if "lost" in payload and get("lost", _bool):
-            return TrackUpdate(t, None)
-        return TrackUpdate(t, get("bearing", _finite))
-    raise ValueError(f"unknown event type: {kind!r}")
+        return SonarUpdate(t, SonarTriple(**{k: get(k, _finite) for k in fields}))
+    if "lost" in payload and get("lost", _bool):
+        return TrackUpdate(t, None)
+    return TrackUpdate(t, get("bearing", _finite))
 
 
 def read_event_log(path) -> list[ControlEvent]:

@@ -109,11 +109,5 @@ def select_corner(corners: list[Corner], touch: tuple[float, float]) -> Corner:
     tx, ty = touch
     if not (math.isfinite(tx) and math.isfinite(ty)):
         raise ValueError(f"touch must be finite (got {touch})")
-    best = None
-    best_key = None
-    for idx, c in enumerate(corners):
-        d2 = (c.x - tx) ** 2 + (c.y - ty) ** 2
-        key = (d2, -c.score, idx)
-        if best_key is None or key < best_key:
-            best, best_key = c, key
-    return best
+    # min keeps the first of equal keys: the earlier list position
+    return min(corners, key=lambda c: ((c.x - tx) ** 2 + (c.y - ty) ** 2, -c.score))

@@ -139,20 +139,15 @@ class CosineTexture:
             object.__setattr__(self, name, arr)
 
 
-def random_texture(
-    rng: np.random.Generator,
-    n_waves: int = 12,
-    freq_range: tuple[float, float] = (0.02, 0.15),
-) -> CosineTexture:
-    """Draw a random texture with isotropic frequencies in the given band.
+# cycles per pixel of a random texture's waves; the upper end stays well
+# under Nyquist so bilinear interpolation and image gradients remain
+# accurate for subpixel work
+_FREQ_BAND = (0.02, 0.15)
 
-    The band's upper end stays well under Nyquist so bilinear interpolation
-    and image gradients remain accurate for subpixel work.
-    """
-    lo, hi = freq_range
-    if not 0.0 < lo < hi < 0.5:
-        raise ValueError(f"freq_range must satisfy 0 < lo < hi < 0.5 (got {freq_range})")
-    mag = rng.uniform(lo, hi, size=n_waves)
+
+def random_texture(rng: np.random.Generator, n_waves: int = 12) -> CosineTexture:
+    """Draw a random texture with isotropic frequencies in _FREQ_BAND."""
+    mag = rng.uniform(*_FREQ_BAND, size=n_waves)
     ang = rng.uniform(0.0, 2.0 * math.pi, size=n_waves)
     freqs = np.column_stack([mag * np.cos(ang), mag * np.sin(ang)])
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n_waves)
@@ -184,15 +179,15 @@ def render_texture(
     return Frame(np.clip(0.5 + waves / (2.0 * tex.amps.sum()), 0.0, 1.0))
 
 
-def pixel_to_bearing(px: float, width: int, hfov: float = DEFAULT_HFOV) -> float:
+def pixel_to_bearing(px: float, width: int) -> float:
     """Horizontal bearing of an image column, positive to the right.
 
     Linear in the pixel offset from the image center: the center column maps
-    to 0 and the edge columns to +-hfov/2.
+    to 0 and the edge columns to +-DEFAULT_HFOV/2.
     """
     if width < 2:
         raise ValueError(f"width must be >= 2 (got {width})")
     if not 0.0 <= px < width:
         raise ValueError(f"px must lie in [0, width) (got {px})")
     half = (width - 1) / 2.0
-    return (px - half) / half * (hfov / 2.0)
+    return (px - half) / half * (DEFAULT_HFOV / 2.0)

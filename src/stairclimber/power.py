@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .drivetrain import MotorSpec
+
 __all__ = [
     "BatteryBank",
     "PowerConfig",
@@ -44,15 +46,15 @@ class BatteryBank:
         return self.capacity_ah * self.count
 
 
-# rated point of the drive motor: 22 N*m at 320 W on the 24 V bus
-_RATED_KT = 22.0 * 24.0 / 320.0
+_DRIVE_BANK = BatteryBank(12.0, 2, 26.0)
+# rated point of the drive motor: its rated torque at rated power on the
+# drive bank's bus
+_RATED_KT = MotorSpec.rated_torque * _DRIVE_BANK.voltage / MotorSpec.rated_power
 
 
 @dataclass(frozen=True)
 class PowerConfig:
-    drive_bank: BatteryBank = field(
-        default_factory=lambda: BatteryBank(12.0, 2, 26.0)
-    )
+    drive_bank: BatteryBank = _DRIVE_BANK
     actuator_bank: BatteryBank = field(
         default_factory=lambda: BatteryBank(3.7, 3, 2.7, count=2)
     )

@@ -7,8 +7,11 @@ suffixes: mass_kg, radius_m) to the dataclass fields it sets and the kind of
 value it takes.  Unknown keys fail with their full path, so a typo fails
 fast.  A key left out of the file is left out of the constructor call, so
 every default lives on its dataclass (the baseline design) and "{}" is a
-whole scenario.  The loader checks only JSON types and finiteness; the
-dataclasses check ranges, and their errors name the section.
+whole scenario.  The loader checks only JSON types and finiteness, through
+the value kinds that the event-log reader in control uses too, so a bad
+value gets the same "expected ..." message in both, after its own field
+path.  The dataclasses check ranges, and their errors name the section.  A
+relative teleop.event_log resolves against the scenario file's directory.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .control import ArbiterConfig
+from .control import ArbiterConfig, _finite, _integer, _object, _string
 from .drivetrain import GearDesign, MotorSpec, TrackParams
 from .eeg import LoessConfig
 from .stairsim import PlateRig, SimConfig, Staircase
@@ -45,99 +48,68 @@ class Scenario:
     event_log: Path | None = None
 
 
-# Value kinds: each checks one JSON value and converts it to its field's unit.
-def _number(value, where: str, base_dir: Path) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number (got {value!r})")
-    try:
-        number = float(value)
-    except OverflowError:               # an integer literal beyond float range
-        number = math.inf
-    if not math.isfinite(number):
-        # json accepts NaN and Infinity; neither is a usable design value
-        raise ConfigError(f"{where}: expected a finite number (got {value!r})")
-    return number
-
-
-def _degrees(value, where: str, base_dir: Path) -> float:
-    return math.radians(_number(value, where, base_dir))
-
-
-def _integer(value, where: str, base_dir: Path) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer (got {value!r})")
-    return value
-
-
-def _string(value, where: str, base_dir: Path) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}: expected a string (got {value!r})")
-    return value
-
-
-def _path(value, where: str, base_dir: Path) -> Path | None:
-    # relative paths resolve against the scenario file's directory; "" names no file
-    return base_dir / value if _string(value, where, base_dir) else None
+def _degrees(value) -> float:
+    return math.radians(_finite(value))
 
 
 def _or_null(kind):
-    return lambda value, where, base_dir: None if value is None else kind(value, where, base_dir)
+    return lambda value: None if value is None else kind(value)
 
 
 # Each leaf is (kind, target, ...); a target is "section.field", or a bare
 # Scenario field.
 _LEAVES = {
     "name": (_string, "name"),
-    "robot.per_track_mass_kg": (_number, "track.M"),
-    "robot.pulley1_mass_kg": (_number, "track.m1"),
-    "robot.pulley23_mass_kg": (_number, "track.m"),
-    "robot.pulley1_radius_m": (_number, "track.R"),
-    "robot.pulley23_radius_m": (_number, "track.r"),
-    "robot.gravity_mps2": (_number, "track.gravity", "support_load.gravity"),
-    "robot.support.a_m": (_number, "support_geom.a"),
-    "robot.support.b_m": (_number, "support_geom.b"),
-    "robot.support.h_m": (_number, "support_geom.h"),
-    "robot.support.payload_mass_kg": (_number, "support_load.mass"),
-    "robot.support.hinge_shear_limit_n": (_number, "support_load.hinge_shear_limit"),
-    "robot.support.safety_factor": (_number, "support_load.safety_factor"),
+    "robot.per_track_mass_kg": (_finite, "track.M"),
+    "robot.pulley1_mass_kg": (_finite, "track.m1"),
+    "robot.pulley23_mass_kg": (_finite, "track.m"),
+    "robot.pulley1_radius_m": (_finite, "track.R"),
+    "robot.pulley23_radius_m": (_finite, "track.r"),
+    "robot.gravity_mps2": (_finite, "track.gravity", "support_load.gravity"),
+    "robot.support.a_m": (_finite, "support_geom.a"),
+    "robot.support.b_m": (_finite, "support_geom.b"),
+    "robot.support.h_m": (_finite, "support_geom.h"),
+    "robot.support.payload_mass_kg": (_finite, "support_load.mass"),
+    "robot.support.hinge_shear_limit_n": (_finite, "support_load.hinge_shear_limit"),
+    "robot.support.safety_factor": (_finite, "support_load.safety_factor"),
     "robot.gear.pressure_angle_deg": (_degrees, "gear.pressure_angle"),
-    "robot.gear.module_mm": (_number, "gear.module_mm"),
-    "robot.gear.addendum_factor": (_number, "gear.addendum_factor"),
+    "robot.gear.module_mm": (_finite, "gear.module_mm"),
+    "robot.gear.addendum_factor": (_finite, "gear.addendum_factor"),
     "robot.gear.teeth": (_or_null(_integer), "gear.teeth"),   # null: no-interference minimum
-    "robot.motor.power_w": (_number, "motor.rated_power"),
-    "robot.motor.torque_nm": (_number, "motor.rated_torque"),
-    "robot.motor.speed_rpm": (_number, "motor.rated_speed"),
-    "robot.motor.reduction": (_number, "motor.reduction"),
+    "robot.motor.power_w": (_finite, "motor.rated_power"),
+    "robot.motor.torque_nm": (_finite, "motor.rated_torque"),
+    "robot.motor.speed_rpm": (_finite, "motor.rated_speed"),
+    "robot.motor.reduction": (_finite, "motor.reduction"),
     "staircase.inclination_deg": (_degrees, "stairs.inclination"),
-    "staircase.step_rise_m": (_number, "stairs.step_rise"),
-    "staircase.ramp_length_m": (_number, "stairs.ramp_length"),
-    "staircase.approach_length_m": (_number, "stairs.approach_length"),
-    "sim.dt_s": (_number, "sim.dt"),
-    "sim.duration_s": (_number, "sim.duration"),
-    "sim.rolling_resist_coeff": (_number, "sim.rolling_resist_coeff"),
-    "sim.ground_speed_cap_mps": (_number, "sim.ground_cap"),
-    "sim.stair_speed_cap_mps": (_number, "sim.stair_cap"),
-    "sim.track_zone_m": (_number, "sim.track_length"),
-    "sim.level_run_m": (_number, "sim.level_run"),
-    "sim.plate.lever_arm_m": (_number, "plate.lever_arm"),
-    "sim.plate.max_rate_mps": (_number, "plate.max_rate"),
-    "sim.plate.stroke_m": (_number, "plate.stroke"),
+    "staircase.step_rise_m": (_finite, "stairs.step_rise"),
+    "staircase.ramp_length_m": (_finite, "stairs.ramp_length"),
+    "staircase.approach_length_m": (_finite, "stairs.approach_length"),
+    "sim.dt_s": (_finite, "sim.dt"),
+    "sim.duration_s": (_finite, "sim.duration"),
+    "sim.rolling_resist_coeff": (_finite, "sim.rolling_resist_coeff"),
+    "sim.ground_speed_cap_mps": (_finite, "sim.ground_cap"),
+    "sim.stair_speed_cap_mps": (_finite, "sim.stair_cap"),
+    "sim.track_zone_m": (_finite, "sim.track_length"),
+    "sim.level_run_m": (_finite, "sim.level_run"),
+    "sim.plate.lever_arm_m": (_finite, "plate.lever_arm"),
+    "sim.plate.max_rate_mps": (_finite, "plate.max_rate"),
+    "sim.plate.stroke_m": (_finite, "plate.stroke"),
     "sim.plate.tolerance_deg": (_degrees, "plate.tolerance"),
-    "teleop.event_log": (_or_null(_path), "event_log"),
-    "teleop.arbiter.keypad_speed": (_number, "arbiter.keypad_speed"),
-    "teleop.arbiter.keypad_turn": (_number, "arbiter.keypad_turn"),
-    "teleop.arbiter.voice_speed": (_number, "arbiter.voice_speed"),
-    "teleop.arbiter.voice_turn": (_number, "arbiter.voice_turn"),
-    "teleop.arbiter.cruise": (_number, "arbiter.cruise"),
-    "teleop.arbiter.kp_per_rad": (_number, "arbiter.kp"),
-    "teleop.arbiter.posture_rate": (_number, "arbiter.posture_rate"),
-    "teleop.arbiter.accel_cap_mps2": (_number, "arbiter.accel_cap"),
-    "teleop.arbiter.speed_scale_mps": (_number, "arbiter.speed_scale"),
-    "teleop.arbiter.effort_cap": (_number, "arbiter.effort_cap"),
+    "teleop.event_log": (_or_null(_string), "event_log"),
+    "teleop.arbiter.keypad_speed": (_finite, "arbiter.keypad_speed"),
+    "teleop.arbiter.keypad_turn": (_finite, "arbiter.keypad_turn"),
+    "teleop.arbiter.voice_speed": (_finite, "arbiter.voice_speed"),
+    "teleop.arbiter.voice_turn": (_finite, "arbiter.voice_turn"),
+    "teleop.arbiter.cruise": (_finite, "arbiter.cruise"),
+    "teleop.arbiter.kp_per_rad": (_finite, "arbiter.kp"),
+    "teleop.arbiter.posture_rate": (_finite, "arbiter.posture_rate"),
+    "teleop.arbiter.accel_cap_mps2": (_finite, "arbiter.accel_cap"),
+    "teleop.arbiter.speed_scale_mps": (_finite, "arbiter.speed_scale"),
+    "teleop.arbiter.effort_cap": (_finite, "arbiter.effort_cap"),
     "teleop.arbiter.eeg_window": (_integer, "arbiter.eeg_window"),
-    "teleop.arbiter.loess_span": (_number, "loess.span"),
-    "teleop.arbiter.hysteresis_lo": (_number, "arbiter.hysteresis_lo"),
-    "teleop.arbiter.hysteresis_hi": (_number, "arbiter.hysteresis_hi"),
+    "teleop.arbiter.loess_span": (_finite, "loess.span"),
+    "teleop.arbiter.hysteresis_lo": (_finite, "arbiter.hysteresis_lo"),
+    "teleop.arbiter.hysteresis_hi": (_finite, "arbiter.hysteresis_hi"),
 }
 _OBJECTS = {key.rsplit(".", n)[0] for key in _LEAVES for n in range(1, key.count(".") + 1)}
 
@@ -159,10 +131,17 @@ _SECTIONS = (
 )
 
 
-def _walk(obj: dict, path: str, base_dir: Path, kwargs: dict) -> None:
+def _value(kind, value, where: str):
+    """value through a value kind; a bad value raises a ConfigError that names where."""
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _walk(obj, path: str, kwargs: dict) -> None:
     """Check one JSON object against the table and file its values by section."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path or 'top level'}: expected an object (got {type(obj).__name__})")
+    _value(_object, obj, path or "top level")
     wheres = {key: f"{path}.{key}" if path else key for key in obj}
     # a dotted key must not pass for a nested one
     unknown = [w for k, w in wheres.items() if "." in k or not (w in _LEAVES or w in _OBJECTS)]
@@ -171,10 +150,10 @@ def _walk(obj: dict, path: str, base_dir: Path, kwargs: dict) -> None:
     for key, value in obj.items():
         where = wheres[key]
         if where in _OBJECTS:
-            _walk(value, where, base_dir, kwargs)
+            _walk(value, where, kwargs)
             continue
         kind, *targets = _LEAVES[where]
-        value = kind(value, where, base_dir)
+        value = _value(kind, value, where)
         for target in targets:
             section, _, field = target.rpartition(".")
             kwargs[section][field] = value
@@ -184,7 +163,10 @@ def build_scenario(obj: dict, base_dir: Path | str = ".", default_name: str = "s
     """Validate a parsed config object and assemble the typed scenario."""
     kwargs = {section: {} for section, *_ in _SECTIONS}
     kwargs[""]["name"] = default_name
-    _walk(obj, "", Path(base_dir), kwargs)
+    _walk(obj, "", kwargs)
+    # the event log resolves against base_dir; "" names no file
+    log = kwargs[""].pop("event_log", None)
+    kwargs[""]["event_log"] = Path(base_dir) / log if log else None
     built = {}
     for section, path, ctor, needs in _SECTIONS:
         try:

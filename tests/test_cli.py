@@ -456,9 +456,15 @@ def test_non_finite_teleop_input_exits_1(tmp_path, capsys, bad):
         ("payload.d_front", '{"t": 2, "type": "sonar", "payload": {"d_left": 1, "d_front": true, "d_right": 2}}'),
         ("payload.max_range", '{"t": 2, "type": "sonar", "payload": {"d_left": 1, "d_front": 1, "d_right": 1, "max_range": "4"}}'),
         ("payload.key", '{"t": 2, "type": "key", "payload": {"key": 8}}'),
+        # a misspelled key used to be ignored: d_right 0.7 then read as clear
+        ("payload.treshold", '{"t": 2, "type": "sonar", "payload": '
+         '{"d_left": 1, "d_front": 1, "d_right": 0.7, "treshold": 0.8}}'),
+        ("payload.d_left", '{"t": 2, "type": "sonar", "payload": {"d_left": NaN, "d_front": 1, "d_right": 1}}'),
+        ("type", '{"t": 2, "type": [], "payload": {}}'),
     ],
     ids=["t", "bearing", "px", "py", "key", "lost-string", "t-bool", "symbol-null", "attention-float",
-         "meditation-bool", "d_front-bool", "max_range-string", "key-int"],
+         "meditation-bool", "d_front-bool", "max_range-string", "key-int", "treshold", "d_left-nan",
+         "type-list"],
 )
 def test_bad_event_field_is_named(tmp_path, capsys, field, bad):
     log = tmp_path / "events.jsonl"
@@ -470,6 +476,40 @@ def test_bad_event_field_is_named(tmp_path, capsys, field, bad):
     assert err.startswith(f"config error: {log}:2: ")
     assert f"field {field!r}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# one hostile JSON value per row, with the kind of value it is refused as
+HOSTILE_VALUES = [
+    ("true", "number", "expected a finite number (got True)"),
+    ("NaN", "number", "expected a finite number (got nan)"),
+    ("1e400", "number", "expected a finite number (got inf)"),
+    ("1" + "0" * 400, "number", f"expected a finite number (got {10**400})"),
+    ("3.0", "integer", "expected an integer (got 3.0)"),
+    ("8", "string", "expected a string (got 8)"),
+]
+# where each kind is read: a scenario key, and an event-log line with its field
+KIND_FIELDS = {
+    "number": ("sim.dt_s", "payload.bearing", '{"t": 1, "type": "track", "payload": {"bearing": %s}}'),
+    "integer": ("teleop.arbiter.eeg_window", "payload.meditation",
+                '{"t": 1, "type": "eeg", "payload": {"attention": 50, "meditation": %s}}'),
+    "string": ("name", "payload.key", '{"t": 1, "type": "key", "payload": {"key": %s}}'),
+}
+
+
+@pytest.mark.parametrize("value, kind, want", HOSTILE_VALUES, ids=["true", "nan", "1e400", "10**400", "3.0", "8"])
+def test_scenario_and_event_log_refuse_a_value_alike(tmp_path, capsys, value, kind, want):
+    # both readers check values through one set of kinds: the same message,
+    # each after its own field path
+    key, field, line = KIND_FIELDS[kind]
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(nested({key: None})).replace("null", value))
+    assert main(["design", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"config error: {key}: {want}\n"
+    log = tmp_path / "events.jsonl"
+    log.write_text(line % value + "\n")
+    scenario = write_scenario(tmp_path, {"teleop": {"event_log": "events.jsonl"}})
+    assert main(["teleop", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"config error: {log}:1: field {field!r}: {want}\n"
 
 
 def test_teleop_config_error_leaves_no_out_dir(tmp_path):
@@ -540,6 +580,9 @@ BAD_EVENT_LINES = [
     '{"t": 1, "type": "eeg", "payload": {"attention": 3.9, "meditation": 50}}',
     '{"t": 1, "type": "sonar", "payload": {"d_left": 1, "d_front": true, "d_right": 2}}',
     '{"t": 1, "type": "key", "payload": {"key": 8}}',
+    '{"t": 1, "type": "sonar", "payload": {"d_left": 1, "d_front": 1, "d_right": 0.7, "treshold": 0.8}}',
+    '{"t": 1, "type": "sonar", "payload": {"d_left": NaN, "d_front": 1, "d_right": 1}}',
+    '{"t": 1, "type": [], "payload": {}}',
     "[1, 2]",
     "null",
     "not json",
