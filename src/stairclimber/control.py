@@ -448,12 +448,22 @@ def run_events(events, cfg: ArbiterConfig = ArbiterConfig()) -> list[tuple[float
 # JSON value kinds, which the scenario loader reads its values through too.
 # Each takes one parsed value and returns it, or raises a ValueError whose
 # "expected ... (got ...)" message its caller puts after the field path.
+def _refused(what: str, value) -> ValueError:
+    """The error for a refused value.  A repr longer than a few dozen
+    characters (a 401-digit integer, a long string) is cut, with a marker
+    that gives its length."""
+    shown = repr(value)
+    if len(shown) > 40:
+        shown = f"{shown[:32]}... ({len(shown)} characters)"
+    return ValueError(f"expected {what} (got {shown})")
+
+
 def _expect(kind, what: str):
     """A value kind that passes one JSON type and refuses any other; a bool
     is no number, as in JSON."""
     def convert(value):
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            raise ValueError(f"expected {what} (got {value!r})")
+            raise _refused(what, value)
         return value
     return convert
 
@@ -473,7 +483,7 @@ def _finite(value) -> float:
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ValueError(f"expected a finite number (got {value!r})")
+        raise _refused("a finite number", value)
     return number
 
 

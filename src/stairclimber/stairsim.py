@@ -33,22 +33,24 @@ Two implementations share the arithmetic of one step, in the same order:
 - ``step`` is the reference single-step API: one frozen ``SimState`` in, the
   next one out.  A time-varying torque is ``step`` folded over a run.
 - ``_climb`` runs a whole climb at a constant torque on scalar locals and
-  returns (completed, fall, final speed), which decides a sweep probe.
-  Given lists, it also records each state's ``s`` and ``v``.  It skips
-  every stretch whose force does not change: a constant pitch (approach,
-  climb zone, run-out) in a tight loop, a fixed speed (a cruise at a cap,
-  also part-way up or down the ramps) in closed form, a slowdown that stops
-  inside its zone in closed form (when not recording), and a stall at
-  rest.
+  returns (completed, fall, final speed, steps taken), which decides a
+  sweep probe and ``run_climb``'s verdict.  Given lists, it also records
+  each state's ``s`` and ``v``.  It skips every stretch whose force does
+  not change: a constant pitch (approach, climb zone, run-out) in a tight
+  loop, a fixed speed (a cruise at a cap, also part-way up or down the
+  ramps) in closed form, a slowdown that stops inside its zone in closed
+  form (when not recording), and a stall at rest.
 
-``run_climb`` records a trajectory with ``_climb`` and then levels the plate
-in a second pass over the positions: plate levelling never feeds back into
-the dynamics, so each row's phase, pitch, actuator and plate follow from its
-position and the row before.  The pass goes zone by zone and takes the rows
-where the actuator slews at its rate limit as whole stretches, built with
-``accumulate`` and comprehensions; a row that moves the actuator by less
-than the limit goes through a scalar step, and a settled row repeats the
-one before.
+``run_climb`` decides its verdict and row count with ``_climb`` alone.  Its
+``Trajectory`` builds the columns and events on first access, so a caller
+that reads only the verdict pays for no column.  ``_build_columns`` records
+the run with ``_climb`` and then levels the plate in a second pass over the
+positions: plate levelling never feeds back into the dynamics, so each
+row's phase, pitch, actuator and plate follow from its position and the row
+before.  The pass goes zone by zone and takes the rows where the actuator
+slews at its rate limit as whole stretches, built with ``accumulate`` and
+comprehensions; a row that moves the actuator by less than the limit goes
+through a scalar step, and a settled row repeats the one before.
 Tests hold ``run_climb`` equal to ``step`` folded over a run, and
 ``_climb``'s verdict equal to plain stepping.
 
@@ -73,7 +75,7 @@ import math
 import sys
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import accumulate, compress, islice, repeat
 from operator import attrgetter, ge, indexOf, is_, le, mul
@@ -299,25 +301,52 @@ def step(
     return new_state, tuple(events)
 
 
-@dataclass(frozen=True)
+# a trajectory's columns, in the order of SimState's fields, and with its events
+_COLUMNS = tuple(f.name for f in fields(SimState))
+_BUILT = (*_COLUMNS, "events")
+_columns_of = attrgetter(*_COLUMNS)
+_built_of = attrgetter(*_BUILT)
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A climb stored as columns: entry i of each column belongs to state i.
 
     The columns are the fields of ``SimState``, from the initial state to the
-    last one.  ``states`` shows the same rows as ``SimState`` objects.
+    last one; ``events`` holds ``(t, event name)`` pairs.  ``states`` shows
+    the same rows as ``SimState`` objects.
+
+    ``run_climb`` gives the verdict, ``peak_torque`` and the row count.  The
+    columns and events are built together on first access to any of them,
+    from the same run, and kept on the instance, so a caller that reads only
+    the verdict or ``len(states)`` never builds them.  Equality and hashing
+    read every column, the events, ``peak_torque`` and the verdict.
     """
 
-    phase: tuple[Phase, ...]
-    s: tuple[float, ...]
-    v: tuple[float, ...]
-    plate_angle: tuple[float, ...]
-    actuator_ext: tuple[float, ...]
-    track_torque: tuple[float, ...]
-    t: tuple[float, ...]
-    events: tuple[tuple[float, str], ...]   # (t, event name)
     peak_torque: float
     completed: bool
     fall: bool
+    _rows: int = field(repr=False)
+    _run: tuple[SimConfig, Staircase, float] = field(repr=False)
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance does not hold yet: the
+        # columns and events are built together on first access
+        if name not in _BUILT:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(_build_columns(*self._run))
+        return self.__dict__[name]
+
+    def _value(self) -> tuple:
+        return (*_built_of(self), self.peak_torque, self.completed, self.fall)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
 
     @property
     def states(self) -> Sequence[SimState]:
@@ -334,31 +363,30 @@ class Trajectory:
 
 
 class _States(Sequence):
-    """Read-only sequence of a trajectory's rows, each built on access."""
+    """Read-only sequence of a trajectory's rows, each built on access.  Its
+    length is the trajectory's row count, which builds no column."""
 
-    __slots__ = ("_cols",)
+    __slots__ = ("_traj",)
 
     def __init__(self, traj: Trajectory):
-        self._cols = (
-            traj.phase, traj.s, traj.v, traj.plate_angle,
-            traj.actuator_ext, traj.track_torque, traj.t,
-        )
+        self._traj = traj
 
     def __len__(self) -> int:
-        return len(self._cols[0])
+        return self._traj._rows
 
     def __getitem__(self, i):
+        cols = _columns_of(self._traj)
         if isinstance(i, slice):
-            return tuple(map(SimState, *(col[i] for col in self._cols)))
-        return SimState(*(col[i] for col in self._cols))
+            return tuple(map(SimState, *(col[i] for col in cols)))
+        return SimState(*(col[i] for col in cols))
 
     def __iter__(self):
-        return map(SimState, *self._cols)
+        return map(SimState, *_columns_of(self._traj))
 
     def __eq__(self, other):
         # equal to another view or to a tuple of states, as the tuple it replaces was
         if isinstance(other, _States):
-            return self._cols == other._cols
+            return _columns_of(self._traj) == _columns_of(other._traj)
         if isinstance(other, tuple):
             return tuple(self) == other
         return NotImplemented
@@ -373,6 +401,31 @@ def run_climb(cfg: SimConfig, stairs: Staircase, torque: float) -> Trajectory:
     not taken (``TypeError``): fold ``step`` over the run for one.  A NaN or
     infinite torque is a ``ValueError``: it would run the whole horizon on
     NaN rows and slew the actuator past its stroke.
+
+    ``_climb`` decides the verdict and counts the steps without recording
+    them.  The trajectory's columns and events are built on first access,
+    by ``_build_columns`` of the same run; they equal ``step`` folded over
+    the run.
+    """
+    if callable(torque):
+        raise TypeError("torque must be a constant number; fold step over the run "
+                        "for a time-varying torque")
+    tau = float(torque)
+    if not math.isfinite(tau):
+        raise ValueError(f"torque must be finite (got {tau})")
+    completed, fall, _, steps = _climb(cfg, stairs, tau)
+    mag = abs(tau)
+    return Trajectory(
+        peak_torque=mag if mag > 0.0 else 0.0,   # max(0.0, abs(tau)), NaN gives 0.0
+        completed=completed,
+        fall=fall,
+        _rows=steps + 1,
+        _run=(cfg, stairs, tau),
+    )
+
+
+def _build_columns(cfg: SimConfig, stairs: Staircase, tau: float) -> dict[str, tuple]:
+    """The columns and events of ``run_climb``'s trajectory, by name.
 
     ``_climb`` steps the dynamics and records each state's ``s`` and ``v``;
     the trajectory equals ``step`` folded over the run.  Plate levelling
@@ -403,14 +456,8 @@ def run_climb(cfg: SimConfig, stairs: Staircase, torque: float) -> Trajectory:
     - Settled.  Where the pitch is constant and a row left the actuator
       where it was, every later row in that zone repeats it.
     """
-    if callable(torque):
-        raise TypeError("torque must be a constant number; fold step over the run "
-                        "for a time-varying torque")
-    tau = float(torque)
-    if not math.isfinite(tau):
-        raise ValueError(f"torque must be finite (got {tau})")
     ss, vs = [0.0], [0.0]
-    completed, fall, _ = _climb(cfg, stairs, tau, ss, vs)
+    fall = _climb(cfg, stairs, tau, ss, vs)[1]
     n = len(ss)
     ts = tuple(accumulate(repeat(cfg.dt, n - 1), initial=0.0))
 
@@ -513,20 +560,16 @@ def run_climb(cfg: SimConfig, stairs: Staircase, torque: float) -> Trajectory:
         # actuator toward the same target and starts no saturation
         events.append((ts[-1], "Fall"))
 
-    mag = abs(tau)
-    return Trajectory(
-        phase=tuple(phases),
-        s=tuple(ss),
-        v=tuple(vs),
-        plate_angle=tuple(plates),
-        actuator_ext=tuple(exts),
-        track_torque=(0.0, *repeat(tau, n - 1)),
-        t=ts,
-        events=tuple(events),
-        peak_torque=mag if mag > 0.0 else 0.0,   # max(0.0, abs(tau)), NaN gives 0.0
-        completed=completed,
-        fall=fall,
-    )
+    return {
+        "phase": tuple(phases),
+        "s": tuple(ss),
+        "v": tuple(vs),
+        "plate_angle": tuple(plates),
+        "actuator_ext": tuple(exts),
+        "track_torque": (0.0, *repeat(tau, n - 1)),
+        "t": ts,
+        "events": tuple(events),
+    }
 
 
 def _advance(s: float, c: float, bound: float, steps: int) -> tuple[int, float]:
@@ -620,15 +663,18 @@ def _climb(
     tau: float,
     ss: list[float] | None = None,
     vs: list[float] | None = None,
-) -> tuple[bool, bool, float]:
-    """``(completed, fall, final speed)`` of a climb at the constant torque ``tau``.
+) -> tuple[bool, bool, float, int]:
+    """``(completed, fall, final speed, steps)`` of a climb at the constant torque ``tau``.
 
     The dynamics of ``step`` folded over the run, with the same arithmetic
     in the same order (so the result is bit-identical), on scalar locals.
     Every state's phase is ``phase_at`` of its position, so the speed cap is
-    tracked from the position alone.  Given lists ``ss`` and ``vs`` (holding
-    the initial state), it appends each later state's ``s`` and ``v`` to
-    them; ``run_climb`` derives the rest of a trajectory from those.
+    tracked from the position alone.  ``steps`` counts the steps the run
+    took: up to the completing or falling one, or all of the horizon's
+    (after a stall too), so the trajectory has ``steps + 1`` rows.  Given
+    lists ``ss`` and ``vs`` (holding the initial state), it appends each
+    later state's ``s`` and ``v`` to them; ``_build_columns`` derives the
+    rest of a trajectory from those.
 
     Every stretch of steps whose force does not change is skipped rather
     than taken step by step, exactly; when recording, its states are
@@ -724,7 +770,7 @@ def _climb(
                     if rec:                   # the step's s + 0.0*dt is s
                         ss.append(s)
                         vs.append(0.0)
-                    return completed, True, 0.0
+                    return completed, True, 0.0, i
                 v = 0.0
             if cap < v:                   # min(v, cap), NaN included
                 v = cap
@@ -758,7 +804,7 @@ def _climb(
                 ss.append(s)
                 vs.append(v)
             if s >= goal:
-                return True, False, v
+                return True, False, v, i
             if v == 0.0:
                 # the next step, from rest at this pitch: if it ends at rest
                 # without a Fall, it leaves s and v as they are, and so does
@@ -769,7 +815,7 @@ def _climb(
                     if rec:
                         ss += repeat(s, steps - i)
                         vs += repeat(v, steps - i)
-                    return completed, False, v
+                    return completed, False, v, steps
             if s < top and (v > 0.0 if acc is not None else v == cap):
                 break
         else:
@@ -824,7 +870,7 @@ def _climb(
             if acc is None:               # the next step's pitch on the ramp
                 pitch = pitch_at(s, stairs, cfg)
                 grade, roll = mg * sin(pitch), cmg * cos(pitch)
-    return completed, False, v
+    return completed, False, v, i                 # i == steps: the horizon
 
 
 @dataclass(frozen=True)
@@ -858,7 +904,7 @@ def min_torque_sweep(
         raise ValueError(f"resolution must be finite and > 0 (got {resolution})")
 
     def climbs(tau: float) -> bool:
-        completed, fall, final_v = _climb(cfg, stairs, tau)
+        completed, fall, final_v, _ = _climb(cfg, stairs, tau)
         if probes is not None:
             probes.append(SweepProbe(tau, completed, fall, final_v))
         return completed and not fall

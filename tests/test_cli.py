@@ -479,11 +479,11 @@ def test_bad_event_field_is_named(tmp_path, capsys, field, bad):
 
 
 # one hostile JSON value per row, with the kind of value it is refused as
-HOSTILE_VALUES = [
+HOSTILE_JSON_VALUES = [
     ("true", "number", "expected a finite number (got True)"),
     ("NaN", "number", "expected a finite number (got nan)"),
     ("1e400", "number", "expected a finite number (got inf)"),
-    ("1" + "0" * 400, "number", f"expected a finite number (got {10**400})"),
+    ("1" + "0" * 400, "number", f"expected a finite number (got 1{'0' * 31}... (401 characters))"),
     ("3.0", "integer", "expected an integer (got 3.0)"),
     ("8", "string", "expected a string (got 8)"),
 ]
@@ -496,7 +496,7 @@ KIND_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("value, kind, want", HOSTILE_VALUES, ids=["true", "nan", "1e400", "10**400", "3.0", "8"])
+@pytest.mark.parametrize("value, kind, want", HOSTILE_JSON_VALUES, ids=["true", "nan", "1e400", "10**400", "3.0", "8"])
 def test_scenario_and_event_log_refuse_a_value_alike(tmp_path, capsys, value, kind, want):
     # both readers check values through one set of kinds: the same message,
     # each after its own field path

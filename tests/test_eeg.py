@@ -112,13 +112,9 @@ def sync_heavy_streams(draw):
     return stream, cuts
 
 
-# a frame that ends in a sync byte, then a frame, fed one byte at a time: the
-# first frame's checksum is consumed and must not start the next sync pair
-@example((encode_frame(68, 100) + encode_frame(1, 2), list(range(1, 12))))
-@settings(max_examples=300, deadline=None)
-@given(sync_heavy_streams())
-def test_records_and_failure_counts_do_not_depend_on_chunking(case):
-    stream, cuts = case
+def assert_chunking_is_invisible(stream, cuts):
+    """The stream fed in the chunks between ``cuts`` gives the records and
+    the checksum failures of one whole feed."""
     whole = EegStreamParser(dt=0.25)
     want = whole.feed(stream)
     parser = EegStreamParser(dt=0.25)
@@ -127,6 +123,24 @@ def test_records_and_failure_counts_do_not_depend_on_chunking(case):
         records += parser.feed(stream[a:b])
     assert records == want
     assert parser.checksum_failures == whole.checksum_failures
+
+
+# a frame that ends in a sync byte, then a frame, fed one byte at a time: the
+# first frame's checksum is consumed and must not start the next sync pair
+@example((encode_frame(68, 100) + encode_frame(1, 2), list(range(1, 12))))
+@settings(max_examples=300, deadline=None)
+@given(sync_heavy_streams())
+def test_records_and_failure_counts_do_not_depend_on_chunking(case):
+    assert_chunking_is_invisible(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=400), st.data())
+def test_feed_takes_arbitrary_bytes_in_arbitrary_chunks(stream, data):
+    # line noise from the headset: no byte sequence makes feed raise, and
+    # no chunking changes what it reads
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=20)))
+    assert_chunking_is_invisible(stream, cuts)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])

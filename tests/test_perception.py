@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from stairclimber.cli import _tracking_check_lines
@@ -207,6 +207,43 @@ def test_pgm_rejects_bad_dimensions(tmp_path, header, raster, message):
     with pytest.raises(ValueError) as info:
         read_pgm(path)
     assert str(info.value) == message
+
+
+@st.composite
+def pgm_files(draw):
+    """Bytes for ``read_pgm``: arbitrary ones, or a P5 header whose tokens
+    and separators are mostly good and sometimes hostile, before a raster
+    of about the size the header gives, so that most files reach the raster
+    checks and many make a frame."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    hostile = st.one_of(
+        st.sampled_from([b"0", b"256", b"-3", b"+4", b"0x10", b"1e3", b"9" * 30, b"\xb2", b"P5"]),
+        st.binary(min_size=1, max_size=3),
+    )
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    fields = [draw(st.one_of(st.just(good), st.just(good), st.just(good), hostile))
+              for good in (b"%d" % width, b"%d" % height, b"255")]
+    sep = st.sampled_from([b" ", b"\n", b"\t\r", b"  ", b"\n# comment\n", b"#", b""])
+    header = b"P5" + b"".join(draw(sep) + f for f in fields)
+    # one whitespace byte ends the header, or it runs on into the raster
+    end = draw(st.sampled_from([b"\n", b" ", b""]))
+    size = max(0, width * height + draw(st.sampled_from([0, 0, 1, 7, -1])))
+    return header + end + draw(st.binary(min_size=size, max_size=size))
+
+
+# every example writes the same file, so the fixture is safe to share
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pgm_files())
+@example(b"P5\n3 2\n255\n" + bytes(range(0, 256, 51)))
+def test_read_pgm_returns_a_frame_or_refuses_arbitrary_bytes(tmp_path, data):
+    path = tmp_path / "fuzz.pgm"
+    path.write_bytes(data)
+    try:
+        frame = read_pgm(path)
+    except ValueError:
+        return
+    assert isinstance(frame, Frame) and 0.0 <= frame.pixels.min() <= frame.pixels.max() <= 1.0
 
 
 def test_corners_of_a_square():

@@ -200,6 +200,26 @@ def test_energy_inequality_on_random_climbs(data):
     assert_energy_inequality(cfg, stairs, run_climb(cfg, stairs, torque).states)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_actuator_stays_within_its_stroke_and_slew_limit(data):
+    # every row, read through the trajectory's columns: the extension stays
+    # in [0, stroke] and moves by at most max_rate*dt a row
+    cfg, stairs = data.draw(climb_cases())
+    cfg = replace(cfg, plate=data.draw(plate_rigs(stairs.inclination)))
+    traj = run_climb(cfg, stairs, data.draw(torque_levels(static_torque(cfg, stairs))))
+    rig = cfg.plate
+    max_move = rig.max_rate * cfg.dt
+    exts = traj.actuator_ext
+    assert len(exts) == len(traj.states)
+    assert all(0.0 <= e <= rig.stroke for e in exts)
+    # a slewing row's extension is the sum ext + max_move rounded to the
+    # float grid of the extension, so the difference of two rows may pass
+    # max_move by half an ulp of the extension, which is at most the stroke
+    slack = math.ulp(rig.stroke)
+    assert all(abs(b - a) <= max_move + slack for a, b in zip(exts, exts[1:]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_energy_inequality_on_random_schedules(data):
@@ -303,10 +323,10 @@ def test_nan_fields_are_refused(kind, name):
 
 
 def plain_verdict(cfg, stairs, tau):
-    """``(completed, fall, final speed)`` of ``step`` folded over the run,
-    one step at a time, with no shortcuts."""
+    """``(completed, fall, final speed, steps)`` of ``step`` folded over the
+    run, one step at a time, with no shortcuts."""
     states, _, _, completed, fall = reference_run_climb(cfg, stairs, tau)
-    return completed, fall, states[-1].v
+    return completed, fall, states[-1].v, len(states) - 1
 
 
 def static_torque(cfg, stairs):
@@ -365,7 +385,7 @@ def test_climb_verdict_matches_run_climb_on_scenarios(name, torque, outcome):
         torque = 0.5 * static_torque(sc.sim, sc.stairs)
     verdict = _climb(sc.sim, sc.stairs, torque)
     assert repr(verdict) == repr(plain_verdict(sc.sim, sc.stairs, torque))
-    completed, fall, _ = verdict
+    completed, fall, _, _ = verdict
     assert outcome == ("falls" if fall else "completes" if completed else "stalls")
 
 
@@ -404,7 +424,7 @@ def reference_sweep(cfg, stairs, resolution=0.05):
     probes = []
 
     def climbs(tau):
-        completed, fall, final_v = plain_verdict(cfg, stairs, tau)
+        completed, fall, final_v, _ = plain_verdict(cfg, stairs, tau)
         probes.append(SweepProbe(tau, completed, fall, final_v))
         return completed and not fall
 
@@ -450,7 +470,7 @@ def test_sweep_verdict_is_monotone_in_torque(case):
     lo = static_torque(cfg, stairs)
     climbs = []
     for i in range(12):
-        completed, fall, _ = _climb(cfg, stairs, lo * (0.5 + 0.25 * i))
+        completed, fall, _, _ = _climb(cfg, stairs, lo * (0.5 + 0.25 * i))
         climbs.append(completed and not fall)
     first = climbs.index(True) if True in climbs else len(climbs)
     assert all(climbs[first:])
@@ -674,7 +694,7 @@ def plain_verdicts(cfg, stairs, tau, durations):
     for duration in durations:
         n = int(round(duration / cfg.dt))
         # an initial state at the goal ends the run on its first step
-        verdicts.append((completed, fall, states[-1].v) if ended <= n else (False, False, states[n].v))
+        verdicts.append((completed, fall, states[-1].v, ended) if ended <= n else (False, False, states[n].v, n))
     return verdicts
 
 
@@ -700,11 +720,11 @@ def test_climb_verdict_matches_run_climb_on_long_climbs(climb):
     # steps; a run that ends early is also cut one step before its end, so
     # the kernel must end on the same step, not only with the same verdict
     # (run_climb refuses the non-finite torques, so the steps are counted on
-    # the states _climb records)
+    # the states _climb records, which its step count must match)
     cfg, stairs, tau = climb
     ss = [0.0]
-    _climb(cfg, stairs, tau, ss, [0.0])
-    ended = len(ss) - 1
+    ended = _climb(cfg, stairs, tau, ss, [0.0])[3]
+    assert ended == len(ss) - 1
     durations = [cfg.duration]
     if ended < round(cfg.duration / cfg.dt):
         durations += [ended * cfg.dt] + ([(ended - 1) * cfg.dt] if ended > 1 else [])
@@ -768,7 +788,9 @@ def test_crest_ramp_cruise_fires_from_its_bound(kernel_log):
     mg, cmg, _, _ = forces_at_inc(cfg, stairs)
     tau = cfg.track.r * math.hypot(mg, cmg) * (1.0 - 2e-4)
     _, _, crest, end = _zone_bounds(stairs, cfg)
-    assert repr(_climb(cfg, stairs, tau)) == repr(plain_verdict(cfg, stairs, tau)) == repr((True, False, 0.5))
+    verdict = _climb(cfg, stairs, tau)
+    assert repr(verdict) == repr(plain_verdict(cfg, stairs, tau))
+    assert repr(verdict[:3]) == repr((True, False, 0.5))
     # from a bound part of the way down the crest ramp, to its end
     assert advanced(calls, crest, end, 1.0) > 200
     assert all(crest + 0.1 < s for s, c, _, k in calls if crest <= s < end and k)
@@ -777,7 +799,7 @@ def test_crest_ramp_cruise_fires_from_its_bound(kernel_log):
 def test_cap_cruise_fires_in_the_climb_zone(kernel_log):
     calls, stepped = kernel_log
     _, climb, crest, _ = _zone_bounds(STAIRS, CFG)
-    assert _climb(CFG, STAIRS, 30.0) == (True, False, 0.1)
+    assert _climb(CFG, STAIRS, 30.0)[:3] == (True, False, 0.1)
     assert advanced(calls, climb, crest, 1.0) > 5000
     assert stepped[0] < 1000
 
@@ -787,7 +809,7 @@ def test_stall_fires_from_rest(kernel_log):
     # does every later one, without taking them
     _, stepped = kernel_log
     cfg = replace(CFG, duration=10.0, rolling_resist_coeff=0.1)
-    assert _climb(cfg, flat_course(), 0.0) == (False, False, 0.0)
+    assert _climb(cfg, flat_course(), 0.0)[:3] == (False, False, 0.0)
     assert stepped[0] == 1
 
 
@@ -811,7 +833,7 @@ def test_stall_fires_where_each_step_from_rest_rounds_back_to_rest(kernel_log, c
     # of step folded over the run
     _, stepped = kernel_log
     cfg, stairs, tau = case()
-    assert _climb(cfg, stairs, tau) == (False, False, 0.0)
+    assert _climb(cfg, stairs, tau)[:3] == (False, False, 0.0)
     assert stepped[0] <= most_stepped
     # the negative torque on the flat is folded over its first 2,000 steps:
     # 600,000 calls of step take seconds
@@ -819,7 +841,7 @@ def test_stall_fires_where_each_step_from_rest_rounds_back_to_rest(kernel_log, c
     ss, vs = [0.0], [0.0]
     verdict = _climb(cut, stairs, tau, ss, vs)
     states, _, _, completed, fall = reference_run_climb(cut, stairs, tau)
-    assert repr(verdict) == repr((completed, fall, states[-1].v))
+    assert repr(verdict) == repr((completed, fall, states[-1].v, len(states) - 1))
     assert repr((ss, vs)) == repr(([st.s for st in states], [st.v for st in states]))
 
 
@@ -1001,6 +1023,8 @@ def assert_matches_reference(cfg, stairs, torque):
     traj = run_climb(cfg, stairs, torque)
     ref = reference_run_climb(cfg, stairs, torque)
     states, events, peak, completed, fall = ref
+    # the row count comes with the verdict, before any column is built
+    assert len(traj.states) == len(states)
     assert traj.states == states
     assert (traj.events, traj.peak_torque, traj.completed, traj.fall) == ref[1:]
     # == takes -0.0 for 0.0 and compares NaN by identity; repr does neither
@@ -1211,6 +1235,65 @@ def test_states_view_builds_rows_only_when_read(monkeypatch):
     assert states != run_climb(CFG, STAIRS, 29.0).states
     assert states != list(ref_states)        # a tuple never equalled a list
     assert states.index(ref_states[3]) == 3 and ref_states[3] in states
+
+
+@pytest.fixture
+def build_log(monkeypatch):
+    """Logs whether each ``_climb`` call records (``ss`` given), and counts
+    the plate passes: ``_build_columns`` calls, and the ``bisect_left``
+    calls that find each zone's rows in them."""
+    import stairclimber.stairsim as stairsim
+
+    recorded, built, bisected = [], [0], [0]
+    climb, build, bisect = stairsim._climb, stairsim._build_columns, stairsim.bisect_left
+
+    def logged_climb(cfg, stairs, tau, ss=None, vs=None):
+        recorded.append(ss is not None)
+        return climb(cfg, stairs, tau, ss, vs)
+
+    def counted_build(*args):
+        built[0] += 1
+        return build(*args)
+
+    def counted_bisect(*args, **kwargs):
+        bisected[0] += 1
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(stairsim, "_climb", logged_climb)
+    monkeypatch.setattr(stairsim, "_build_columns", counted_build)
+    monkeypatch.setattr(stairsim, "bisect_left", counted_bisect)
+    return recorded, built, bisected
+
+
+@pytest.mark.parametrize(
+    "cfg, stairs, torque",
+    [
+        (CFG, STAIRS, 30.0),                                            # completes
+        (CFG, STAIRS, 15.0),                                            # falls
+        (SimConfig(TRACK, MOTOR, duration=1.0), flat_course(), 0.0),    # stalls to the horizon
+        (replace(CFG, level_run=0.0), flat_course(0.0), 0.0),           # done at step 0
+    ],
+    ids=["completes", "falls", "stalls", "done at step 0"],
+)
+def test_verdict_only_run_climb_builds_columns_on_first_read(build_log, cfg, stairs, torque):
+    recorded, built, bisected = build_log
+    states, events, peak, completed, fall = reference_run_climb(cfg, stairs, torque)
+    traj = run_climb(cfg, stairs, torque)
+    # the verdict, the peak torque and the row count: one non-recording
+    # kernel run and no plate pass
+    assert (traj.completed, traj.fall, traj.peak_torque) == (completed, fall, peak)
+    assert len(traj.states) == len(states)
+    assert recorded == [False] and built == [0] and bisected == [0]
+    # the first column read records the run and levels the plate, once
+    s = traj.s
+    assert recorded == [False, True] and built == [1] and bisected[0] > 0
+    passes = bisected[0]
+    # later reads, of any column, the events or the rows, reuse it
+    assert traj.s is s and traj.events == events and traj.states == states
+    assert traj.final == states[-1] and traj.max_speed() == max(st.v for st in states)
+    assert traj == run_climb(cfg, stairs, torque) and hash(traj) == hash(run_climb(cfg, stairs, torque))
+    assert built == [3] and bisected[0] == 3 * passes      # the two new trajectories each built once
+    assert recorded.count(True) == 3
 
 
 def test_sim_config_refuses_nan_and_runs_over_the_step_budget():
