@@ -25,6 +25,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 
 from .drivetrain import DESIGN_ACCEL
 from .eeg import _HYSTERESIS_HI, _HYSTERESIS_LO
@@ -445,17 +446,19 @@ def run_events(events, cfg: ArbiterConfig = ArbiterConfig()) -> list[tuple[float
 # package reads logs and writes none
 
 
+def _cut(shown: str) -> str:
+    """Text from the input (a value's repr, a key path) as an error message
+    shows it: past 40 characters (a 401-digit integer, a long key), its
+    first 32 and a marker that gives its length."""
+    return shown if len(shown) <= 40 else f"{shown[:32]}... ({len(shown)} characters)"
+
+
 # JSON value kinds, which the scenario loader reads its values through too.
 # Each takes one parsed value and returns it, or raises a ValueError whose
 # "expected ... (got ...)" message its caller puts after the field path.
 def _refused(what: str, value) -> ValueError:
-    """The error for a refused value.  A repr longer than a few dozen
-    characters (a 401-digit integer, a long string) is cut, with a marker
-    that gives its length."""
-    shown = repr(value)
-    if len(shown) > 40:
-        shown = f"{shown[:32]}... ({len(shown)} characters)"
-    return ValueError(f"expected {what} (got {shown})")
+    """The error for a refused value, with its repr cut by ``_cut``."""
+    return ValueError(f"expected {what} (got {_cut(repr(value))})")
 
 
 def _expect(kind, what: str):
@@ -495,7 +498,7 @@ def _field(obj: dict, key: str, convert, where: str = ""):
     try:
         return convert(obj[key])
     except ValueError as exc:
-        raise ValueError(f"field {where + key!r}: {exc}") from exc
+        raise ValueError(f"field {_cut(repr(where + key))}: {exc}") from exc
 
 
 # the payload keys each event type reads; any other key is refused, so a
@@ -520,7 +523,7 @@ def event_from_dict(obj: dict) -> ControlEvent:
     unknown = [key for key in obj if key not in ("t", "type", "payload")]
     unknown += ["payload." + key for key in payload if key not in _PAYLOAD_KEYS[kind]]
     if unknown:
-        raise ValueError(f"field {unknown[0]!r}: not read by a {kind} event")
+        raise ValueError(f"field {_cut(repr(unknown[0]))}: not read by a {kind} event")
 
     def get(key, convert):
         return _field(payload, key, convert, "payload.")
@@ -545,16 +548,17 @@ def event_from_dict(obj: dict) -> ControlEvent:
 
 
 def read_event_log(path) -> list[ControlEvent]:
+    """The events of a UTF-8 JSON-lines log; a line that is not UTF-8, not
+    JSON or no event raises a ValueError that starts with ``path:line:``."""
     events: list[ControlEvent] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
+    # bytes split at the line breaks of text mode: \n, \r\n and \r
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = line.decode().strip()
+            if line:
                 events.append(event_from_dict(json.loads(line)))
-            except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return events
 
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .control import ArbiterConfig, _finite, _integer, _object, _string
+from .control import ArbiterConfig, _cut, _finite, _integer, _object, _string
 from .drivetrain import GearDesign, MotorSpec, TrackParams
 from .eeg import LoessConfig
 from .stairsim import PlateRig, SimConfig, Staircase
@@ -146,7 +146,7 @@ def _walk(obj, path: str, kwargs: dict) -> None:
     # a dotted key must not pass for a nested one
     unknown = [w for k, w in wheres.items() if "." in k or not (w in _LEAVES or w in _OBJECTS)]
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown config keys: {', '.join(map(_cut, sorted(unknown)))}")
     for key, value in obj.items():
         where = wheres[key]
         if where in _OBJECTS:
@@ -181,11 +181,11 @@ def load_scenario(path) -> Scenario:
     """Read and validate one scenario file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an oversized integer, deep nesting
+        obj = json.loads(data.decode())
+    except (ValueError, RecursionError) as exc:  # not UTF-8, a JSONDecodeError, an oversized integer, deep nesting
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return build_scenario(obj, base_dir=path.parent, default_name=path.stem)

@@ -47,12 +47,11 @@ that reads only the verdict pays for no column.  ``_build_columns`` records
 the run with ``_climb`` and then levels the plate in a second pass over the
 positions: plate levelling never feeds back into the dynamics, so each
 row's phase, pitch, actuator and plate follow from its position and the row
-before.  The pass goes zone by zone and takes the rows where the actuator
-slews at its rate limit as whole stretches, built with ``accumulate`` and
-comprehensions; a row that moves the actuator by less than the limit goes
-through a scalar step, and a settled row repeats the one before.
-Tests hold ``run_climb`` equal to ``step`` folded over a run, and
-``_climb``'s verdict equal to plain stepping.
+before.  The pass goes zone by zone and applies ``step``'s levelling rule
+to each row; at a constant pitch, once a row leaves the actuator where it
+was, the rest of the zone repeats that row.  Tests hold ``run_climb`` equal
+to ``step`` folded over a run, and ``_climb``'s verdict equal to plain
+stepping.
 
 The fixed-speed stretches and the stops share one closed form,
 ``_advance``: IEEE-754 addition of a fixed ``c`` of either sign adds the
@@ -78,7 +77,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import accumulate, compress, islice, repeat
-from operator import attrgetter, ge, indexOf, is_, le, mul
+from operator import attrgetter, is_, mul
 
 from .drivetrain import MAX_INCLINATION, MotorSpec, TrackParams, min_static_torque
 
@@ -434,27 +433,10 @@ def _build_columns(cfg: SimConfig, stairs: Staircase, tau: float) -> dict[str, t
     position alone, with the arithmetic of ``step`` in the same order.
     ``s`` never decreases (the torque is finite, so it is never NaN), so
     ``bisect_left`` finds each zone's rows, and the pass takes them zone by
-    zone: the ramps' pitches by a comprehension, then three kinds of row.
-
-    - Slewing.  Where the actuator moves by the rate limit ``max_move``
-      (or ``-max_move``), the extensions are ``accumulate`` of that move
-      and the plates a comprehension.  A stretch holds while every row's
-      target stays a full move away.  At a constant target the gap shrinks
-      row by row, so ``bisect_left`` finds where the stretch ends.  On a
-      ramp the reach moves ahead by at least ``gain*v*dt`` a row, less a
-      few ulps of the stroke and of ``s`` for rounding; where that beats the
-      move at the stretch's slowest speed (with a relative margin of
-      2**-40), the gap only widens, so every row slews.  Otherwise a
-      comprehension computes the gaps, ``min`` (or ``max``) tests them all
-      and ``indexOf`` finds the first that fails.  A ramp stretch tries 256
-      rows, twice as many after a try it filled and 16 after one it did
-      not, so a run of short stretches stays cheap.  Stretches are taken
-      only where the zone's reach stays within the stroke, so no row in them
-      saturates.
-    - Tracking, saturating, or any row of a zone whose reach passes the
-      stroke: the scalar step of ``step``.
-    - Settled.  Where the pitch is constant and a row left the actuator
-      where it was, every later row in that zone repeats it.
+    zone: the ramps' pitches by a comprehension, then each row in turn,
+    slewing the actuator toward ``min(pitch*lever_arm, stroke)`` by at most
+    ``max_rate*dt``.  Where the pitch is constant and a row left the
+    actuator where it was, every later row in that zone repeats it.
     """
     ss, vs = [0.0], [0.0]
     fall = _climb(cfg, stairs, tau, ss, vs)[1]
@@ -468,8 +450,7 @@ def _build_columns(cfg: SimConfig, stairs: Staircase, tau: float) -> dict[str, t
     ramp_out = end - crest
     lever, stroke, tolerance = rig.lever_arm, rig.stroke, rig.tolerance
     stroke_tol = stroke + 1e-12
-    dt = cfg.dt
-    max_move = rig.max_rate * dt
+    max_move = rig.max_rate * cfg.dt
     min_move = -max_move
 
     phases, plates, exts = [phase_at(0.0, stairs, cfg)], [0.0], [0.0]
@@ -484,60 +465,18 @@ def _build_columns(cfg: SimConfig, stairs: Staircase, tau: float) -> dict[str, t
             continue
         phases += repeat(phase, b - a)
         ramp = phase is Phase.ENGAGE or phase is Phase.CREST
-        # pitch_at(s), and the reach of the actuator toward it
+        # pitch_at(s)
         if phase is Phase.ENGAGE:
             pitches = [inc * (s - engage) / ramp_in for s in ss[a:b]]
-            gain = inc * lever / ramp_in              # the reach's rise per metre of path
         elif phase is Phase.CREST:
             pitches = [inc * (1.0 - (s - crest) / ramp_out) for s in ss[a:b]]
-            gain = -inc * lever / ramp_out
         else:
             pitches = [inc if phase is Phase.CLIMB else 0.0] * (b - a)
-        # the pitch is monotone in s, so its ends bound the zone's reach; within
-        # the stroke each row's target is its reach and no row saturates
-        stretches = max(pitches[0], pitches[-1]) * lever <= stroke
-        span = 256                        # rows a ramp stretch tries first
-        while j < b:
-            r = j - a
-            pitch = pitches[r]
+        for pitch in pitches:
             # plate levelling: track the chassis pitch within rate and stroke limits
             reach = pitch * lever
             target = stroke if stroke < reach else reach          # min(reach, stroke)
             delta = target - ext
-            if stretches and not min_move < delta < max_move:
-                # the actuator slews at its rate limit while each row's target
-                # stays a full move away
-                move, past, least = (max_move, ge, min) if delta > 0.0 else (min_move, le, max)
-                if ramp:
-                    # try span rows: twice as many after a stretch that
-                    # filled its try, 16 after one that did not, so a run of
-                    # short stretches wastes little
-                    tries = min(b - j, span)
-                    before = list(accumulate(repeat(move, tries), initial=ext))
-                    # where the reach runs ahead of the actuator even at the
-                    # slowest speed, no gap needs checking
-                    slowest = min(vs[j + 1:j + tries], default=math.inf)
-                    ahead = gain if move > 0.0 else -gain
-                    if ahead * (slowest * dt * (1.0 - 2.0**-40) - ss[j + tries - 1] * 2.0**-40) \
-                            >= max_move + stroke * 2.0**-40:
-                        k = tries
-                    else:
-                        gaps = [p * lever - e for p, e in zip(pitches[r:r + tries], before)]
-                        k = tries if past(least(gaps), move) else indexOf(map(past, gaps, repeat(move)), False)
-                    span = 2 * span if k == tries else 16
-                    moved = before[1:k + 1]
-                    plates += [p - e / lever for p, e in zip(pitches[r:r + k], moved)]
-                else:
-                    # a fixed target: the gap shrinks every row, so the rows
-                    # that slew are a prefix of about as many as it is moves
-                    tries = min(b - j, int(delta / move) + 2)
-                    before = list(accumulate(repeat(move, tries), initial=ext))
-                    k = bisect_left(before, True, 0, tries, key=lambda e: not past(target - e, move))
-                    moved = before[1:k + 1]
-                    plates += [pitch - e / lever for e in moved]
-                exts += moved
-                ext, saturated, j = moved[-1], False, j + k
-                continue
             move = delta if delta < max_move else max_move        # min(max_move, delta)
             ext = ext + (move if move > min_move else min_move)   # max(-max_move, move)
             plate = pitch - ext / lever
@@ -555,6 +494,7 @@ def _build_columns(cfg: SimConfig, stairs: Staircase, tau: float) -> dict[str, t
                 plates += repeat(plate, b - j)
                 exts += repeat(ext, b - j)
                 j = b
+                break
     if fall:
         # the falling step ends where the one before it did, so it moves the
         # actuator toward the same target and starts no saturation

@@ -413,6 +413,28 @@ def test_design_on_hostile_values_ends_in_an_exit_code(tmp_path_factory, leaves)
             assert NON_FINITE.search(path.read_text()) is None, path.name
 
 
+SIM_FUZZ_KEYS = sorted(key for key in _LEAVES if key.startswith(("robot.", "staircase.", "sim.")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["sim", "sweep", "report"]),
+       st.dictionaries(st.sampled_from(SIM_FUZZ_KEYS), st.sampled_from(HOSTILE_VALUES), min_size=1, max_size=3))
+def test_simulation_commands_on_hostile_values_end_in_an_exit_code(tmp_path_factory, command, leaves):
+    # every value ends in a result, a config error or a failed climb: no
+    # traceback, and no result that holds a nan or an infinity.  A coarse
+    # step keeps each run short
+    tmp = tmp_path_factory.mktemp("fuzz")
+    scenario = write_scenario(tmp, nested(leaves))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--scenario", scenario, "--dt", "0.01", "--seed", "1", "--out", str(tmp / "o")])
+    assert code in (0, 1, 2)
+    assert code != 1 or err.getvalue().startswith("config error: ")
+    if code == 0:
+        for path in (tmp / "o").iterdir():
+            assert NON_FINITE.search(path.read_text()) is None, path.name
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -510,6 +532,38 @@ def test_scenario_and_event_log_refuse_a_value_alike(tmp_path, capsys, value, ki
     scenario = write_scenario(tmp_path, {"teleop": {"event_log": "events.jsonl"}})
     assert main(["teleop", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"config error: {log}:1: field {field!r}: {want}\n"
+
+
+def test_input_that_is_not_utf8_exits_1(tmp_path, capsys):
+    # a scenario file and an event log are read as UTF-8: other bytes are a
+    # config error that names the file, and the line of the log
+    scenario = tmp_path / "latin1.json"
+    scenario.write_bytes(b'{"name": "\xff\xfe"}')
+    assert main(["design", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {scenario}: invalid JSON: 'utf-8' codec ")
+    log = tmp_path / "events.jsonl"
+    log.write_bytes(b'{"t": 1, "type": "key", "payload": {"key": "\xff"}}\n')
+    scenario = write_scenario(tmp_path, {"teleop": {"event_log": "events.jsonl"}})
+    assert main(["teleop", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {log}:1: 'utf-8' codec ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_long_keys_are_cut_in_config_errors(tmp_path, capsys):
+    # a key path from the input is cut like a refused value, so a long key
+    # gives a short message
+    key = "x" * 300
+    scenario = write_scenario(tmp_path, {"sim": {key: 1}})
+    assert main(["design", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+    want = f"config error: unknown config keys: sim.{'x' * 28}... (304 characters)\n"
+    assert capsys.readouterr().err == want and len(want) < 120
+    log = tmp_path / "events.jsonl"
+    log.write_text(json.dumps({"t": 1, "type": "sonar", "payload": {"d_left": 1, "d_front": 1, "d_right": 1,
+                                                                    key: 0.8}}) + "\n")
+    scenario = write_scenario(tmp_path, {"teleop": {"event_log": "events.jsonl"}})
+    assert main(["teleop", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+    shown = f"'payload.{'x' * 23}... (310 characters)"
+    assert capsys.readouterr().err == f"config error: {log}:1: field {shown}: not read by a sonar event\n"
 
 
 def test_teleop_config_error_leaves_no_out_dir(tmp_path):

@@ -634,6 +634,16 @@ def test_event_log_reads_literal_lines(tmp_path):
     assert read_event_log(path) == [event for _, event in EVENT_LINES]
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_event_log_takes_the_line_breaks_of_text_mode(tmp_path, newline):
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(newline.join(line for line, _ in EVENT_LINES).encode() + b"\n")
+    assert read_event_log(path) == [event for _, event in EVENT_LINES]
+    path.write_bytes(b'{"t": 1.0, "type": "key", "payload": {"key": "8"}}' + newline.encode() + b"not json")
+    with pytest.raises(ValueError, match=r"events\.jsonl:2: "):
+        read_event_log(path)
+
+
 def test_event_log_reports_bad_lines(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"t": 1.0, "type": "key", "payload": {"key": "8"}}\nnot json\n')

@@ -151,6 +151,31 @@ def test_load_scenario_integer_beyond_the_str_conversion_limit(tmp_path):
         load_scenario(path)
 
 
+# JSON documents of any shape, mostly refused by the key table or the kinds
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=8), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+    # a valid document around bytes that need not be UTF-8
+    st.binary(max_size=8).map(lambda name: b'{"name": "' + name + b'"}'),
+))
+def test_load_scenario_returns_a_scenario_or_refuses_arbitrary_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("bytes") / "case.json"
+    path.write_bytes(data)
+    try:
+        sc = load_scenario(path)
+    except ConfigError:
+        return
+    assert isinstance(sc, Scenario)
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_scenario(tmp_path / "absent.json")
