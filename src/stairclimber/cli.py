@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import drivetrain, power, stairsim, support
 from .control import _fmt, command_to_dict, protocol_lines, read_event_log, run_events
-from .scenario import ConfigError, Scenario, build_scenario, load_scenario
+from .scenario import _LEAVES, ConfigError, Scenario, _value, build_scenario, load_scenario
 
 __all__ = ["main"]
 
@@ -85,8 +85,10 @@ def _load(args) -> Scenario:
     else:
         scenario = load_scenario(args.scenario)
     if args.dt is not None:
+        # the flag takes sim.dt_s's kind, range and all
+        dt = _value(_LEAVES["sim.dt_s"][0], args.dt, f"--dt {args.dt}")
         try:
-            sim = replace(scenario.sim, dt=args.dt)
+            sim = replace(scenario.sim, dt=dt)
         except ValueError as exc:
             raise ConfigError(f"--dt {args.dt}: {exc}") from exc
         scenario = replace(scenario, sim=sim)
@@ -96,13 +98,6 @@ def _load(args) -> Scenario:
 def _design(sc: Scenario, out: Path) -> list[str]:
     """Write the force profile, torque table and design report; return the report lines."""
     design = replace(sc.track, theta=drivetrain.MAX_INCLINATION, accel=drivetrain.DESIGN_ACCEL)
-    # the design point bounds every row of the torque table; every factor is
-    # positive, so only an underflow or an overflow fails here
-    for pulley in (drivetrain.Pulley.P1, drivetrain.Pulley.P3):
-        torque = drivetrain.torque_case(pulley, design)
-        if not 0 < torque < math.inf:
-            way = "underflows" if torque == 0 else "overflows"
-            raise ConfigError(f"robot: the design-point {pulley.name} torque {way} to {torque} N*m")
     required = drivetrain.torque_case(drivetrain.Pulley.P1, design)
     # one mass per sizing target: the three targets do not back-solve to a
     # single consistent mass, so each is reported with its own
@@ -114,31 +109,12 @@ def _design(sc: Scenario, out: Path) -> list[str]:
     masses = {}
     for target_name, target in drivetrain.SIZING_TARGETS.items():
         pulley, params = cases[target_name]
-        mass = drivetrain.back_solve_mass(pulley, target, params)
-        if not math.isfinite(mass):
-            raise ConfigError(f"robot: the {target_name} target back-solves to M = {mass} kg")
-        masses[target_name] = (mass, pulley, params)
+        masses[target_name] = (drivetrain.back_solve_mass(pulley, target, params), pulley, params)
     theta_grid = _linspace(0.0, math.pi / 2.0, 91)
     profile = support.force_profile(sc.support_geom, sc.support_load, theta_grid)
-    for theta, _, force in profile:
-        if not math.isfinite(force):
-            raise ConfigError(
-                f"robot.support: the actuator force overflows float range "
-                f"({force} N at {_fmt(math.degrees(theta))} deg)"
-            )
     peak = max(f for _, _, f in profile)
     structural = support.check_structural(peak, sc.support_load)
-    if not math.isfinite(structural.margin):
-        raise ConfigError(
-            f"robot.support: the hinge shear margin is {structural.margin} "
-            f"at a peak actuator load of {peak} N"
-        )
     margin = drivetrain.motor_margin(sc.motor, required)
-    if not math.isfinite(margin.margin):
-        raise ConfigError(
-            f"robot.motor: the motor margin overflows to {margin.margin}: {margin.available} N*m "
-            f"available against {required} N*m required"
-        )
     _make_out(out)
     _write_csv(
         out / "force_profile.csv",

@@ -101,10 +101,6 @@ class TrackParams:
             )
         if not (self.gravity > 0):
             raise ValueError(f"gravity must be positive (got {self.gravity})")
-        if not math.isfinite(self.M * self.gravity):
-            raise ValueError(f"weight M * gravity overflows (M={self.M}, gravity={self.gravity})")
-        if not math.isfinite(self.M + self.m1):
-            raise ValueError(f"inertia M + m1 overflows (M={self.M}, m1={self.m1})")
         if not (self.R > 0 and self.r > 0 and self.R >= self.r):
             raise ValueError(f"need R >= r > 0 (R={self.R}, r={self.r})")
         if not (0.0 <= self.theta <= MAX_INCLINATION + 1e-12):
@@ -193,29 +189,14 @@ class GearDesign:
                 f"{self.teeth} teeth undercut against a rack; need >= {n_min}"
             )
         object.__setattr__(self, "addendum", self.addendum_factor * self.module_mm)
-        try:
-            pitch_radius = self.module_mm * self.teeth / 2.0
-        except OverflowError:  # an integer tooth count beyond float range
-            digits = round(self.teeth.bit_length() * math.log10(2.0))
-            raise InvalidGeometry(f"about 10^{digits} teeth overflow the pitch radius") from None
-        object.__setattr__(self, "pitch_radius", pitch_radius)
+        object.__setattr__(self, "pitch_radius", self.module_mm * self.teeth / 2.0)
         object.__setattr__(self, "base_radius", self.pitch_radius * math.cos(self.pressure_angle))
         object.__setattr__(self, "outer_radius", self.pitch_radius + self.addendum)
-        # contact_ratio takes sqrt(r_o^2 - r_b^2): both squares finite, r_o > r_b
-        if not math.isfinite(self.outer_radius * self.outer_radius):
-            raise InvalidGeometry(f"outer radius {self.outer_radius} mm squares beyond float range")
+        # contact_ratio takes sqrt(r_o^2 - r_b^2): r_o > r_b
         if self.outer_radius <= self.base_radius:
             raise InvalidGeometry(
                 f"outer radius {self.outer_radius} mm must exceed base radius {self.base_radius} mm"
             )
-        # a module so small that the base radius or the radii's squares underflow
-        if not self.base_radius > 0:
-            raise InvalidGeometry(
-                f"base radius {self.base_radius} mm underflows (module {self.module_mm} mm)"
-            )
-        ratio = contact_ratio(self)
-        if not math.isfinite(ratio):
-            raise InvalidGeometry(f"contact ratio {ratio} is not finite (module {self.module_mm} mm)")
 
     @property
     def pitch_diameter_mm(self) -> float:
@@ -271,11 +252,6 @@ class MotorSpec:
             raise ValueError(
                 f"nameplate inconsistent: torque*speed gives {mech:.1f} W "
                 f"vs rated {self.rated_power:.1f} W (>5% apart)"
-            )
-        if not math.isfinite(self.available_track_torque):
-            raise ValueError(
-                f"rated torque {self.rated_torque} N*m times reduction {self.reduction} "
-                "overflows float range"
             )
 
     @property

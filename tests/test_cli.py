@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from stairclimber import cli, support
 from stairclimber.cli import main
-from stairclimber.control import _fmt
+from stairclimber.control import _finite, _fmt
 from stairclimber.drivetrain import Pulley, TrackParams, torque_case
-from stairclimber.scenario import _LEAVES, load_scenario
+from stairclimber.scenario import _LEAVES, _Range, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -292,8 +292,33 @@ OVERFLOWING_INERTIA = {
 }
 
 
+def flat(obj, path=""):
+    """A scenario's leaves as {key path: value}, in file order."""
+    out = {}
+    for key, value in obj.items():
+        where = f"{path}.{key}" if path else key
+        out.update(flat(value, where) if isinstance(value, dict) else {where: value})
+    return out
+
+
+def refusal(obj, was):
+    """The start of the config error a hostile scenario gets: the range of its
+    first key out of range, or else ``was``, the message it got before the
+    keys had ranges."""
+    for key, value in flat(obj).items():
+        try:
+            _LEAVES[key][0](value)
+        except ValueError:
+            return f"{key}: expected a number in ["
+    return was
+
+
+# Each hostile input with the start of the message it got when the checks
+# past the loader refused it, most of them float-range guards, since
+# deleted: the key ranges refuse it at load now.  b_m = 0 lies in its range
+# and still reaches the linkage's own check.
 @pytest.mark.parametrize(
-    "obj, prefix",
+    "obj, was",
     [
         ({"robot": {"support": {"b_m": 0}}}, "robot.support: actuator lies along the arm"),
         ({"robot": {"support": {"h_m": 1e300}}}, "robot.support: actuator lies along the arm"),
@@ -327,18 +352,20 @@ OVERFLOWING_INERTIA = {
         # a light gravity keeps the weight finite; M + m1 still overflows
         ({"robot": {"gravity_mps2": 1e-300, "per_track_mass_kg": 1e308, "pulley1_mass_kg": 1e308}},
          "robot: inertia M + m1 overflows"),
+        # heavy P2/P3 pulleys: this one exited 0, its cross-check skipped
+        ({"robot": {"pulley23_mass_kg": 1e300}}, "cross-check skipped"),
     ],
 )
-def test_unusable_design_input_exits_1(tmp_path, capsys, obj, prefix):
+def test_unusable_design_input_exits_1(tmp_path, capsys, obj, was):
     scenario = write_scenario(tmp_path, obj)
     assert main(["design", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith(f"config error: {prefix}")
+    assert capsys.readouterr().err.startswith(f"config error: {refusal(obj, was)}")
     assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["sim", "sweep", "report"])
 @pytest.mark.parametrize(
-    "obj, prefix",
+    "obj, was",
     [
         (OVERFLOWING_MOTOR, "robot.motor: rated torque"),
         (OVERFLOWING_GEAR, "robot.gear: about 10^400 teeth"),
@@ -346,10 +373,10 @@ def test_unusable_design_input_exits_1(tmp_path, capsys, obj, prefix):
         (OVERFLOWING_INERTIA, "robot: inertia M + m1 overflows"),
     ],
 )
-def test_overflowing_drive_exits_1_on_every_command(tmp_path, capsys, command, obj, prefix):
+def test_overflowing_drive_exits_1_on_every_command(tmp_path, capsys, command, obj, was):
     scenario = write_scenario(tmp_path, obj)
     assert main([command, "--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith(f"config error: {prefix}")
+    assert capsys.readouterr().err.startswith(f"config error: {refusal(obj, was)}")
     assert not (tmp_path / "o").exists()
 
 
@@ -357,7 +384,7 @@ def test_overflowing_drive_exits_1_on_every_command(tmp_path, capsys, command, o
     "robot, reason",
     [
         # heavy P2/P3 pulleys back-solve p1_accel to a negative supported mass
-        ({"pulley23_mass_kg": 1e300}, "supported mass must be positive"),
+        ({"pulley23_mass_kg": 1e4}, "supported mass must be positive"),
         # a heavy P1 outweighs the back-solved mass, though not the scenario's
         ({"per_track_mass_kg": 500, "pulley1_mass_kg": 400}, "P1's effective mass"),
     ],
@@ -433,6 +460,40 @@ def test_simulation_commands_on_hostile_values_end_in_an_exit_code(tmp_path_fact
     if code == 0:
         for path in (tmp / "o").iterdir():
             assert NON_FINITE.search(path.read_text()) is None, path.name
+
+
+# every ranged key, with its range
+RANGES = {key: kind for key, (kind, *_) in _LEAVES.items() if isinstance(kind, _Range)}
+
+
+@st.composite
+def range_end_values(draw):
+    # 1-4 ranged keys, each at an end of its range or log-uniform inside it
+    out = {}
+    for key in draw(st.lists(st.sampled_from(sorted(RANGES)), min_size=1, max_size=4, unique=True)):
+        kind = RANGES[key]
+        lo = kind.lo or kind.hi * 1e-12
+        value = draw(st.sampled_from([kind.lo, kind.hi]) | st.floats(0.0, 1.0).map(lambda u: lo * (kind.hi / lo) ** u))
+        out[key] = min(max(value, kind.lo), kind.hi) if kind.kind is _finite else round(value)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(range_end_values(), st.sampled_from(["sim", "sweep", "report"]))
+def test_commands_on_range_ends_end_in_an_exit_code(tmp_path_factory, leaves, command):
+    # in-range values reach no deleted float-range guard: no traceback, and
+    # no nan or infinity in a result.  A coarse step keeps each run short
+    tmp = tmp_path_factory.mktemp("ends")
+    scenario = write_scenario(tmp, nested(leaves))
+    for argv in (["design"], [command, "--dt", "0.01", "--seed", "1"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--scenario", scenario, "--out", str(tmp / argv[0])])
+        assert code in (0, 1, 2)
+        assert code != 1 or err.getvalue().startswith("config error: ")
+        if code == 0:
+            for path in (tmp / argv[0]).iterdir():
+                assert NON_FINITE.search(path.read_text()) is None, path.name
 
 
 @pytest.mark.parametrize(
@@ -675,19 +736,29 @@ def test_default_out_dir(tmp_path, monkeypatch):
     assert (tmp_path / "runs" / "default" / "design_report.txt").exists()
 
 
-@pytest.mark.parametrize("dt", ["nan", "20", "inf", "0"])
+# each refused --dt with its reason: the flag takes sim.dt_s's kind and
+# range; 20 s is longer than the scenario's 10 s horizon
+BAD_DT = {
+    "nan": "expected a finite number (got nan)",
+    "20": "need dt > 0 and duration >= dt",
+    "inf": "expected a finite number (got inf)",
+    "0": "expected a number in [1e-09, 1000] (got 0.0)",
+}
+
+
+@pytest.mark.parametrize("dt", list(BAD_DT))
 def test_bad_dt_override_exits_1(tmp_path, capsys, dt):
-    # 20 s is longer than the scenario's 10 s horizon
     assert main(["sim", "--scenario", BASELINE, "--out", str(tmp_path / "o"), "--dt", dt]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: --dt {float(dt)}: need dt > 0 and duration >= dt")
+    assert err.startswith(f"config error: --dt {float(dt)}: {BAD_DT[dt]}")
 
 
 @pytest.mark.parametrize(
     "scenario_obj, extra, prefix",
     [
-        ({}, ["--dt", "1e-12"], "--dt 1e-12"),              # 10**13 steps
+        ({}, ["--dt", "1e-12"], "--dt 1e-12"),              # 10**13 steps, below sim.dt_s's range
         ({"sim": {"duration_s": 1e9}}, [], "sim"),          # 10**12 steps
+        ({}, ["--dt", "1e-8"], "--dt 1e-08"),               # 10**9 steps
     ],
 )
 def test_step_budget_exits_1_quickly(tmp_path, scenario_obj, extra, prefix):
@@ -699,8 +770,12 @@ def test_step_budget_exits_1_quickly(tmp_path, scenario_obj, extra, prefix):
         capture_output=True, text=True, env=SRC_ENV, timeout=60,
     )
     assert proc.returncode == 1
-    assert proc.stderr.startswith(f"config error: {prefix}: duration/dt = ")
-    assert "exceeds the budget of 1000000 steps" in proc.stderr
+    if prefix == "--dt 1e-12":
+        # the range refuses the step before the budget is asked
+        assert proc.stderr == "config error: --dt 1e-12: expected a number in [1e-09, 1000] (got 1e-12)\n"
+    else:
+        assert proc.stderr.startswith(f"config error: {prefix}: duration/dt = ")
+        assert "exceeds the budget of 1000000 steps" in proc.stderr
 
 
 # the modules a subcommand loads only when it needs them

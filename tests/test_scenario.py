@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stairclimber.control import ArbiterConfig
+from stairclimber.control import ArbiterConfig, _finite
 from stairclimber.drivetrain import GearDesign, MotorSpec, TrackParams, min_pinion_teeth
 from stairclimber.eeg import LoessConfig
-from stairclimber.scenario import ConfigError, Scenario, build_scenario, load_scenario
+from stairclimber.scenario import _LEAVES, ConfigError, Scenario, _Range, build_scenario, load_scenario
 from stairclimber.stairsim import SimConfig, Staircase
 from stairclimber.support import SupportGeometry, SupportLoad
 
@@ -350,3 +350,47 @@ def test_readme_scenario_example_loads():
     sc = build_scenario(json.loads(block), base_dir=SCENARIOS)
     assert sc.name == "baseline40"
     assert sc.event_log == SCENARIOS / "teleop_events.jsonl"
+
+
+RANGES = {key: kind for key, (kind, *_) in _LEAVES.items() if isinstance(kind, _Range)}
+
+
+def test_readme_range_table_is_the_leaf_table():
+    # README quotes each range with its reason; the ranges have one source
+    readme = (ROOT / "README.md").read_text()
+    section = re.search(r"## Scenarios(.*?)\n## ", readme, re.S).group(1)
+    rows = re.findall(r"^\| `([\w.]+)` \| \[(\S+), (\S+)\] \| (.+) \|$", section, re.M)
+    assert {key: (float(lo), float(hi)) for key, lo, hi, _ in rows} == {
+        key: (kind.lo, kind.hi) for key, kind in RANGES.items()}
+    assert len(rows) == len(RANGES) and all(reason.strip() for *_, reason in rows)
+    # every number of the robot, the staircase and the simulation has one,
+    # except the inclination, whose dataclass refuses all outside (0, 40]
+    numbers = {key for key in _LEAVES
+               if key.startswith(("robot.", "staircase.", "sim.")) and key != "staircase.inclination_deg"}
+    assert set(RANGES) == numbers
+
+
+def one_key(key, value):
+    """The scenario that sets one key path."""
+    for head in reversed(key.split(".")):
+        value = {head: value}
+    return value
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("key", sorted(RANGES))
+def test_a_value_just_outside_a_range_is_refused_by_key(key, side):
+    kind = RANGES[key]
+    end, away = (kind.lo, -1) if side == "below" else (kind.hi, 1)
+    if kind.kind is _finite:
+        outside = math.nextafter(end, away * math.inf)
+    else:   # the tooth count, an integer
+        end = int(end)
+        outside = end + away
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: expected a number in \["):
+        build_scenario(one_key(key, outside))
+    # the end itself passes the range; another check may still refuse it
+    try:
+        build_scenario(one_key(key, end))
+    except ConfigError as exc:
+        assert not str(exc).startswith(f"{key}: "), exc
