@@ -85,12 +85,9 @@ def _load(args) -> Scenario:
     else:
         scenario = load_scenario(args.scenario)
     if args.dt is not None:
-        # the flag takes sim.dt_s's kind, range and all
-        dt = _value(_LEAVES["sim.dt_s"][0], args.dt, f"--dt {args.dt}")
-        try:
-            sim = replace(scenario.sim, dt=dt)
-        except ValueError as exc:
-            raise ConfigError(f"--dt {args.dt}: {exc}") from exc
+        # the flag takes sim.dt_s's kind, range and all, then SimConfig's checks
+        kind = _LEAVES["sim.dt_s"][0]
+        sim = _value(lambda dt: replace(scenario.sim, dt=kind(dt)), args.dt, f"--dt {args.dt}")
         scenario = replace(scenario, sim=sim)
     return scenario
 
@@ -170,7 +167,7 @@ def _design(sc: Scenario, out: Path) -> list[str]:
             name: drivetrain.torque_case(pulley, replace(params, M=masses["p1_accel"][0]))
             for name, (m, pulley, params) in masses.items()
         }
-    except ValueError as exc:  # the back-solved mass is no valid track, e.g. M <= 0
+    except ValueError as exc:  # the back-solved mass is no valid track, e.g. M out of its range
         lines.append(f"cross-check with M from p1_accel: skipped, {exc}")
     else:
         lines.append(

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .drivetrain import DESIGN_ACCEL
+from .drivetrain import DESIGN_ACCEL, _cut
 from .eeg import _HYSTERESIS_HI, _HYSTERESIS_LO
 from .eeg import EegRecord, LoessConfig, PostureState, loess_last, posture_transition
 from .perception.sonar import RegionOccupancy, SonarTriple, region_map
@@ -444,13 +444,6 @@ def run_events(events, cfg: ArbiterConfig = ArbiterConfig()) -> list[tuple[float
 
 # event log reading: JSON lines, one {t, type, payload} object each; the
 # package reads logs and writes none
-
-
-def _cut(shown: str) -> str:
-    """Text from the input (a value's repr, a key path) as an error message
-    shows it: past 40 characters (a 401-digit integer, a long key), its
-    first 32 and a marker that gives its length."""
-    return shown if len(shown) <= 40 else f"{shown[:32]}... ({len(shown)} characters)"
 
 
 # JSON value kinds, which the scenario loader reads its values through too.

@@ -27,8 +27,9 @@ reports can show the spread explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from functools import cache
 
 __all__ = [
     "Pulley",
@@ -71,43 +72,64 @@ class InvalidGeometry(ValueError):
     """Gear geometry violates a hard constraint (e.g. outer <= base radius)."""
 
 
+def _cut(shown: str) -> str:
+    """Text from the input (a value's repr, a key path) as an error message
+    shows it: past 40 characters (a 401-digit integer, a long key), its
+    first 32 and a marker that gives its length."""
+    return shown if len(shown) <= 40 else f"{shown[:32]}... ({len(shown)} characters)"
+
+
+def _ranged(default, lo: float, hi: float, *, degrees: bool = False):
+    """A field that _check_ranges holds in [lo, hi], and the scenario loader
+    reads its key's range from.  A degree field is ranged in degrees and holds
+    radians; radians() is monotone, so both checks agree at each end."""
+    held = (math.radians(lo), math.radians(hi)) if degrees else (lo, hi)
+    return field(default=default, metadata={"range": (lo, hi), "degrees": degrees, "held": held})
+
+
+@cache
+def _bounds(cls) -> tuple:
+    """(name, lo, hi) of each ranged field of a dataclass, as held, read once per class."""
+    return tuple((f.name, *f.metadata["held"]) for f in fields(cls) if "range" in f.metadata)
+
+
+def _check_ranges(obj) -> None:
+    """Refuse a ranged field outside its range (NaN too), by name; a None (teeth to be sized) passes."""
+    for name, lo, hi in _bounds(type(obj)):
+        value = getattr(obj, name)
+        if value is not None and not lo <= value <= hi:
+            raise ValueError(f"{name}: expected a number in [{lo:g}, {hi:g}] (got {_cut(repr(value))})")
+
+
 @dataclass(frozen=True)
 class TrackParams:
     """Per-track drive parameters.
 
     M is the supported mass per track: half of robot-plus-user for the
     two-track chassis.  Pulley masses default to zero; their inertial terms
-    are second order at the design acceleration cap.
+    are second order at the design acceleration cap.  Every field but theta
+    and accel, which keep the design point's caps, is range-checked.
     """
 
-    M: float = 97.0           # kg, mass borne per track
-    m1: float = 0.0           # kg, mass of pulley P1
-    m: float = 0.0            # kg, mass of each of P2/P3
-    R: float = 0.05           # m, radius of P1
-    r: float = 0.036          # m, radius of P2/P3
+    M: float = _ranged(97.0, 1e-3, 1e5)      # kg, mass borne per track
+    m1: float = _ranged(0.0, 0, 1e4)         # kg, mass of pulley P1
+    m: float = _ranged(0.0, 0, 1e4)          # kg, mass of each of P2/P3
+    R: float = _ranged(0.05, 1e-3, 10)       # m, radius of P1
+    r: float = _ranged(0.036, 1e-3, 10)      # m, radius of P2/P3
     theta: float = MAX_INCLINATION  # rad, stair inclination
     accel: float = 0.0        # m/s^2, commanded acceleration
-    gravity: float = 9.81
+    gravity: float = _ranged(9.81, 0.1, 100)  # m/s^2
 
     def __post_init__(self):
-        if not (self.M > 0):
-            raise ValueError(f"supported mass must be positive (got {self.M})")
-        if not (self.m1 >= 0 and self.m >= 0):
-            raise ValueError("pulley masses must be >= 0")
+        _check_ranges(self)
         if not (self.M + self.m - self.m1 / 2.0 > 0):
-            raise ValueError(
-                f"P1's effective mass M + m - m1/2 must be positive "
-                f"(M={self.M}, m={self.m}, m1={self.m1})"
-            )
-        if not (self.gravity > 0):
-            raise ValueError(f"gravity must be positive (got {self.gravity})")
-        if not (self.R > 0 and self.r > 0 and self.R >= self.r):
+            raise ValueError(f"P1's effective mass M + m - m1/2 must be positive "
+                             f"(M={self.M}, m={self.m}, m1={self.m1})")
+        if not (self.R >= self.r):
             raise ValueError(f"need R >= r > 0 (R={self.R}, r={self.r})")
         if not (0.0 <= self.theta <= MAX_INCLINATION + 1e-12):
-            raise ValueError(
-                f"stair angle {math.degrees(self.theta):.2f} deg exceeds cap "
-                f"{math.degrees(MAX_INCLINATION):.2f} deg"
-            )
+            raise ValueError(f"stair angle {math.degrees(self.theta):.2f} deg exceeds cap "
+                             f"{math.degrees(MAX_INCLINATION):.2f} deg")
         if not (abs(self.accel) <= DESIGN_ACCEL + 1e-12):
             raise ValueError(f"|accel| exceeds {DESIGN_ACCEL} m/s^2 (got {self.accel})")
 
@@ -166,28 +188,26 @@ def min_pinion_teeth(alpha: float, f: float = 1.0) -> int:
 class GearDesign:
     """Spur gear (timing pulley) geometry, lengths in millimetres.
 
-    teeth=None sizes the pinion at the no-interference minimum.
+    teeth=None sizes the pinion at the no-interference minimum.  The four
+    inputs are range-checked.
     """
 
-    pressure_angle: float = math.radians(20.0)
-    addendum_factor: float = 1.0   # addendum = factor * module
-    module_mm: float = 4.0
-    teeth: int | None = None
+    pressure_angle: float = _ranged(math.radians(20.0), 5, 45, degrees=True)
+    addendum_factor: float = _ranged(1.0, 0.1, 10)   # addendum = factor * module
+    module_mm: float = _ranged(4.0, 0.01, 100)
+    teeth: int | None = _ranged(None, 1, 1e6)
     addendum: float = field(init=False)
     pitch_radius: float = field(init=False)
     base_radius: float = field(init=False)
     outer_radius: float = field(init=False)
 
     def __post_init__(self):
+        _check_ranges(self)
         n_min = min_pinion_teeth(self.pressure_angle, self.addendum_factor)
         if self.teeth is None:
             object.__setattr__(self, "teeth", n_min)
-        if not (self.module_mm > 0) or self.teeth < 1:
-            raise InvalidGeometry("module and tooth count must be positive")
         if self.teeth < n_min:
-            raise InvalidGeometry(
-                f"{self.teeth} teeth undercut against a rack; need >= {n_min}"
-            )
+            raise InvalidGeometry(f"{self.teeth} teeth undercut against a rack; need >= {n_min}")
         object.__setattr__(self, "addendum", self.addendum_factor * self.module_mm)
         object.__setattr__(self, "pitch_radius", self.module_mm * self.teeth / 2.0)
         object.__setattr__(self, "base_radius", self.pitch_radius * math.cos(self.pressure_angle))
@@ -236,17 +256,16 @@ def tension_order(driver: Pulley) -> tuple[str, str, str]:
 
 @dataclass(frozen=True)
 class MotorSpec:
-    """Drive motor nameplate plus the chain reduction to the track."""
+    """Drive motor nameplate plus the chain reduction to the track.  Every
+    field is range-checked."""
 
-    rated_power: float = 320.0    # W
-    rated_torque: float = 22.0    # N*m
-    rated_speed: float = 143.0    # rpm
-    reduction: float = 2.0        # output:input torque multiplier
+    rated_power: float = _ranged(320.0, 1e-3, 1e7)   # W
+    rated_torque: float = _ranged(22.0, 1e-3, 1e6)   # N*m
+    rated_speed: float = _ranged(143.0, 1e-3, 1e6)   # rpm
+    reduction: float = _ranged(2.0, 1e-3, 1e4)       # output:input torque multiplier
 
     def __post_init__(self):
-        ratings = (self.rated_power, self.rated_torque, self.rated_speed, self.reduction)
-        if not all(x > 0 for x in ratings):
-            raise ValueError("motor ratings must be positive")
+        _check_ranges(self)
         mech = self.rated_torque * self.rated_speed * 2.0 * math.pi / 60.0
         if not (abs(mech - self.rated_power) <= 0.05 * self.rated_power):
             raise ValueError(

@@ -10,23 +10,23 @@ every default lives on its dataclass (the baseline design) and "{}" is a
 whole scenario.  The loader reads each value through its kind; the event-log
 reader in control shares the kinds, so a bad value gets the same "expected
 ..." message in both, after its own field path.  Each number of the robot,
-the staircase and the simulation has a closed physical range in its kind, so
-a value outside it fails at load by key, and no product of in-range values
-overflows further on.  The dataclasses check the invariants that tie fields
-together, and their errors name the section.  A relative teleop.event_log
-resolves against the scenario file's directory.
+the staircase and the simulation has a closed physical range on the field it
+sets, read from there, so a value outside it fails at load by key, and no
+product of in-range values overflows further on.  The dataclasses check their
+ranges and the invariants that tie fields together, and their errors name
+the section.  A relative teleop.event_log resolves against the scenario
+file's directory.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .control import ArbiterConfig, _cut, _finite, _integer, _object, _refused, _string
-from .drivetrain import GearDesign, MotorSpec, TrackParams
+from .control import ArbiterConfig, _finite, _integer, _object, _refused, _string
+from .drivetrain import GearDesign, MotorSpec, TrackParams, _cut
 from .eeg import LoessConfig
 from .stairsim import PlateRig, SimConfig, Staircase
 from .support import SupportGeometry, SupportLoad
@@ -60,24 +60,41 @@ def _or_null(kind):
     return lambda value: None if value is None else kind(value)
 
 
-@dataclass(frozen=True)
-class _Range:
-    """A value kind: a number that ``kind`` reads, within [lo, hi].  A degree
-    leaf is ranged in degrees and set in radians; a null that ``kind`` passes
-    stays null."""
+# (section, JSON path its errors name, constructor, built sections it takes),
+# in build order; the bare section "" is the Scenario itself.
+_SECTIONS = (
+    ("support_geom", "robot.support", SupportGeometry, ()),
+    ("support_load", "robot.support", SupportLoad, ()),
+    ("gear", "robot.gear", GearDesign, ()),
+    ("motor", "robot.motor", MotorSpec, ()),
+    ("stairs", "staircase", Staircase, ()),
+    ("track", "robot", TrackParams, ()),
+    ("plate", "sim.plate", PlateRig, ()),
+    ("sim", "sim", SimConfig, ("track", "motor", "plate")),
+    ("loess", "teleop.arbiter", LoessConfig, ()),
+    ("arbiter", "teleop.arbiter", ArbiterConfig, ("loess",)),
+    ("", "top level", Scenario,
+     ("support_geom", "support_load", "track", "gear", "motor", "stairs", "sim", "arbiter")),
+)
+_FIELDS = {section: {f.name: f for f in fields(ctor)} for section, _, ctor, _ in _SECTIONS}
 
-    lo: float
-    hi: float
-    kind: Callable = _finite
-    degrees: bool = False
 
-    def __call__(self, value):
-        number = self.kind(value)
+def _ranged(*targets, kind=_finite):
+    """A leaf read through ``kind`` within its first target field's range (in
+    degrees, then set in radians, for a degree field); a null that ``kind``
+    passes stays null."""
+    section, _, name = targets[0].rpartition(".")
+    meta = _FIELDS[section][name].metadata
+
+    def read(value):
+        number = kind(value)
         if number is None:
             return None
-        if not self.lo <= number <= self.hi:
-            raise _refused(f"a number in [{self.lo:g}, {self.hi:g}]", value)
-        return math.radians(number) if self.degrees else number
+        lo, hi = meta["range"]
+        if not lo <= number <= hi:
+            raise _refused(f"a number in [{lo:g}, {hi:g}]", value)
+        return math.radians(number) if meta["degrees"] else number
+    return (read, *targets)
 
 
 # Each leaf is (kind, target, ...); a target is "section.field", or a bare
@@ -86,41 +103,41 @@ class _Range:
 # ArbiterConfig and LoessConfig refuse or clamp every value out of bounds.
 _LEAVES = {
     "name": (_string, "name"),
-    "robot.per_track_mass_kg": (_Range(1e-3, 1e5), "track.M"),
-    "robot.pulley1_mass_kg": (_Range(0, 1e4), "track.m1"),
-    "robot.pulley23_mass_kg": (_Range(0, 1e4), "track.m"),
-    "robot.pulley1_radius_m": (_Range(1e-3, 10), "track.R"),
-    "robot.pulley23_radius_m": (_Range(1e-3, 10), "track.r"),
-    "robot.gravity_mps2": (_Range(0.1, 100), "track.gravity", "support_load.gravity"),
-    "robot.support.a_m": (_Range(0, 100), "support_geom.a"),
-    "robot.support.b_m": (_Range(0, 100), "support_geom.b"),
-    "robot.support.h_m": (_Range(1e-3, 100), "support_geom.h"),
-    "robot.support.payload_mass_kg": (_Range(1e-3, 1e4), "support_load.mass"),
-    "robot.support.hinge_shear_limit_n": (_Range(1e-3, 1e9), "support_load.hinge_shear_limit"),
-    "robot.support.safety_factor": (_Range(1, 100), "support_load.safety_factor"),
-    "robot.gear.pressure_angle_deg": (_Range(5, 45, degrees=True), "gear.pressure_angle"),
-    "robot.gear.module_mm": (_Range(0.01, 100), "gear.module_mm"),
-    "robot.gear.addendum_factor": (_Range(0.1, 10), "gear.addendum_factor"),
-    "robot.gear.teeth": (_Range(1, 1e6, _or_null(_integer)), "gear.teeth"),  # null: no-interference minimum
-    "robot.motor.power_w": (_Range(1e-3, 1e7), "motor.rated_power"),
-    "robot.motor.torque_nm": (_Range(1e-3, 1e6), "motor.rated_torque"),
-    "robot.motor.speed_rpm": (_Range(1e-3, 1e6), "motor.rated_speed"),
-    "robot.motor.reduction": (_Range(1e-3, 1e4), "motor.reduction"),
+    "robot.per_track_mass_kg": _ranged("track.M"),
+    "robot.pulley1_mass_kg": _ranged("track.m1"),
+    "robot.pulley23_mass_kg": _ranged("track.m"),
+    "robot.pulley1_radius_m": _ranged("track.R"),
+    "robot.pulley23_radius_m": _ranged("track.r"),
+    "robot.gravity_mps2": _ranged("track.gravity", "support_load.gravity"),
+    "robot.support.a_m": _ranged("support_geom.a"),
+    "robot.support.b_m": _ranged("support_geom.b"),
+    "robot.support.h_m": _ranged("support_geom.h"),
+    "robot.support.payload_mass_kg": _ranged("support_load.mass"),
+    "robot.support.hinge_shear_limit_n": _ranged("support_load.hinge_shear_limit"),
+    "robot.support.safety_factor": _ranged("support_load.safety_factor"),
+    "robot.gear.pressure_angle_deg": _ranged("gear.pressure_angle"),
+    "robot.gear.module_mm": _ranged("gear.module_mm"),
+    "robot.gear.addendum_factor": _ranged("gear.addendum_factor"),
+    "robot.gear.teeth": _ranged("gear.teeth", kind=_or_null(_integer)),  # null: no-interference minimum
+    "robot.motor.power_w": _ranged("motor.rated_power"),
+    "robot.motor.torque_nm": _ranged("motor.rated_torque"),
+    "robot.motor.speed_rpm": _ranged("motor.rated_speed"),
+    "robot.motor.reduction": _ranged("motor.reduction"),
     "staircase.inclination_deg": (_degrees, "stairs.inclination"),
-    "staircase.step_rise_m": (_Range(1e-3, 10), "stairs.step_rise"),
-    "staircase.ramp_length_m": (_Range(0, 1e4), "stairs.ramp_length"),
-    "staircase.approach_length_m": (_Range(0, 1e4), "stairs.approach_length"),
-    "sim.dt_s": (_Range(1e-9, 1e3), "sim.dt"),
-    "sim.duration_s": (_Range(1e-9, 1e10), "sim.duration"),
-    "sim.rolling_resist_coeff": (_Range(0, 10), "sim.rolling_resist_coeff"),
-    "sim.ground_speed_cap_mps": (_Range(1e-3, 100), "sim.ground_cap"),
-    "sim.stair_speed_cap_mps": (_Range(1e-3, 100), "sim.stair_cap"),
-    "sim.track_zone_m": (_Range(1e-3, 100), "sim.track_length"),
-    "sim.level_run_m": (_Range(0, 1e4), "sim.level_run"),
-    "sim.plate.lever_arm_m": (_Range(1e-3, 100), "plate.lever_arm"),
-    "sim.plate.max_rate_mps": (_Range(1e-6, 100), "plate.max_rate"),
-    "sim.plate.stroke_m": (_Range(1e-3, 100), "plate.stroke"),
-    "sim.plate.tolerance_deg": (_Range(1e-3, 90, degrees=True), "plate.tolerance"),
+    "staircase.step_rise_m": _ranged("stairs.step_rise"),
+    "staircase.ramp_length_m": _ranged("stairs.ramp_length"),
+    "staircase.approach_length_m": _ranged("stairs.approach_length"),
+    "sim.dt_s": _ranged("sim.dt"),
+    "sim.duration_s": _ranged("sim.duration"),
+    "sim.rolling_resist_coeff": _ranged("sim.rolling_resist_coeff"),
+    "sim.ground_speed_cap_mps": _ranged("sim.ground_cap"),
+    "sim.stair_speed_cap_mps": _ranged("sim.stair_cap"),
+    "sim.track_zone_m": _ranged("sim.track_length"),
+    "sim.level_run_m": _ranged("sim.level_run"),
+    "sim.plate.lever_arm_m": _ranged("plate.lever_arm"),
+    "sim.plate.max_rate_mps": _ranged("plate.max_rate"),
+    "sim.plate.stroke_m": _ranged("plate.stroke"),
+    "sim.plate.tolerance_deg": _ranged("plate.tolerance"),
     "teleop.event_log": (_or_null(_string), "event_log"),
     "teleop.arbiter.keypad_speed": (_finite, "arbiter.keypad_speed"),
     "teleop.arbiter.keypad_turn": (_finite, "arbiter.keypad_turn"),
@@ -138,23 +155,6 @@ _LEAVES = {
     "teleop.arbiter.hysteresis_hi": (_finite, "arbiter.hysteresis_hi"),
 }
 _OBJECTS = {key.rsplit(".", n)[0] for key in _LEAVES for n in range(1, key.count(".") + 1)}
-
-# (section, JSON path its errors name, constructor, built sections it takes),
-# in build order; the bare section "" is the Scenario itself.
-_SECTIONS = (
-    ("support_geom", "robot.support", SupportGeometry, ()),
-    ("support_load", "robot.support", SupportLoad, ()),
-    ("gear", "robot.gear", GearDesign, ()),
-    ("motor", "robot.motor", MotorSpec, ()),
-    ("stairs", "staircase", Staircase, ()),
-    ("track", "robot", TrackParams, ()),
-    ("plate", "sim.plate", PlateRig, ()),
-    ("sim", "sim", SimConfig, ("track", "motor", "plate")),
-    ("loess", "teleop.arbiter", LoessConfig, ()),
-    ("arbiter", "teleop.arbiter", ArbiterConfig, ("loess",)),
-    ("", "top level", Scenario,
-     ("support_geom", "support_load", "track", "gear", "motor", "stairs", "sim", "arbiter")),
-)
 
 
 def _value(kind, value, where: str):

@@ -79,7 +79,7 @@ from enum import Enum
 from itertools import accumulate, compress, islice, repeat
 from operator import attrgetter, is_, mul
 
-from .drivetrain import MAX_INCLINATION, MotorSpec, TrackParams, min_static_torque
+from .drivetrain import MAX_INCLINATION, MotorSpec, TrackParams, _check_ranges, _ranged, min_static_torque
 
 __all__ = [
     "Phase",
@@ -122,64 +122,57 @@ class Unclimbable(RuntimeError):
 @dataclass(frozen=True)
 class Staircase:
     """Stair geometry.  ramp_length runs along the slope; zero means no stairs.
-    The dynamics read the slope alone: step_rise is checked, never read."""
+    The dynamics read the slope alone: step_rise is checked, never read.
+    The lengths are range-checked; the inclination keeps the design cap."""
 
-    inclination: float = MAX_INCLINATION  # rad
-    step_rise: float = 0.17               # m
-    ramp_length: float = 0.55             # m along the slope
-    approach_length: float = 0.0          # m of flat ground before the first nose
+    inclination: float = MAX_INCLINATION             # rad
+    step_rise: float = _ranged(0.17, 1e-3, 10)       # m
+    ramp_length: float = _ranged(0.55, 0, 1e4)       # m along the slope
+    approach_length: float = _ranged(0.0, 0, 1e4)    # m of flat ground before the first nose
 
     def __post_init__(self):
+        _check_ranges(self)
         if not (0.0 < self.inclination <= MAX_INCLINATION + 1e-12):  # NaN fails too
             raise ValueError(f"inclination must lie in (0, {math.degrees(MAX_INCLINATION):.0f} deg] "
                              f"(got {math.degrees(self.inclination):.2f} deg)")
-        if not (self.step_rise > 0):
-            raise ValueError("step rise must be positive")
-        if not (self.ramp_length >= 0 and self.approach_length >= 0):
-            raise ValueError("lengths must be >= 0")
 
 
 @dataclass(frozen=True)
 class PlateRig:
-    """Plate-levelling actuator model: extension -> compensation angle."""
+    """Plate-levelling actuator model: extension -> compensation angle.
+    Every field is range-checked."""
 
-    lever_arm: float = 0.30        # m; plate angle compensated = ext / lever_arm
-    max_rate: float = 0.05         # m/s extension slew limit
-    stroke: float = 0.25           # m
-    tolerance: float = math.radians(1.0)  # levelling tolerance during climb
+    lever_arm: float = _ranged(0.30, 1e-3, 100)  # m; plate angle compensated = ext / lever_arm
+    max_rate: float = _ranged(0.05, 1e-6, 100)   # m/s extension slew limit
+    stroke: float = _ranged(0.25, 1e-3, 100)     # m
+    tolerance: float = _ranged(math.radians(1.0), 1e-3, 90, degrees=True)  # levelling tolerance during climb
 
     def __post_init__(self):
-        if not all(x > 0 for x in (self.lever_arm, self.max_rate, self.stroke, self.tolerance)):
-            raise ValueError("plate rig parameters must be positive")
+        _check_ranges(self)
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Climb settings; every number is range-checked, and duration/dt budgeted."""
+
     track: TrackParams
     motor: MotorSpec
-    dt: float = 1e-3               # s
-    duration: float = 10.0         # s
-    rolling_resist_coeff: float = 0.0
-    ground_cap: float = 3.0        # m/s on approach / run-out
-    stair_cap: float = 0.1         # m/s on engage / climb / crest
-    track_length: float = 0.15     # m; sets engage and crest zone lengths
-    level_run: float = 0.2         # m of run-out required for completion
+    dt: float = _ranged(1e-3, 1e-9, 1e3)              # s
+    duration: float = _ranged(10.0, 1e-9, 1e10)       # s
+    rolling_resist_coeff: float = _ranged(0.0, 0, 10)
+    ground_cap: float = _ranged(3.0, 1e-3, 100)       # m/s on approach / run-out
+    stair_cap: float = _ranged(0.1, 1e-3, 100)        # m/s on engage / climb / crest
+    track_length: float = _ranged(0.15, 1e-3, 100)    # m; sets engage and crest zone lengths
+    level_run: float = _ranged(0.2, 0, 1e4)           # m of run-out required for completion
     plate: PlateRig = PlateRig()
 
     def __post_init__(self):
-        if not (self.dt > 0) or not (self.duration >= self.dt):
+        _check_ranges(self)
+        if not (self.duration >= self.dt):
             raise ValueError(f"need dt > 0 and duration >= dt (got dt={self.dt}, duration={self.duration})")
         steps = self.duration / self.dt
-        if not (math.isfinite(steps) and round(steps) <= _MAX_STEPS):
-            raise ValueError(
-                f"duration/dt = {steps:.3g} steps exceeds the budget of {_MAX_STEPS} steps"
-            )
-        if not (self.ground_cap > 0 and self.stair_cap > 0):
-            raise ValueError("speed caps must be positive")
-        if not (self.rolling_resist_coeff >= 0):
-            raise ValueError("rolling_resist_coeff must be >= 0")
-        if not (self.track_length > 0 and self.level_run >= 0):
-            raise ValueError("track_length must be > 0 and level_run >= 0")
+        if not round(steps) <= _MAX_STEPS:  # the ranges keep steps finite
+            raise ValueError(f"duration/dt = {steps:.3g} steps exceeds the budget of {_MAX_STEPS} steps")
 
 
 @dataclass(frozen=True)

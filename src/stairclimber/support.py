@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .drivetrain import _check_ranges, _ranged
+
 __all__ = [
     "SupportGeometry",
     "SupportLoad",
@@ -66,39 +68,33 @@ class SupportGeometry:
 
     The actuator must not lie along the arm at full elevation, where gamma
     is smallest: |sin(gamma)| there must reach the force relation's bound.
+    The three lengths are range-checked.
     """
 
-    a: float = 0.335
-    b: float = 0.225
-    h: float = 0.60
+    a: float = _ranged(0.335, 0, 100)
+    b: float = _ranged(0.225, 0, 100)
+    h: float = _ranged(0.60, 1e-3, 100)
 
     def __post_init__(self):
-        if not (self.a >= 0 and self.b >= 0 and self.h > 0):
-            raise ValueError(f"lengths must be positive (a={self.a}, b={self.b}, h={self.h})")
+        _check_ranges(self)
         s = math.sin(solve_gamma(math.pi / 2, self))
         if not (abs(s) >= _SIN_GAMMA_MIN):
-            raise ValueError(
-                f"actuator lies along the arm at 90 deg elevation: sin(gamma) = {s:.3g} "
-                f"is below {_SIN_GAMMA_MIN:g} (b={self.b}, h={self.h})"
-            )
+            raise ValueError(f"actuator lies along the arm at 90 deg elevation: sin(gamma) = {s:.3g} "
+                             f"is below {_SIN_GAMMA_MIN:g} (b={self.b}, h={self.h})")
 
 
 @dataclass(frozen=True)
 class SupportLoad:
-    """Payload and structural limits for the support assembly."""
+    """Payload and structural limits for the support assembly.  Every field
+    is range-checked."""
 
-    mass: float = 120.0               # kg, design payload
-    gravity: float = 9.81             # m/s^2
-    hinge_shear_limit: float = 1130.0  # N, allowable shear at the actuator hinge
-    safety_factor: float = 1.25
+    mass: float = _ranged(120.0, 1e-3, 1e4)                # kg, design payload
+    gravity: float = _ranged(9.81, 0.1, 100)               # m/s^2
+    hinge_shear_limit: float = _ranged(1130.0, 1e-3, 1e9)  # N, allowable shear at the actuator hinge
+    safety_factor: float = _ranged(1.25, 1, 100)
 
     def __post_init__(self):
-        if not (self.mass > 0 and self.gravity > 0):
-            raise ValueError("mass and gravity must be positive")
-        if math.isnan(self.hinge_shear_limit):
-            raise ValueError("hinge_shear_limit must be a number")
-        if not (self.safety_factor >= 1.0):
-            raise ValueError(f"safety_factor must be >= 1 (got {self.safety_factor})")
+        _check_ranges(self)
 
 
 def gamma_residual(gamma: float, theta: float, geom: SupportGeometry) -> float:

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from stairclimber import cli, support
 from stairclimber.cli import main
-from stairclimber.control import _finite, _fmt
+from stairclimber.control import _fmt
 from stairclimber.drivetrain import Pulley, TrackParams, torque_case
-from stairclimber.scenario import _LEAVES, _Range, load_scenario
+from stairclimber.scenario import _FIELDS, _LEAVES, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -384,7 +384,7 @@ def test_overflowing_drive_exits_1_on_every_command(tmp_path, capsys, command, o
     "robot, reason",
     [
         # heavy P2/P3 pulleys back-solve p1_accel to a negative supported mass
-        ({"pulley23_mass_kg": 1e4}, "supported mass must be positive"),
+        ({"pulley23_mass_kg": 1e4}, "M: expected a number in [0.001, 100000]"),
         # a heavy P1 outweighs the back-solved mass, though not the scenario's
         ({"per_track_mass_kg": 500, "pulley1_mass_kg": 400}, "P1's effective mass"),
     ],
@@ -462,8 +462,14 @@ def test_simulation_commands_on_hostile_values_end_in_an_exit_code(tmp_path_fact
             assert NON_FINITE.search(path.read_text()) is None, path.name
 
 
-# every ranged key, with its range
-RANGES = {key: kind for key, (kind, *_) in _LEAVES.items() if isinstance(kind, _Range)}
+def field_of(target):
+    """The dataclass field that a leaf target sets."""
+    section, _, name = target.rpartition(".")
+    return _FIELDS[section][name]
+
+
+# every ranged key, with the dataclass field that holds its range
+RANGES = {key: field_of(target) for key, (_, target, *_) in _LEAVES.items() if "range" in field_of(target).metadata}
 
 
 @st.composite
@@ -471,10 +477,10 @@ def range_end_values(draw):
     # 1-4 ranged keys, each at an end of its range or log-uniform inside it
     out = {}
     for key in draw(st.lists(st.sampled_from(sorted(RANGES)), min_size=1, max_size=4, unique=True)):
-        kind = RANGES[key]
-        lo = kind.lo or kind.hi * 1e-12
-        value = draw(st.sampled_from([kind.lo, kind.hi]) | st.floats(0.0, 1.0).map(lambda u: lo * (kind.hi / lo) ** u))
-        out[key] = min(max(value, kind.lo), kind.hi) if kind.kind is _finite else round(value)
+        lo, hi = RANGES[key].metadata["range"]
+        low = lo or hi * 1e-12
+        value = draw(st.sampled_from([lo, hi]) | st.floats(0.0, 1.0).map(lambda u: low * (hi / low) ** u))
+        out[key] = min(max(value, lo), hi) if RANGES[key].type == "float" else round(value)
     return out
 
 

@@ -18,6 +18,7 @@ from stairclimber.drivetrain import (
     tension_order,
     torque_case,
 )
+from stairclimber.stairsim import PlateRig
 
 ACCEL = TrackParams(M=97.0, R=0.05, r=0.036, theta=math.radians(40.0), accel=0.5)
 STATIC = replace(ACCEL, accel=0.0)
@@ -76,17 +77,42 @@ def test_tooth_count_must_be_finite():
 @pytest.mark.parametrize(
     "alpha_deg, module_mm, message",
     [
-        (1e-9, 4.0, "must exceed base radius"),   # both radii round to 1.3e22 mm
+        # both radii would round to 1.3e22 mm; no gear within the ranges has
+        # its outer radius at or below its base radius, so the angle's range
+        # refuses it first
+        (1e-9, 4.0, "pressure_angle: expected a number in"),
     ],
 )
 def test_gear_refuses_radii_contact_ratio_cannot_use(alpha_deg, module_mm, message):
-    with pytest.raises(InvalidGeometry, match=message):
+    with pytest.raises(ValueError, match=message):
         GearDesign(math.radians(alpha_deg), 1.0, module_mm)
+
+
+@pytest.mark.parametrize(
+    "build, refused",
+    [
+        (lambda: GearDesign(teeth=10**400), "teeth"),       # the pitch radius would overflow
+        (lambda: TrackParams(M=1e308, gravity=10), "M"),    # torque_case would return inf
+        # the ends of the degree fields' ranges, held in radians
+        (lambda: GearDesign(pressure_angle=math.radians(5)), None),
+        (lambda: GearDesign(pressure_angle=math.radians(45)), None),
+        (lambda: PlateRig(tolerance=math.radians(1e-3)), None),
+        (lambda: PlateRig(tolerance=math.radians(90)), None),
+    ],
+    ids=["teeth", "M", "pressure_angle_lo", "pressure_angle_hi", "tolerance_lo", "tolerance_hi"],
+)
+def test_a_field_outside_its_range_is_refused_by_name(build, refused):
+    if refused is None:
+        build()
+        return
+    with pytest.raises(ValueError, match=rf"^{refused}: expected a number in \[") as info:
+        build()
+    assert len(str(info.value)) < 120   # a 401-digit tooth count is cut
 
 
 def test_p1_effective_mass_must_be_positive():
     with pytest.raises(ValueError, match="P1's effective mass"):
-        TrackParams(m1=1e300)
+        TrackParams(M=1.0, m1=10.0)
 
 
 def test_torque_back_solve_round_trips_targets():

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stairclimber.control import ArbiterConfig, _finite
+from stairclimber.control import ArbiterConfig
 from stairclimber.drivetrain import GearDesign, MotorSpec, TrackParams, min_pinion_teeth
 from stairclimber.eeg import LoessConfig
-from stairclimber.scenario import _LEAVES, ConfigError, Scenario, _Range, build_scenario, load_scenario
+from stairclimber.scenario import _FIELDS, _LEAVES, ConfigError, Scenario, build_scenario, load_scenario
 from stairclimber.stairsim import SimConfig, Staircase
 from stairclimber.support import SupportGeometry, SupportLoad
 
@@ -352,22 +352,43 @@ def test_readme_scenario_example_loads():
     assert sc.event_log == SCENARIOS / "teleop_events.jsonl"
 
 
-RANGES = {key: kind for key, (kind, *_) in _LEAVES.items() if isinstance(kind, _Range)}
+def field_of(target):
+    """The dataclass field that a leaf target sets."""
+    section, _, name = target.rpartition(".")
+    return _FIELDS[section][name]
+
+
+# every ranged key, with the range of the dataclass field it sets
+RANGES = {key: field_of(target).metadata["range"] for key, (_, target, *_) in _LEAVES.items()
+          if "range" in field_of(target).metadata}
 
 
 def test_readme_range_table_is_the_leaf_table():
-    # README quotes each range with its reason; the ranges have one source
+    # README quotes each range with its reason; each range has one source,
+    # the dataclass field its key sets
     readme = (ROOT / "README.md").read_text()
     section = re.search(r"## Scenarios(.*?)\n## ", readme, re.S).group(1)
     rows = re.findall(r"^\| `([\w.]+)` \| \[(\S+), (\S+)\] \| (.+) \|$", section, re.M)
-    assert {key: (float(lo), float(hi)) for key, lo, hi, _ in rows} == {
-        key: (kind.lo, kind.hi) for key, kind in RANGES.items()}
+    assert {key: (float(lo), float(hi)) for key, lo, hi, _ in rows} == RANGES
     assert len(rows) == len(RANGES) and all(reason.strip() for *_, reason in rows)
-    # every number of the robot, the staircase and the simulation has one,
-    # except the inclination, whose dataclass refuses all outside (0, 40]
+    # every number of the robot, the staircase and the simulation reaches a
+    # ranged field, except the inclination, whose dataclass refuses all
+    # outside (0, 40]
     numbers = {key for key in _LEAVES
                if key.startswith(("robot.", "staircase.", "sim.")) and key != "staircase.inclination_deg"}
     assert set(RANGES) == numbers
+    # the key with two targets sets two fields of one range
+    assert _LEAVES["robot.gravity_mps2"][1:] == ("track.gravity", "support_load.gravity")
+    assert field_of("track.gravity").metadata == field_of("support_load.gravity").metadata
+    # every ranged field is set by a ranged key, and its default lies in its
+    # range, a degree field's in radians
+    ranged = {f for by_name in _FIELDS.values() for f in by_name.values() if "range" in f.metadata}
+    assert ranged == {field_of(target) for key in RANGES for target in _LEAVES[key][1:]}
+    for f in ranged:
+        lo, hi = f.metadata["range"]
+        if f.metadata["degrees"]:
+            lo, hi = math.radians(lo), math.radians(hi)
+        assert f.default is None or lo <= f.default <= hi, f.name
 
 
 def one_key(key, value):
@@ -380,9 +401,9 @@ def one_key(key, value):
 @pytest.mark.parametrize("side", ["below", "above"])
 @pytest.mark.parametrize("key", sorted(RANGES))
 def test_a_value_just_outside_a_range_is_refused_by_key(key, side):
-    kind = RANGES[key]
-    end, away = (kind.lo, -1) if side == "below" else (kind.hi, 1)
-    if kind.kind is _finite:
+    lo, hi = RANGES[key]
+    end, away = (lo, -1) if side == "below" else (hi, 1)
+    if field_of(_LEAVES[key][1]).type == "float":
         outside = math.nextafter(end, away * math.inf)
     else:   # the tooth count, an integer
         end = int(end)

@@ -3,7 +3,7 @@ from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stairclimber.drivetrain import MotorSpec, TrackParams, min_static_torque
@@ -474,6 +474,62 @@ def test_sweep_verdict_is_monotone_in_torque(case):
         climbs.append(completed and not fall)
     first = climbs.index(True) if True in climbs else len(climbs)
     assert all(climbs[first:])
+
+
+def energy_bracket(cfg, stairs):
+    """(tau_E, tau_S) of a climb zone of length L = ramp_length at the stair
+    inclination theta.  At tau_S = r M g (sin theta + c_rr cos theta) the
+    thrust meets the slope's grade plus rolling; below it the robot slows in
+    the zone.  Below tau_E = tau_S - r (M + m1) v_c^2 / (2 L), the kinetic
+    energy at the stair cap v_c cannot carry it through (work-energy)."""
+    p, theta = cfg.track, stairs.inclination
+    tau_s = p.r * p.M * p.gravity * (math.sin(theta) + cfg.rolling_resist_coeff * math.cos(theta))
+    return tau_s - p.r * (p.M + p.m1) * cfg.stair_cap**2 / (2.0 * stairs.ramp_length), tau_s
+
+
+@st.composite
+def ramp_climbs(draw):
+    """Random climbs with a ramp, 20-60 s long, on a motor that reaches
+    twice tau_S through its reduction."""
+    stairs = Staircase(
+        math.radians(draw(st.floats(5.0, 40.0))),
+        0.17,
+        ramp_length=draw(st.floats(0.05, 2.0)),
+        approach_length=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5))),
+    )
+    track = replace(TRACK, M=draw(st.floats(20.0, 150.0)), m1=draw(st.floats(0.0, 3.0)),
+                    r=draw(st.floats(0.01, 0.05)))
+    cfg = SimConfig(
+        track,
+        MOTOR,
+        dt=draw(st.sampled_from([5e-4, 1e-3, 2e-3, 5e-3])),
+        duration=draw(st.floats(20.0, 60.0)),
+        rolling_resist_coeff=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3))),
+        ground_cap=draw(st.floats(0.2, 3.0)),
+        stair_cap=draw(st.floats(0.05, 0.5)),
+        track_length=draw(st.floats(0.02, 0.2)),
+        level_run=draw(st.floats(0.0, 0.1)),
+    )
+    _, tau_s = energy_bracket(cfg, stairs)
+    return replace(cfg, motor=MotorSpec(reduction=max(2.0, 2.0 * tau_s / MOTOR.rated_torque))), stairs
+
+
+BASELINE40 = load_scenario(SCENARIOS / "baseline40.json")
+
+
+@settings(max_examples=200, deadline=None)
+@given(ramp_climbs(), st.sampled_from([0.05, 1e-4]))
+@example((BASELINE40.sim, BASELINE40.stairs), 0.05)   # [25.3994, 25.4311] N*m; swept 25.4112
+@example((BASELINE40.sim, BASELINE40.stairs), 1e-4)   # swept 25.4103
+def test_swept_minimum_lies_in_the_energy_bracket(case, resolution):
+    cfg, stairs = case
+    tau_e, tau_s = energy_bracket(cfg, stairs)
+    # the horizon leaves room when tau_S itself completes the climb; then
+    # every larger torque does, and the bisection stops within one
+    # resolution above the least one that does
+    completed, fall, _, _ = _climb(cfg, stairs, tau_s)
+    assume(completed and not fall)
+    assert tau_e <= min_torque_sweep(cfg, stairs, resolution) <= tau_s + resolution
 
 
 @pytest.mark.parametrize("resolution", [0.0, -0.05, math.nan, math.inf])

@@ -58,11 +58,12 @@ def test_gamma_root_below_one_degree():
 
 
 def test_geometry_refuses_actuator_along_the_arm():
-    # b = 0, or an h that makes b/h vanish: gamma ~ 0 at 90 deg elevation
-    for b, h in ((0.0, 0.6), (0.225, 1e300)):
+    # b = 0, or a b so short that b/h vanishes: gamma ~ 0 at 90 deg elevation
+    for b, h in ((0.0, 0.6), (1e-300, 0.6)):
         with pytest.raises(ValueError, match="actuator lies along the arm"):
             SupportGeometry(a=0.335, b=b, h=h)
-    gamma = solve_gamma(math.pi / 2, SupportGeometry(a=0.335, b=0.225, h=1e9))
+    # the longest h, where sin(gamma) is about 2.2e-3
+    gamma = solve_gamma(math.pi / 2, SupportGeometry(a=0.335, b=0.225, h=100))
     assert math.sin(gamma) >= 1e-12
 
 
