@@ -23,13 +23,14 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 from .drivetrain import DESIGN_ACCEL, _cut
 from .eeg import _HYSTERESIS_HI, _HYSTERESIS_LO
-from .eeg import EegRecord, LoessConfig, PostureState, loess_last, posture_transition
+from .eeg import EegRecord, LoessConfig, PostureState, _loess_last_window, posture_transition
 from .perception.sonar import RegionOccupancy, SonarTriple, region_map
 
 __all__ = [
@@ -65,38 +66,38 @@ class Mode(Enum):
     TRACKING = "Tracking"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPress:
     t: float
     key: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoiceCommand:
     t: float
     symbol: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EegUpdate:
     t: float
     record: EegRecord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TouchTarget:
     t: float
     px: float
     py: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SonarUpdate:
     t: float
     triple: SonarTriple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackUpdate:
     t: float
     bearing: float | None  # None means the tracker lost the target
@@ -109,7 +110,7 @@ def _clamp(x: float, lim: float = 1.0) -> float:
     return min(lim, max(-lim, x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DriveCommand:
     """One command to the drivers: track efforts and seat rate, all in [-1, 1]."""
 
@@ -226,6 +227,8 @@ class ArbiterConfig:
             raise ValueError(
                 f"need hysteresis_lo < hysteresis_hi (got {self.hysteresis_lo}, {self.hysteresis_hi})"
             )
+        if isinstance(self.eeg_window, bool) or not isinstance(self.eeg_window, numbers.Integral):
+            raise ValueError(f"eeg_window must be an integer (got {self.eeg_window!r})")
         if self.eeg_window < 3:
             raise ValueError("eeg_window must be >= 3")
         for name in ("keypad_speed", "keypad_turn", "voice_speed", "voice_turn",
@@ -239,11 +242,14 @@ class ArbiterConfig:
         return self.accel_cap / self.speed_scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArbiterState:
     """Everything the arbiter remembers between events.
 
     The arbiter builds each new state positionally, in this field order.
+    It and the other classes built once per event (the events, DriveCommand,
+    EegRecord and RegionOccupancy) are slotted: a slotted frozen dataclass
+    builds faster than one with a __dict__, and none of them caches anything.
     """
 
     mode: Mode = Mode.KEYPAD
@@ -288,8 +294,9 @@ def _smoothed_meditation(history: tuple[tuple[float, float], ...], cfg: ArbiterC
     # the smoother needs three points; before that the raw value drives the band
     if len(history) < 3:
         return history[-1][1]
+    ts, meditations = zip(*history)
     # a local fit can overshoot the samples; the headset scale is [1, 100]
-    return min(100.0, max(1.0, loess_last(history, cfg.loess)))
+    return min(100.0, max(1.0, _loess_last_window(ts, meditations, cfg.loess)))
 
 
 def _emit(
@@ -357,6 +364,23 @@ def arbiter_step(
     Pure: same (state, event, cfg) always gives the same result.  Unknown
     keys and voice symbols are ignored with a logged diagnostic.
     """
+    # headset samples first: they are most of a session's events
+    if isinstance(event, EegUpdate):
+        if state.mode is not Mode.EEG:
+            return state, None
+        # the float the smoother would convert each time, converted once
+        sample = (float(event.t), float(event.record.meditation))
+        history = (state.med_history + (sample,))[-cfg.eeg_window :]
+        smoothed = _smoothed_meditation(history, cfg)
+        posture = posture_transition(
+            smoothed, state.posture, cfg.hysteresis_lo, cfg.hysteresis_hi
+        )
+        rate = posture.seat_rate(cfg.posture_rate)
+        state = ArbiterState(
+            state.mode, state.occupancy, state.left, state.right, state.last_t, posture, history
+        )
+        return _emit(state, cfg, event.t, DriveCommand(0.0, 0.0, rate, Mode.EEG))
+
     if isinstance(event, KeyPress):
         if event.key in _MODE_KEYS:
             return _switch_mode(state, cfg, event.t, _MODE_KEYS[event.key])
@@ -378,21 +402,6 @@ def arbiter_step(
     if isinstance(event, TouchTarget):
         # target selection happens in perception; the arbiter has no use for it
         return state, None
-
-    if isinstance(event, EegUpdate):
-        if state.mode is not Mode.EEG:
-            return state, None
-        history = (state.med_history + ((event.t, float(event.record.meditation)),))
-        history = history[-cfg.eeg_window :]
-        smoothed = _smoothed_meditation(history, cfg)
-        posture = posture_transition(
-            smoothed, state.posture, cfg.hysteresis_lo, cfg.hysteresis_hi
-        )
-        rate = posture.seat_rate(cfg.posture_rate)
-        state = ArbiterState(
-            state.mode, state.occupancy, state.left, state.right, state.last_t, posture, history
-        )
-        return _emit(state, cfg, event.t, DriveCommand(0.0, 0.0, rate, Mode.EEG))
 
     if isinstance(event, VoiceCommand):
         if state.mode is not Mode.VOICE:

@@ -14,11 +14,15 @@ frames are dropped, never raised.
 The meditation series is pre-smoothed with LOESS (locally weighted linear
 regression, tricube weights) before driving the seat: raw headset values are
 spiky and a single outlier must not toggle the actuators.  loess_smooth is
-the whole-series fit in numpy.  The arbiter fits only the newest sample of
-its window (loess_last), in Python floats over the points that carry weight;
-it computes the tricube weights with numpy's array power and adds every sum
-in numpy's pairwise order, so it returns the same bits as loess_smooth's
-last value.
+the whole-series fit in numpy.  The fit at the newest sample alone
+(_fit_last) runs in Python floats over the points that carry weight, with
+numpy's array power for the tricube weights and numpy's pairwise order for
+every sum, so it returns the same bits as loess_smooth's last value.
+loess_last checks any series in numpy, with loess_smooth's errors; the
+arbiter's entry, _loess_last_window, checks its window's t and value tuples
+in Python.  The weights depend only on where the weighted points sit
+relative to the newest one, which a fixed-rate headset repeats from sample
+to sample, so _tricube memoizes them.
 
 posture_transition is a hysteresis band on the smoothed value: at or above
 the high threshold the seat raises, at or below the low threshold it lowers,
@@ -31,7 +35,9 @@ enough to reject smoothed noise.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,16 +59,20 @@ _PAYLOAD_LEN = 2
 _FRAME_LEN = 2 + 1 + _PAYLOAD_LEN + 1  # sync pair, length, payload, checksum
 _MIN_WINDOW = 3   # points in the smallest window a straight-line fit can smooth
 _HYSTERESIS_LO, _HYSTERESIS_HI = 40.0, 60.0  # seat band; ArbiterConfig reads these too
-# below this no difference, product or sum in loess_last's fit overflows, so
-# the points it skips would add exact zeros
+# below this no difference, product or sum in _fit_last overflows, so the
+# points it skips would add exact zeros
 _SCALAR_FIT_LIMIT = 1e150
+# distinct weight vectors _tricube keeps; a fixed-rate session needs a few
+# (one per window size while the window fills), 20,000 samples at dt 0.1 s
+# about 75
+_TRICUBE_MEMO_SIZE = 256
 
 
 class TooFewPoints(ValueError):
     """Not enough samples for the requested local regression window."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EegRecord:
     t: float
     attention: int   # 1..100
@@ -109,6 +119,7 @@ class EegStreamParser:
         buf = self._buf
         buf += data
         records: list[EegRecord] = []
+        count, dt = self._count, self.dt  # the frame counter is written back once
         end = len(buf)
         i = 0  # buf[:i] is consumed; it is deleted once, on the way out
         while True:
@@ -122,19 +133,14 @@ class EegStreamParser:
                 break
             length, attention, meditation, checksum = buf[i + 2 : i + _FRAME_LEN]
             if length == _PAYLOAD_LEN and (length + attention + meditation) & 0xFF == checksum:
-                records.append(
-                    EegRecord(
-                        t=self._count * self.dt,
-                        attention=_SCALE[attention],
-                        meditation=_SCALE[meditation],
-                    )
-                )
-                self._count += 1
+                records.append(EegRecord(count * dt, _SCALE[attention], _SCALE[meditation]))
+                count += 1
                 i += _FRAME_LEN
             else:
                 self.checksum_failures += 1
                 # skip past the first sync byte and rescan
                 i += 1
+        self._count = count
         del buf[:i]
         return records
 
@@ -162,8 +168,8 @@ def loess_smooth(
     Each point is re-estimated from a weighted straight-line fit over its
     nearest-neighbour window (tricube weights, zero at the window edge).
     Output length equals input length and t values are echoed unchanged.
-    Requires >= 3 points with strictly increasing t.  The arbiter needs only
-    the newest point and calls loess_last instead.
+    Requires >= 3 points with strictly increasing t.  The fit at the newest
+    point alone is loess_last.
     """
     t, y, q = _checked_series(series, cfg)
     return [(float(t[i]), float(_fit_at(t, y, q, i))) for i in range(len(t))]
@@ -173,33 +179,55 @@ def loess_last(series, cfg: LoessConfig = LoessConfig()) -> float:
     """The fit at the last point of a series only: one local fit, not one per point.
 
     Equals loess_smooth(series, cfg)[-1][1] bit for bit, with the same
-    checks and errors.  The arbiter smooths each new headset sample with
-    this.  On strictly increasing t the last point's q nearest neighbours
-    are the last q points, and the farthest of them gets weight zero, so
-    only the last q - 1 points enter the fit.  The fit runs on Python floats
-    over just those points and keeps numpy's arithmetic where it differs
-    from Python's: the tricube weights use numpy's array power, whose SIMD
-    kernel does not round like libm's pow, and every sum adds in numpy's
-    pairwise order (_np_sum).  A series with a value beyond +-1e150 (or a
-    non-finite one) takes the numpy path: there a zero weight times an
-    overflowed difference gives nan, which skipping the point would hide.
+    checks and errors: the series is checked in numpy (_checked_series),
+    then fitted by _fit_last on its Python floats.  A series with a value
+    beyond +-1e150 (or a non-finite one) takes loess_smooth's numpy fit
+    instead: there a zero weight times an overflowed difference gives nan,
+    which _fit_last's skipping of that point would hide.  The arbiter does
+    not call this; its entry is _loess_last_window.
     """
-    import numpy as np
-
     t, y, q = _checked_series(series, cfg)
-    n = len(t)
-    x0 = float(t[-1])
-    ys = y.tolist()
-    # t is monotone, so its ends bound it; a nan anywhere fails the test
-    if not abs(float(t[0])) + abs(x0) + sum(map(abs, ys)) <= _SCALAR_FIT_LIMIT:
-        return float(_fit_at(t, y, q, n - 1))
+    ts, ys = t.tolist(), y.tolist()
+    if _in_scalar_range(ts, ys):
+        return _fit_last(ts, ys, q)
+    return float(_fit_at(t, y, q, len(ts) - 1))
+
+
+def _loess_last_window(ts, ys, cfg: LoessConfig) -> float:
+    """loess_last of the series zip(ts, ys), checked in Python: the arbiter's entry.
+
+    ts and ys are the window's t and value tuples, at least three floats
+    each.  A t that does not strictly increase raises what loess_last
+    raises; a nan t compares false, so it fails as it does in numpy.
+    """
+    if not all(map(operator.lt, ts, ts[1:])):
+        raise ValueError("t must be strictly increasing")
+    if _in_scalar_range(ts, ys):
+        return _fit_last(ts, ys, cfg.window(len(ts)))
+    return loess_last(tuple(zip(ts, ys)), cfg)
+
+
+def _in_scalar_range(ts, ys) -> bool:
+    # ts is monotone, so its ends bound it; a nan anywhere fails the test
+    return abs(ts[0]) + abs(ts[-1]) + sum(map(abs, ys)) <= _SCALAR_FIT_LIMIT
+
+
+def _fit_last(ts, ys, q: int) -> float:
+    """The local fit at the last of the points (ts, ys), in Python floats.
+
+    ts strictly increases and no value lies beyond _SCALAR_FIT_LIMIT.  The
+    last point's q nearest neighbours are then the last q points, and the
+    farthest of them gets weight zero, so only the last q - 1 points enter
+    the fit, with numpy's weights (_tricube) and sums (_np_sum).
+    """
+    n = len(ts)
     # the points at indices s .. n - 1; finite, strictly increasing t makes h > 0
     s = n - q + 1
-    h = x0 - float(t[s - 1])
-    xs = t[s:].tolist()
+    x0 = ts[-1]
+    h = x0 - ts[s - 1]
+    xs = ts[s:]
     ys = ys[s:]
-    u = np.array([min((x0 - x) / h, 1.0) for x in xs])
-    w = ((1.0 - u**3) ** 3).tolist()
+    w = _tricube(tuple([min((x0 - x) / h, 1.0) for x in xs]))
     sw = _np_sum(w, s, 0, n)
     xm = _np_sum([a * b for a, b in zip(w, xs)], s, 0, n) / sw
     ym = _np_sum([a * b for a, b in zip(w, ys)], s, 0, n) / sw
@@ -209,6 +237,21 @@ def loess_last(series, cfg: LoessConfig = LoessConfig()) -> float:
         return ym
     slope = _np_sum([a * (v - ym) for a, v in zip(wdx, ys)], s, 0, n) / sxx
     return ym + slope * (x0 - xm)
+
+
+@functools.lru_cache(maxsize=_TRICUBE_MEMO_SIZE)
+def _tricube(u: tuple[float, ...]) -> tuple[float, ...]:
+    """The tricube weights (1 - u**3)**3 of scaled distances u, as numpy computes them.
+
+    The power is numpy's array power: its SIMD kernel does not round like
+    libm's pow, so u*u*u or math.pow would change bits.  The weights are a
+    pure function of u, and a fixed-rate headset repeats its window's u
+    from sample to sample, so they are memoized.
+    """
+    import numpy as np
+
+    a = np.array(u)
+    return tuple(((1.0 - a**3) ** 3).tolist())
 
 
 def _np_sum(tail: list[float], s: int, lo: int, hi: int) -> float:

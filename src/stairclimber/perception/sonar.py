@@ -49,7 +49,7 @@ class SonarTriple:
         return frozenset(s for s, d in readings.items() if d <= self.threshold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegionOccupancy:
     """Which of the 7 field-of-view cells currently hold an obstacle."""
 

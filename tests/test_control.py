@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -73,6 +74,41 @@ def test_drive_command_validation():
         DriveCommand(0.0, 0.0, posture_rate=2.0)
     assert DriveCommand(0.0, 0.0).stopped
     assert not DriveCommand(0.1, 0.0).stopped
+
+
+@pytest.mark.parametrize("window", [15.5, 15.0, True, "15"])
+def test_arbiter_config_refuses_a_non_integer_eeg_window(window):
+    # the window slices the headset history, so it must be an integer
+    with pytest.raises(ValueError, match=rf"^eeg_window must be an integer \(got {window!r}\)$"):
+        ArbiterConfig(eeg_window=window)
+    assert ArbiterConfig(eeg_window=np.int64(15)).eeg_window == 15
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        KeyPress(1.0, "8"),
+        VoiceCommand(1.0, "FORWARD"),
+        EegUpdate(1.0, EegRecord(1.0, 50, 60)),
+        TouchTarget(1.0, 2.0, 3.0),
+        SonarUpdate(1.0, sonar({"F"})),
+        TrackUpdate(1.0, 0.2),
+        DriveCommand(0.5, -0.5, 1.0, Mode.EEG),
+        ArbiterState(),
+        EegRecord(1.0, 50, 60),
+        occupancy({"L", "F"}),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_per_event_classes_are_slotted_frozen_values(value):
+    fields = dataclasses.fields(value)
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, fields[0].name, None)
+    copy = dataclasses.replace(value)
+    assert copy is not value and copy == value and hash(copy) == hash(value)
+    shown = ", ".join(f"{f.name}={getattr(value, f.name)!r}" for f in fields)
+    assert repr(value) == f"{type(value).__name__}({shown})"
 
 
 def test_tracking_steers_toward_target():
@@ -331,7 +367,11 @@ def reference_smoothed_meditation(history, cfg):
 
 @st.composite
 def eeg_mode_runs(draw):
-    """A mode key, then headset samples at uneven times, with mode re-entries."""
+    """A mode key, then headset samples, with mode re-entries.
+
+    The samples come at uneven times, or at a fixed rate like a headset's,
+    where the tricube weights repeat and come from the smoother's memo.
+    """
     # windows past numpy's 128-element summation block, and runs long
     # enough to fill them
     cfg = ArbiterConfig(
@@ -339,9 +379,12 @@ def eeg_mode_runs(draw):
         loess=LoessConfig(span=draw(st.floats(0.05, 1.0))),
     )
     t = draw(st.sampled_from([0.0, 1e6]))
+    gaps = st.floats(1e-3, 5.0)
+    if draw(st.booleans()):
+        gaps = st.just(draw(st.sampled_from([1.0, 0.5, 0.1])))
     events = [KeyPress(t, "A")]
     for _ in range(draw(st.integers(1, 250))):
-        t += draw(st.floats(1e-3, 5.0))
+        t += draw(gaps)
         if draw(st.integers(0, 19)) == 0:
             events += [KeyPress(t, "A"), KeyPress(t, "A")]  # leave and re-enter: history clears
         else:
@@ -366,6 +409,38 @@ def test_arbiter_eeg_path_matches_whole_window_smoothing(run):
         mp.setattr(control, "_smoothed_meditation", reference_smoothed_meditation)
         want = fold()
     assert got == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "history, t, refused",
+    [
+        (((1.0, 50.0), (2.0, 60.0), (2.0, 55.0)), 3.0, True),          # equal t
+        (((1.0, 50.0), (math.nan, 60.0), (3.0, 55.0)), 4.0, True),     # NaN t
+        (((-math.inf, 50.0), (2.0, 60.0), (3.0, 55.0)), 4.0, False),   # infinite t
+        (((1.0, 50.0), (2.0, 60.0), (1e200, 55.0)), 2e200, False),     # past the scalar range
+        (((1, 50.0), (2, 60.0), (3, 55.0)), 4.0, False),               # int t
+    ],
+    ids=["equal", "nan", "inf", "1e200", "int"],
+)
+def test_arbiter_smoothing_checks_match_loess_last(history, t, refused):
+    # the arbiter checks its window in Python; a hand-built history must
+    # still fare as it does under the whole-window numpy smoother
+    state = ArbiterState(Mode.EEG, med_history=history)
+    event = EegUpdate(t, EegRecord(t, 50, 70))
+
+    def step():
+        try:
+            return arbiter_step(state, event, CFG)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    got = step()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(control, "_smoothed_meditation", reference_smoothed_meditation)
+        want = step()
+    assert got == want
+    assert (got[0] is ValueError) is refused
 
 
 def test_voice_commands_only_apply_in_voice_mode():

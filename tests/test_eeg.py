@@ -13,6 +13,7 @@ from stairclimber.eeg import (
     LoessConfig,
     PostureState,
     TooFewPoints,
+    _loess_last_window,
     encode_frame,
     loess_last,
     loess_smooth,
@@ -321,6 +322,10 @@ def test_loess_last_equals_the_last_smoothed_value(case):
     want = loess_smooth(series, cfg)[-1][1]
     assert loess_last(series, cfg) == want
     assert loess_last(tuple(series), cfg) == want
+    # the arbiter's entry, twice: the second fit takes its weights from the memo
+    ts, ys = zip(*series)
+    assert _loess_last_window(ts, ys, cfg) == want
+    assert _loess_last_window(ts, ys, cfg) == want
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
